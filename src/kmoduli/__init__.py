@@ -16,10 +16,10 @@ from .cqsing import (
     SingularityClassification,
     UnknownDeformationError,
     classify,
-    continued_fraction_value,
     discrepancies,
     gorenstein_index,
     hirzebruch_jung,
+    min_discrepancy,
     normalize,
     parse_singularity,
     versal_weights,
@@ -77,7 +77,6 @@ __all__ = [
     "betti_of_generic_smoothing",
     "build_surface",
     "classify",
-    "continued_fraction_value",
     "destabilizing_limit",
     "discrepancies",
     "gorenstein_index",
@@ -88,6 +87,7 @@ __all__ = [
     "kernel_rank",
     "largest_polystable_support",
     "local_model",
+    "min_discrepancy",
     "normalize",
     "open_half_space_certificate",
     "parse_singularity",

@@ -32,7 +32,7 @@ from .cqsing import (
 )
 from .moduli import action_for, local_model, unboundedness_witness
 from .moduli import table as moduli_table
-from .quotsurf import assemble_qdef, build_surface
+from .quotsurf import assemble_qdef, build_surface, rational_json
 from .torusgit import (
     DEFAULT_ENUMERATION_BUDGET,
     SupportPoint,
@@ -53,16 +53,11 @@ class ReportConfig:
     """Rendering options shared by every subcommand."""
 
     format: str = "table"
-    convention_note: bool = True
     budget: int = DEFAULT_ENUMERATION_BUDGET
 
 
 def _rat(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def _rat_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _dumps(data: dict) -> str:
@@ -96,8 +91,8 @@ def cmd_sing(germ_text: str, config: ReportConfig) -> str:
         "display": canonical.display(),
         "resolution_chain": list(chain),
         "self_intersections": [-b for b in chain],
-        "discrepancies": [_rat_json(a) for a in discs],
-        "log_discrepancies": [_rat_json(a) for a in logs],
+        "discrepancies": [rational_json(a) for a in discs],
+        "log_discrepancies": [rational_json(a) for a in logs],
         "gorenstein_index": gorenstein_index(nf),
         "classification": cls.to_json_dict(),
     }
@@ -112,9 +107,8 @@ def cmd_sing(germ_text: str, config: ReportConfig) -> str:
         ints = ", ".join(str(-b) for b in chain)
         lines.append(f"  resolution chain:    {list(chain)}  (self-intersections {ints})")
         lines.append(f"  discrepancies:       {', '.join(_rat(a) for a in discs)}")
-        if config.convention_note:
-            lines.append(f"  log discrepancies:   {', '.join(_rat(a) for a in logs)}")
-            lines.append("  (log discrepancy = 1 + discrepancy; both conventions shown)")
+        lines.append(f"  log discrepancies:   {', '.join(_rat(a) for a in logs)}")
+        lines.append("  (log discrepancy = 1 + discrepancy; both conventions shown)")
     lines.append(f"  gorenstein index:    {data['gorenstein_index']}")
     lines.append(
         f"  classification:      w = {cls.w}, r = {cls.r}, m = {cls.m}, w0 = {cls.w0}"
@@ -179,7 +173,7 @@ def cmd_surface(family: str, l: int, config: ReportConfig) -> str:
     lines.append("torus weights on the deformation space:")
     for row in qdef.weight_matrix:
         lines.append("  [ " + " ".join(f"{v:>3}" for v in row) + " ]")
-    if config.convention_note and family == "Y" and l in (3, 9):
+    if family == "Y" and l in (3, 9):
         lines.append("")
         lines.append(
             "note: at this order the coarse dimension is a derived value from "
@@ -337,7 +331,7 @@ def cmd_table(family: str, l_min: int, l_max: int, config: ReportConfig) -> str:
     ]
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    if config.convention_note and family == "Y" and any(m.l in (3, 9) for m in rows):
+    if family == "Y" and any(m.l in (3, 9) for m in rows):
         lines.append(
             "note: coarse dimensions at l = 3, 9 are derived values from the "
             "fixed-support algorithm; the generic-order formula does not apply"
@@ -405,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     git = sub.add_parser("git", help="torus GIT analysis of a weight system")
     git.add_argument(
         "--weights", required=True,
-        help='weight matrix: rows "1,2;3,4" or JSON "[[1,2],[3,4]]"',
+        help='weight matrix: rows "1,2;3,4" or JSON "[[1,2],[3,4]]"; '
+        'write --weights=-1,2 when it starts with "-"',
     )
     git.add_argument("--support", help='1-based support indices, e.g. "1,2,3"')
     git.add_argument(
@@ -429,7 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error(f"argument --budget: must be nonnegative, got {args.budget}")
     config = ReportConfig(format=args.format, budget=args.budget)
     try:
         if args.command == "sing":
@@ -444,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_witness(args.family, args.target_dim, config)
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     print(report)
     return 0

@@ -5,6 +5,11 @@ Gorenstein indices, and the arithmetic governing Q-Gorenstein
 deformations: rigid / T / Du Val classification and the torus
 characters of the versal deformation parameters.
 
+Discrepancies come from the toric integer formula (Cox-Little-Schenck
+10.2; Reid): with alpha_0 = n, alpha_1 = q, beta_0 = 0, beta_1 = 1 and
+x_{i+1} = b_i x_i - x_{i-1} for both sequences, the log discrepancy of
+the i-th exceptional curve of 1/n(1,q) is (alpha_i + beta_i) / n.
+
 All arithmetic is exact (arbitrary-precision integers and
 fractions.Fraction); no floating point is used anywhere.
 """
@@ -173,16 +178,6 @@ def hirzebruch_jung(nf: NormalForm) -> HJResolution:
     return HJResolution(tuple(coeffs))
 
 
-def continued_fraction_value(coefficients: tuple[int, ...]) -> Fraction:
-    """Evaluate b_1 - 1/(b_2 - 1/(... - 1/b_k)) exactly."""
-    if not coefficients:
-        raise ValueError("empty continued fraction")
-    value = Fraction(coefficients[-1])
-    for b in reversed(coefficients[:-1]):
-        value = b - 1 / value
-    return value
-
-
 @dataclass(frozen=True)
 class DiscrepancyVector:
     """Exceptional-curve coefficients a_i in K_resolution = pullback(K) + sum a_i E_i."""
@@ -195,31 +190,37 @@ class DiscrepancyVector:
         return tuple(1 + a for a in self.values)
 
 
+def _log_discrepancy_numerators(n: int, q: int):
+    """Yield alpha_i + beta_i, n times the log discrepancy of E_i, for 1/n(1,q)."""
+    alpha_prev, alpha, beta_prev, beta = n, q, 0, 1
+    while alpha > 0:
+        b = -(-alpha_prev // alpha)
+        yield alpha + beta
+        alpha_prev, alpha = alpha, b * alpha - alpha_prev
+        beta_prev, beta = beta, b * beta - beta_prev
+
+
 def discrepancies(hj: HJResolution) -> DiscrepancyVector:
-    """Solve the chain system for the discrepancies of the resolution.
+    """The discrepancies a_i = (alpha_i + beta_i - n) / n of the resolution.
 
-    Adjunction on each curve E_j (a smooth rational curve of
-    self-intersection -b_j meeting its chain neighbors once) gives the
-    tridiagonal system
-
-        a_{j-1} - b_j a_j + a_{j+1} = b_j - 2,   a_0 = a_{k+1} = 0,
-
-    solved exactly by elimination. All values lie in (-1, 0] and vanish
-    exactly on all-2 chains (Du Val points).
+    They solve the adjunction system a_{j-1} - b_j a_j + a_{j+1} = b_j - 2
+    with a_0 = a_{k+1} = 0, lie in (-1, 0], and vanish exactly on all-2
+    chains (Du Val points). n/q is read back from the chain.
     """
-    bs = hj.coefficients
-    k = len(bs)
-    diag = [Fraction(-b) for b in bs]
-    rhs = [Fraction(b - 2) for b in bs]
-    for j in range(1, k):
-        f = Fraction(1) / diag[j - 1]
-        diag[j] -= f
-        rhs[j] -= f * rhs[j - 1]
-    values = [Fraction(0)] * k
-    values[k - 1] = rhs[k - 1] / diag[k - 1]
-    for j in range(k - 2, -1, -1):
-        values[j] = (rhs[j] - values[j + 1]) / diag[j]
-    return DiscrepancyVector(tuple(values))
+    n, q = 1, 0
+    for b in reversed(hj.coefficients):
+        n, q = b * n - q, n
+    return DiscrepancyVector(
+        tuple(Fraction(s - n, n) for s in _log_discrepancy_numerators(n, q))
+    )
+
+
+def min_discrepancy(nf: NormalForm) -> Fraction:
+    """min(discrepancies(hirzebruch_jung(nf)).values), in one pass without the chain."""
+    if nf.is_smooth:
+        raise ValueError("a smooth point has no exceptional curves to resolve")
+    n = nf.order
+    return Fraction(min(_log_discrepancy_numerators(n, nf.q)) - n, n)
 
 
 def gorenstein_index(nf: NormalForm) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cqsing import discrepancies, gorenstein_index, hirzebruch_jung
+from .cqsing import gorenstein_index, min_discrepancy
 from .quotsurf import (
     CyclicAction,
     assemble_qdef,
@@ -107,10 +107,7 @@ def local_model(family: str, l: int) -> LocalModuliModel:
         coarse = quotient_dim(ws)
         kern = kernel_rank(ws)
         isolated = largest_polystable_support(ws) == SupportPoint.origin()
-    min_disc = min(
-        min(discrepancies(hirzebruch_jung(r.singularity)).values)
-        for r in surface.singular_locus
-    )
+    min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)
     index = lcm(*(gorenstein_index(r.singularity) for r in surface.singular_locus))
     return LocalModuliModel(
         family=family,

@@ -15,7 +15,9 @@ elimination on integer rows):
     (equivalently, iff some x strictly positive on S solves W_S x = 0);
   * every polystable subset of S is contained in
     {i in S : <lambda, w_i> = 0} for any such lambda, so iterating
-    that cut finds the unique largest polystable support;
+    that cut finds the unique largest polystable support; w_i is a
+    positive multiple of its primitive direction, so the cut pairs
+    lambda once per direction and keeps the zero columns;
   * |S| - rank(W_S) is monotone under inclusion of supports, so the
     quotient dimension is attained at the largest polystable support.
 
@@ -347,16 +349,14 @@ def largest_polystable_support(
         support = set(range(1, ws.n_coords + 1))
     else:
         support = set(_support_indices(ws, within))
-    cols = ws.columns
+    dirs = ws._directions
     while True:
-        witness = _destabilizer_witness(ws.rank, _direction_set(ws, support))
+        support_dirs = _direction_set(ws, support)
+        witness = _destabilizer_witness(ws.rank, support_dirs)
         if witness is None:
             return SupportPoint(frozenset(support))
-        support = {
-            i
-            for i in support
-            if sum(a * b for a, b in zip(witness, cols[i - 1])) == 0
-        }
+        cut = {d for d in support_dirs if sum(a * b for a, b in zip(witness, d))}
+        support = {i for i in support if dirs[i - 1] not in cut}
 
 
 def destabilizing_limit(

@@ -27,12 +27,12 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from continued_fractions import continued_fraction_value
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
     NormalForm,
     classify,
-    continued_fraction_value,
     discrepancies,
     gorenstein_index,
     hirzebruch_jung,

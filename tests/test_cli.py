@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from kmoduli import cli
 from kmoduli.cli import main
 
 
@@ -208,6 +209,30 @@ def test_git_budget_exhaustion(capsys):
     )
     assert code == 1
     assert "budget" in err
+
+
+def test_git_negative_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["git", "--weights", "1,-1", "--oracle-cap", "2", "--budget", "-5"])
+    assert info.value.code == 2
+    assert "--budget: must be nonnegative" in capsys.readouterr().err
+
+
+def test_memory_error_is_reported_not_raised(capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_git", exhaust)
+    code, out, err = run_cli(capsys, "git", "--weights", "1,-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_git_weights_starting_with_minus(capsys):
+    code, out, _ = run_cli(capsys, "git", "--weights=-1,2", "--support", "1,2")
+    assert code == 0
+    assert "support {1,2}: polystable" in out
 
 
 def test_git_malformed_weights(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from continued_fractions import continued_fraction_value
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -16,10 +17,10 @@ from kmoduli.cqsing import (
     NormalForm,
     UnknownDeformationError,
     classify,
-    continued_fraction_value,
     discrepancies,
     gorenstein_index,
     hirzebruch_jung,
+    min_discrepancy,
     normalize,
     parse_singularity,
     versal_weights,
@@ -49,6 +50,26 @@ def chain_discrepancy_oracle(bs):
         R[i] = bs[i - 1] * R[i + 1] - R[i + 2]
     n = P[k]
     return tuple(-1 + Fraction(P[i - 1] + R[i + 1], n) for i in range(1, k + 1))
+
+
+def elimination_discrepancy_oracle(bs):
+    """The chain system solved by tridiagonal elimination in Fractions.
+
+    Adjunction on each curve E_j gives
+        a_{j-1} - b_j a_j + a_{j+1} = b_j - 2,   a_0 = a_{k+1} = 0.
+    """
+    k = len(bs)
+    diag = [Fraction(-b) for b in bs]
+    rhs = [Fraction(b - 2) for b in bs]
+    for j in range(1, k):
+        f = Fraction(1) / diag[j - 1]
+        diag[j] -= f
+        rhs[j] -= f * rhs[j - 1]
+    values = [Fraction(0)] * k
+    values[k - 1] = rhs[k - 1] / diag[k - 1]
+    for j in range(k - 2, -1, -1):
+        values[j] = (rhs[j] - values[j + 1]) / diag[j]
+    return tuple(values)
 
 
 # normal forms
@@ -190,6 +211,29 @@ def test_discrepancy_matches_convergent_oracle():
         for q in valid_q(n):
             hj = hirzebruch_jung(NormalForm(n, q))
             assert discrepancies(hj).values == chain_discrepancy_oracle(hj.coefficients)
+
+
+def test_discrepancy_matches_elimination_oracle():
+    for n in range(2, 200):
+        for q in valid_q(n):
+            hj = hirzebruch_jung(NormalForm(n, q))
+            values = discrepancies(hj).values
+            assert values == elimination_discrepancy_oracle(hj.coefficients), (n, q)
+            assert min_discrepancy(NormalForm(n, q)) == min(values), (n, q)
+
+
+def test_discrepancy_long_a_chain_matches_elimination_oracle():
+    nf = NormalForm(3000, 2999)
+    hj = hirzebruch_jung(nf)
+    values = discrepancies(hj).values
+    assert values == elimination_discrepancy_oracle(hj.coefficients)
+    assert values == (Fraction(0),) * 2999
+    assert min_discrepancy(nf) == min(values) == 0
+
+
+def test_min_discrepancy_rejects_smooth():
+    with pytest.raises(ValueError):
+        min_discrepancy(NormalForm(1, None))
 
 
 # Gorenstein index

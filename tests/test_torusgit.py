@@ -287,6 +287,46 @@ def test_largest_polystable_support():
     assert largest_polystable_support(ws) == SupportPoint.full(3)
 
 
+def coordinatewise_cut_oracle(ws, within):
+    """The support cut paired coordinate by coordinate in Fractions.
+
+    Each round solves for a destabilizer of the whole current support
+    from its columns (no direction sets, no cache) and keeps the
+    coordinates whose column pairs to 0.
+    """
+    support = set(within.support)
+    while True:
+        cols = [ws.columns[i - 1] for i in sorted(support)]
+        total = tuple(sum(c) for c in zip(*cols)) if cols else (0,) * ws.rank
+        witness = fm_witness([(c, 0) for c in cols] + [(total, 1)], ws.rank)
+        if witness is None:
+            return SupportPoint(frozenset(support))
+        support = {
+            i
+            for i in support
+            if sum(Fraction(a) * b for a, b in zip(witness, ws.columns[i - 1])) == 0
+        }
+
+
+def test_largest_polystable_support_matches_coordinatewise_cut():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        base = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        cols = list(base)
+        cols += [[0] * k for _ in range(rng.randint(1, 2))]
+        cols += [rng.choice(base) for _ in range(rng.randint(0, 2))]
+        cols += [[g * x for x in rng.choice(base)] for g in rng.sample((2, 3, -2), 2)]
+        rng.shuffle(cols)
+        ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
+        n = ws.n_coords
+        within = SupportPoint.of(i for i in range(1, n + 1) if rng.random() < 0.7)
+        for point in (SupportPoint.full(n), within):
+            assert largest_polystable_support(ws, within=point) == (
+                coordinatewise_cut_oracle(ws, point)
+            ), (ws.matrix, sorted(point.support))
+
+
 def test_destabilizing_limit_y():
     lam, limit = destabilizing_limit(
         WeightSystem.from_rows([y_row(5)]), SupportPoint.full(4)
