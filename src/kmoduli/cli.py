@@ -30,27 +30,24 @@ from .cqsing import (
     normalize,
     parse_singularity,
 )
-from .moduli import action_for, local_model, unboundedness_witness
+from .moduli import action_for, evaluate_model, witness_model
 from .moduli import table as moduli_table
 from .quotsurf import assemble_qdef, build_surface, rational_json
 from .torusgit import (
     DEFAULT_ENUMERATION_BUDGET,
     SupportPoint,
     WeightSystem,
+    analyze,
     destabilizing_limit,
-    effective_rank,
-    exponent_lattice_rank,
+    integer_matrix_rank,
     invariant_monomials,
     is_polystable,
-    kernel_rank,
-    largest_polystable_support,
-    quotient_dim,
 )
 
 
 @dataclass(frozen=True)
 class ReportConfig:
-    """Rendering options shared by every subcommand."""
+    """Output format of every subcommand, and the enumeration cap of git."""
 
     format: str = "table"
     budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -133,9 +130,9 @@ def cmd_sing(germ_text: str, config: ReportConfig) -> str:
 def cmd_surface(family: str, l: int, config: ReportConfig) -> str:
     """Full local moduli report: model fields, singular locus, and the
     torus weight matrix on the deformation space."""
-    model = local_model(family, l)
     surface = build_surface(action_for(family, l))
     qdef = assemble_qdef(surface)
+    model = evaluate_model(family, surface, qdef)
     data = {
         "model": model.to_json_dict(),
         "surface": surface.to_json_dict(),
@@ -229,13 +226,11 @@ def cmd_git(
     support, its polystability verdict and destabilizing data; with an
     oracle cap, the invariant monomials up to that degree."""
     ws = parse_weight_matrix(weights_text)
-    origin_only = largest_polystable_support(ws) == SupportPoint.origin()
+    git = analyze(ws)
     data = {
         "weight_system": ws.to_json_dict(),
-        "quotient_dim": quotient_dim(ws),
-        "kernel_rank": kernel_rank(ws),
-        "effective_rank": effective_rank(ws),
-        "origin_only_polystable": origin_only,
+        **git.to_json_dict(),
+        "origin_only_polystable": git.quotient_dim == 0,
     }
     support = None
     if support_text is not None:
@@ -254,7 +249,7 @@ def cmd_git(
         data["invariant_monomials"] = {
             "degree_cap": oracle_cap,
             "count": len(monomials),
-            "exponent_lattice_rank": exponent_lattice_rank(monomials),
+            "exponent_lattice_rank": integer_matrix_rank(monomials),
         }
     if config.format == "json":
         return _dumps(data)
@@ -264,7 +259,7 @@ def cmd_git(
     lines.append(f"quotient dimension:  {data['quotient_dim']}")
     lines.append(f"kernel rank:         {data['kernel_rank']}")
     lines.append(f"effective rank:      {data['effective_rank']}")
-    if origin_only:
+    if data["origin_only_polystable"]:
         lines.append("only the origin is polystable (the quotient is a point)")
     if support is not None:
         label = "{" + ",".join(str(i) for i in sorted(support.support)) + "}"
@@ -344,14 +339,13 @@ def cmd_table(family: str, l_min: int, l_max: int, config: ReportConfig) -> str:
 
 def cmd_witness(family: str, target_dim: int, config: ReportConfig) -> str:
     """Smallest order whose moduli dimension reaches the target."""
-    l = unboundedness_witness(family, target_dim)
-    model = local_model(family, l)
+    model = witness_model(family, target_dim)
     kind = "coarse" if family == "X" else "stack"
     achieved = model.coarse_dim if family == "X" else model.stack_dim
     data = {
         "family": family,
         "target_dim": target_dim,
-        "l": l,
+        "l": model.l,
         "dimension_kind": kind,
         "achieved_dim": achieved,
     }
@@ -359,7 +353,7 @@ def cmd_witness(family: str, target_dim: int, config: ReportConfig) -> str:
         return _dumps(data)
     return (
         f"smallest {family}-family order with {kind} dimension >= {target_dim}: "
-        f"l = {l} ({kind} dimension {achieved})"
+        f"l = {model.l} ({kind} dimension {achieved})"
     )
 
 
@@ -382,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("table", "json"), default="table",
             help="output format (default: table)",
         )
-        sp.add_argument(
-            "--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-            help="enumeration cap for oracle computations",
-        )
 
     sing = sub.add_parser("sing", help="analyze a cyclic quotient singularity")
     sing.add_argument("germ", metavar="GERM", help='singularity in the form "1/n(a,b)"')
@@ -407,6 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cap", type=int,
         help="also enumerate invariant monomials up to this degree",
     )
+    git.add_argument(
+        "--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+        help="enumeration cap for --oracle-cap",
+    )
     add_common(git)
 
     tab = sub.add_parser("table", help="moduli models across a range of orders")
@@ -426,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget < 0:
-        parser.error(f"argument --budget: must be nonnegative, got {args.budget}")
-    config = ReportConfig(format=args.format, budget=args.budget)
+    budget = getattr(args, "budget", DEFAULT_ENUMERATION_BUDGET)  # git only
+    if budget < 0:
+        parser.error(f"argument --budget: must be nonnegative, got {budget}")
+    config = ReportConfig(format=args.format, budget=budget)
     try:
         if args.command == "sing":
             report = cmd_sing(args.germ, config)

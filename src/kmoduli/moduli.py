@@ -22,17 +22,14 @@ from math import lcm
 from .cqsing import gorenstein_index, min_discrepancy
 from .quotsurf import (
     CyclicAction,
+    QDefModel,
+    SurfaceModel,
     assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
     rational_json,
 )
-from .torusgit import (
-    SupportPoint,
-    kernel_rank,
-    largest_polystable_support,
-    quotient_dim,
-)
+from .torusgit import GITResult, analyze
 
 FAMILIES = ("X", "Y")
 
@@ -46,7 +43,8 @@ class LocalModuliModel:
     2-torus; kernel_rank is the dimension of the subtorus acting
     trivially on the deformation space. isolated records whether the
     origin is the only polystable orbit, i.e. the surface is an
-    isolated point of the coarse moduli space.
+    isolated point of the coarse moduli space; that is coarse_dim == 0,
+    as a nonempty polystable support has positive quotient dimension.
     """
 
     family: str
@@ -91,33 +89,34 @@ def action_for(family: str, l: int) -> CyclicAction:
 
 
 def local_model(family: str, l: int) -> LocalModuliModel:
-    """Build the surface, assemble its deformation space, and quotient.
+    """Build the surface, assemble its deformation space, and quotient."""
+    surface = build_surface(action_for(family, l))
+    return evaluate_model(family, surface, assemble_qdef(surface))
+
+
+def evaluate_model(
+    family: str, surface: SurfaceModel, qdef: QDefModel
+) -> LocalModuliModel:
+    """The local moduli model of a built surface and its deformation space.
 
     aut_dim is the dimension of the connected reductive automorphism
     group (the residual torus; finite factors are ignored, and finite
     quotients do not change any dimension reported here).
     """
-    surface = build_surface(action_for(family, l))
-    qdef = assemble_qdef(surface)
     aut = surface.aut0_dim
-    if qdef.total_dim == 0:
-        coarse, kern, isolated = 0, 2, True
-    else:
-        ws = qdef.weight_system()
-        coarse = quotient_dim(ws)
-        kern = kernel_rank(ws)
-        isolated = largest_polystable_support(ws) == SupportPoint.origin()
+    # no deformations: the quotient is a point and the whole 2-torus acts trivially
+    git = analyze(qdef.weight_system()) if qdef.total_dim else GITResult(0, 2, 0)
     min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)
     index = lcm(*(gorenstein_index(r.singularity) for r in surface.singular_locus))
     return LocalModuliModel(
         family=family,
-        l=l,
+        l=surface.action.order,
         qdef_dim=qdef.total_dim,
         aut_dim=aut,
         stack_dim=qdef.total_dim - aut,
-        coarse_dim=coarse,
-        kernel_rank=kern,
-        isolated=isolated,
+        coarse_dim=git.quotient_dim,
+        kernel_rank=git.kernel_rank,
+        isolated=git.quotient_dim == 0,
         volume=surface.volume,
         min_discrepancy=min_disc,
         gorenstein_index=index,
@@ -163,26 +162,31 @@ def _smallest_y_order(target: int) -> int:
     return l if l % 2 == 1 else l + 1
 
 
-def unboundedness_witness(family: str, target_dim: int) -> int:
-    """The smallest valid order whose moduli dimension reaches target_dim.
+def witness_model(family: str, target_dim: int) -> LocalModuliModel:
+    """The model at the smallest valid order whose dimension reaches target_dim.
 
     Dimension means coarse_dim for the X family and stack_dim for the Y
     family. The closed formulas invert the dimension sequences; the
-    returned order is re-verified against the engine.
+    model at the returned order is built by the engine and checked.
     """
     if target_dim < 0:
         raise ValueError(f"target_dim must be nonnegative, got {target_dim}")
     if family == "X":
-        l = _smallest_x_order(target_dim)
-        achieved = local_model("X", l).coarse_dim
+        model = local_model("X", _smallest_x_order(target_dim))
+        achieved = model.coarse_dim
     elif family == "Y":
-        l = _smallest_y_order(target_dim)
-        achieved = local_model("Y", l).stack_dim
+        model = local_model("Y", _smallest_y_order(target_dim))
+        achieved = model.stack_dim
     else:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if achieved < target_dim:
         raise RuntimeError(
-            f"witness formula for {family} returned l = {l} with dimension "
+            f"witness formula for {family} returned l = {model.l} with dimension "
             f"{achieved} < {target_dim}"
         )
-    return l
+    return model
+
+
+def unboundedness_witness(family: str, target_dim: int) -> int:
+    """The smallest valid order whose moduli dimension reaches target_dim."""
+    return witness_model(family, target_dim).l

@@ -19,7 +19,9 @@ elimination on integer rows):
     positive multiple of its primitive direction, so the cut pairs
     lambda once per direction and keeps the zero columns;
   * |S| - rank(W_S) is monotone under inclusion of supports, so the
-    quotient dimension is attained at the largest polystable support.
+    quotient dimension is attained at the largest polystable support;
+  * a nonempty polystable S has x > 0 with W_S x = 0, so rank(W_S) < |S|:
+    only the origin is polystable iff the quotient dimension is 0.
 
 Polystability of a support depends only on the set of primitive
 directions of its nonzero weights, and the feasibility answers are
@@ -29,7 +31,7 @@ cached on that set, which keeps exhaustive support sweeps cheap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd
@@ -151,11 +153,7 @@ class GITResult:
     effective_rank: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "quotient_dim": self.quotient_dim,
-            "kernel_rank": self.kernel_rank,
-            "effective_rank": self.effective_rank,
-        }
+        return asdict(self)
 
 
 # exact linear algebra
@@ -187,11 +185,6 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def exponent_lattice_rank(monomials: Iterable[Sequence[int]]) -> int:
-    """Rank of the lattice generated by a set of exponent vectors."""
-    return integer_matrix_rank(monomials)
 
 
 # Fourier-Motzkin feasibility with witness construction
@@ -425,7 +418,7 @@ def quotient_dim(ws: WeightSystem) -> int:
 
 
 def analyze(ws: WeightSystem) -> GITResult:
-    """Bundle quotient dimension, kernel rank, and effective rank."""
+    """Bundle quotient dimension, kernel rank, and effective rank (W ranked once)."""
     eff = effective_rank(ws)
     return GITResult(
         quotient_dim=quotient_dim(ws),
@@ -486,24 +479,27 @@ def invariant_monomials(
             f"enumerating {size} candidate monomials exceeds the budget {budget}"
         )
     cols = ws.columns
-    k = ws.rank
     out: list[tuple[int, ...]] = []
     exponents = [0] * n
-    partial = [(0,) * k]
-
-    def recurse(i: int, remaining: int) -> None:
-        if i == n:
-            if not any(partial[-1]):
-                out.append(tuple(exponents))
-            return
-        col = cols[i]
-        base = partial[-1]
-        for v in range(remaining + 1):
-            exponents[i] = v
-            partial.append(tuple(b + v * c for b, c in zip(base, col)))
-            recurse(i + 1, remaining - v)
-            partial.pop()
-        exponents[i] = 0
-
-    recurse(0, degree_cap)
-    return out
+    weight = [0] * ws.rank  # W applied to exponents
+    degree = 0
+    nonzero: list[int] = []  # positions of nonzero exponents, increasing
+    while True:
+        if not any(weight):
+            out.append(tuple(exponents))
+        # lex successor: raise the last exponent while the degree allows,
+        # else clear the last nonzero exponent and raise the one before it
+        i = n - 1
+        if degree == degree_cap:
+            i = nonzero.pop()
+            if i == 0:
+                return out
+            degree -= exponents[i]
+            weight = [w - exponents[i] * c for w, c in zip(weight, cols[i])]
+            exponents[i] = 0
+            i -= 1
+        if exponents[i] == 0:
+            nonzero.append(i)
+        exponents[i] += 1
+        degree += 1
+        weight = [w + c for w, c in zip(weight, cols[i])]

@@ -44,8 +44,8 @@ from kmoduli.torusgit import (
     SupportPoint,
     WeightSystem,
     destabilizing_limit,
-    exponent_lattice_rank,
     fm_witness,
+    integer_matrix_rank,
     is_polystable,
     kernel_rank,
     largest_polystable_support,
@@ -395,7 +395,7 @@ def kernel_certificate(cols, qd: int) -> bool:
     for m in monomials:
         assert all(e >= 0 for e in m), m
         assert all(sum(w * e for w, e in zip(row, m)) == 0 for row in ws.matrix), m
-    return exponent_lattice_rank(monomials) == qd
+    return integer_matrix_rank(monomials) == qd
 
 
 def resolve_straggler(cols, qd: int) -> None:

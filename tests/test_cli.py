@@ -1,8 +1,10 @@
 """Tests for the command-line interface: output content, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,26 @@ def test_git_negative_budget_is_a_usage_error(capsys):
     assert "--budget: must be nonnegative" in capsys.readouterr().err
 
 
+def test_git_oracle_on_many_coordinates(capsys):
+    weights = ",".join(["1,-1"] * 600)
+    code, out, err = run_cli(capsys, "git", f"--weights={weights}", "--oracle-cap", "1")
+    assert (code, err) == (0, "")
+    assert "invariant monomials up to degree 1: 1 (exponent lattice rank 0)" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["sing", "1/5(1,2)"],
+    ["surface", "--family", "X", "--l", "3"],
+    ["table", "--family", "X", "--l-min", "2", "--l-max", "3"],
+    ["witness", "--family", "X", "--target-dim", "5"],
+])
+def test_budget_is_a_git_option_only(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--budget", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
 def test_memory_error_is_reported_not_raised(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError
@@ -356,6 +378,9 @@ def test_usage_error_exits_2():
 
 
 def test_module_entry_point_subprocess():
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [
             sys.executable, "-m", "kmoduli.cli",
@@ -364,6 +389,7 @@ def test_module_entry_point_subprocess():
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)["rows"]

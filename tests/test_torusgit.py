@@ -6,6 +6,7 @@ the x variables), while the library decides supports on the dual side
 (one-parameter subgroups), so agreement is a genuine cross-check.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from kmoduli.torusgit import (
     analyze,
     destabilizing_limit,
     effective_rank,
-    exponent_lattice_rank,
     fm_witness,
     in_rational_cone,
     integer_matrix_rank,
@@ -327,6 +327,25 @@ def test_largest_polystable_support_matches_coordinatewise_cut():
             ), (ws.matrix, sorted(point.support))
 
 
+def test_origin_only_polystable_iff_quotient_dim_zero():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        base = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        cols = list(base)
+        cols += [[0] * k for _ in range(rng.choice((0, 0, 0, 1)))]
+        cols += [rng.choice(base) for _ in range(rng.randint(0, 2))]
+        cols += [[g * x for x in rng.choice(base)] for g in rng.sample((2, 3, -2), rng.randint(0, 2))]
+        rng.shuffle(cols)
+        ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
+        origin_only = largest_polystable_support(ws) == SupportPoint.origin()
+        assert (quotient_dim(ws) == 0) == origin_only, ws.matrix
+        assert (analyze(ws).quotient_dim == 0) == origin_only, ws.matrix
+        seen.add((k, origin_only))
+    assert seen == {(k, b) for k in (1, 2, 3) for b in (True, False)}
+
+
 def test_destabilizing_limit_y():
     lam, limit = destabilizing_limit(
         WeightSystem.from_rows([y_row(5)]), SupportPoint.full(4)
@@ -462,8 +481,31 @@ def test_invariant_monomials_x3():
     ms = invariant_monomials(ws, 6)
     for expected in ((1, 0, 1, 0), (0, 1, 0, 1), (0, 3, 2, 0)):
         assert expected in ms
-    assert exponent_lattice_rank(ms) == 3
+    assert integer_matrix_rank(ms) == 3
     assert quotient_dim(ws) == 3
+
+
+def test_invariant_monomials_is_the_filtered_lex_enumeration():
+    rng = random.Random(31)
+    for _ in range(60):
+        ws = random_system(rng, rng.randint(1, 3), rng.randint(1, 4))
+        cap = rng.randint(1, 5)
+        expected = [
+            m
+            for m in itertools.product(range(cap + 1), repeat=ws.n_coords)
+            if sum(m) <= cap
+            and all(sum(w * e for w, e in zip(row, m)) == 0 for row in ws.matrix)
+        ]
+        assert invariant_monomials(ws, cap) == expected, (ws.matrix, cap)
+
+
+def test_invariant_monomials_many_coordinates():
+    # one stack frame per coordinate used to exceed the recursion limit
+    ws = WeightSystem.from_rows([[1, -1] * 600])
+    assert invariant_monomials(ws, 1) == [(0,) * 1200]
+    ws = WeightSystem.from_rows([[0] + [1] * 1199])
+    ms = invariant_monomials(ws, 2)
+    assert ms == [(0,) * 1200, (1,) + (0,) * 1199, (2,) + (0,) * 1199]
 
 
 def test_invariant_monomials_budget():
@@ -482,10 +524,10 @@ def test_invariant_monomial_rank_approaches_quotient_dim():
         ws = random_system(rng, 1, rng.randint(1, 3), bound=2)
         target = quotient_dim(ws)
         cap = 12
-        rank = exponent_lattice_rank(invariant_monomials(ws, cap))
+        rank = integer_matrix_rank(invariant_monomials(ws, cap))
         while rank < target and cap < 100:
             cap *= 2
-            rank = exponent_lattice_rank(invariant_monomials(ws, cap))
+            rank = integer_matrix_rank(invariant_monomials(ws, cap))
         assert rank == target
 
 
