@@ -7,8 +7,9 @@ subgroups and their limits, computes quotient and kernel dimensions,
 and enumerates invariant monomials up to a degree cap as an
 independent oracle.
 
-Key facts used (all over the rationals, decided by Fourier-Motzkin
-elimination on integer rows):
+Key facts used (all over the rationals, decided by one exact simplex
+kernel with Bland's rule and integer-only pivoting, which returns a
+feasible point or an integer Farkas certificate):
 
   * a support S is polystable iff no one-parameter subgroup lambda has
     <lambda, w_i> >= 0 for all i in S with strict inequality somewhere
@@ -34,7 +35,8 @@ import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -187,118 +189,169 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-# Fourier-Motzkin feasibility with witness construction
+# exact simplex
 
 
-def _reduce_ineq(coeffs: tuple[int, ...], const: int):
-    g = 0
-    for x in coeffs:
-        g = gcd(g, x)
-    g = gcd(g, const)
-    if g > 1:
-        return tuple(x // g for x in coeffs), const // g
-    return coeffs, const
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Integer pivot on rows[r][c]; returns the new common denominator.
 
-
-def _normalize_rows(rows):
-    """Gcd-reduce and dedupe; detect an inconsistent constant row.
-
-    Returns (kept rows, contradiction flag). Rows encode coeffs . x >= const.
+    The tableau is stored as integers over the common denominator d (the
+    previous pivot). Every stored entry is a minor of the starting
+    matrix, so (p * a - f * b) // d is an exact division. A negative
+    pivot negates every row, which keeps the denominator positive.
     """
-    kept = set()
-    for coeffs, const in rows:
-        if not any(coeffs):
-            if const > 0:
-                return [], True
-            continue
-        kept.add(_reduce_ineq(coeffs, const))
-    return list(kept), False
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+    if p < 0:
+        rows[:] = [[-a for a in row] for row in rows]
+        return -p
+    return p
 
 
-def fm_witness(
-    rows: Iterable[tuple[tuple[int, ...], int]], dim: int
-) -> Optional[tuple[Fraction, ...]]:
-    """Solve a system of rational inequalities coeffs . x >= const exactly.
+def _leaving_row(rows, basis, m: int, c: int) -> Optional[int]:
+    """Minimum-ratio row for entering column c, ties to the smallest basic
+    index (Bland's rule); None if no constraint row has c positive."""
+    best = None
+    for i in range(m):
+        a = rows[i][c]
+        if a > 0:
+            if best is None:
+                best, num, den = i, rows[i][-1], a
+                continue
+            lhs, rhs = rows[i][-1] * den, num * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best, num, den = i, rows[i][-1], a
+    return best
 
-    Eliminates variables from the last index to the first, then
-    back-substitutes a witness. Returns a solution vector or None when
-    the system is infeasible.
+
+def _simplex(
+    columns: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    cost: Optional[Sequence[int]] = None,
+) -> tuple[bool, object]:
+    """Decide sum_j x_j columns[j] = rhs with x >= 0, exactly.
+
+    Phase one of the primal simplex with one artificial variable per row
+    and Bland's rule, which cannot cycle; with a cost row, phase two
+    then maximises cost . x. Pivoting is integer-only (_pivot).
+
+    Returns (False, y) when the system is infeasible, with y an integer
+    Farkas vector: y . c <= 0 for every column and y . rhs > 0. When it
+    is feasible, returns (True, None) without a cost row, and otherwise
+    (True, the maximum as a Fraction), or (True, None) if unbounded.
     """
-    cur, contradiction = _normalize_rows([(tuple(a), int(b)) for a, b in rows])
-    if contradiction:
-        return None
-    steps = []
-    for j in range(dim - 1, -1, -1):
-        lowers, uppers, passthrough = [], [], []
-        for coeffs, const in cur:
-            c = coeffs[j]
-            head = coeffs[:j]
-            if c > 0:
-                lowers.append((head, c, const))
-            elif c < 0:
-                uppers.append((head, c, const))
-            else:
-                passthrough.append((head, const))
-        new_rows = list(passthrough)
-        for h1, c1, b1 in lowers:
-            for h2, c2, b2 in uppers:
-                merged = tuple(-c2 * x + c1 * y for x, y in zip(h1, h2))
-                new_rows.append((merged, -c2 * b1 + c1 * b2))
-        steps.append((lowers, uppers))
-        cur, contradiction = _normalize_rows(new_rows)
-        if contradiction:
-            return None
-    values: list[Fraction] = []
-    for lowers, uppers in reversed(steps):
-        lo = None
-        for head, c, const in lowers:
-            t = Fraction(const - sum(h * v for h, v in zip(head, values)), c)
-            if lo is None or t > lo:
-                lo = t
-        hi = None
-        for head, c, const in uppers:
-            t = Fraction(const - sum(h * v for h, v in zip(head, values)), c)
-            if hi is None or t < hi:
-                hi = t
-        if lo is not None:
-            x = lo
-        elif hi is not None:
-            x = min(hi, Fraction(0))
-        else:
-            x = Fraction(0)
-        values.append(x)
-    return tuple(values)
+    m, n = len(rhs), len(columns)
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    rows = [
+        [s * col[i] for col in columns] + [int(t == i) for t in range(m)] + [s * rhs[i]]
+        for i, s in enumerate(signs)
+    ]
+    if cost is not None:
+        rows.append([-x for x in cost] + [0] * (m + 1))
+    # phase-one objective, the sum of the artificials, as reduced costs;
+    # its last entry is minus the objective value
+    rows.append(
+        [-sum(row[j] for row in rows[:m]) for j in range(n)]
+        + [0] * m
+        + [-sum(row[-1] for row in rows[:m])]
+    )
+    basis = list(range(n, n + m))
+    d = 1
+    while rows[-1][-1]:
+        w = rows[-1]
+        c = next((j for j in range(n) if w[j] < 0), None)
+        if c is None:
+            # the reduced cost of artificial t is d * (1 - y_t)
+            return False, tuple(s * (d - w[n + t]) for t, s in enumerate(signs))
+        r = _leaving_row(rows, basis, m, c)
+        d = _pivot(rows, r, c, d)
+        basis[r] = c
+    if cost is None:
+        return True, None
+    rows.pop()
+    # drive the artificials left at level 0 out of the basis; a row with
+    # no nonzero entry in x is redundant and never leaves
+    for r in range(m):
+        if basis[r] >= n:
+            c = next((j for j in range(n) if rows[r][j]), None)
+            if c is not None:
+                d = _pivot(rows, r, c, d)
+                basis[r] = c
+    z = rows[-1]
+    while True:
+        c = next((j for j in range(n) if z[j] < 0), None)
+        if c is None:
+            return True, Fraction(z[-1], d)
+        r = _leaving_row(rows, basis, m, c)
+        if r is None:
+            return True, None
+        d = _pivot(rows, r, c, d)
+        basis[r] = c
+        z = rows[-1]
+
 
 # polystability
 
 @lru_cache(maxsize=None)
-def _destabilizer_witness(
-    dim: int, dirs: frozenset
-) -> Optional[tuple[Fraction, ...]]:
-    """A rational lambda with <lambda, d> >= 0 on dirs, > 0 somewhere, or None.
+def _destabilizer_witness(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
+    """An integer lambda with <lambda, d> >= 0 on dirs, > 0 somewhere, or None.
 
     dirs is a set of primitive integer directions; the answer decides
     polystability of every support whose nonzero weights span exactly
-    those directions.
+    those directions. By Stiemke's lemma some x > 0 has sum x_d d = 0
+    iff -sum(dirs) lies in the cone of dirs; otherwise minus the Farkas
+    vector of that membership pairs >= 0 with every d and > 0 with
+    their sum.
     """
-    rows = [(d, 0) for d in dirs]
-    total = tuple(sum(col) for col in zip(*dirs)) if dirs else (0,) * dim
-    rows.append((total, 1))
-    return fm_witness(rows, dim)
+    if not dirs:
+        return None
+    feasible, y = _simplex(list(dirs), [-sum(col) for col in zip(*dirs)])
+    return None if feasible else tuple(-v for v in y)
+
+
+def _shell(dim: int, box: int):
+    """The points of [-box, box]^dim with max |lambda_i| = box, in
+    lexicographic order."""
+    if dim == 1:
+        yield (-box,)
+        yield (box,)
+        return
+    full = range(-box, box + 1)
+    for x in full:
+        if abs(x) == box:
+            tails = itertools.product(full, repeat=dim - 1)
+        else:
+            tails = _shell(dim - 1, box)
+        for tail in tails:
+            yield (x, *tail)
 
 
 @lru_cache(maxsize=None)
 def _lex_destabilizer(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest integer destabilizer in the smallest
-    symmetric box [-B, B]^dim that contains one, or None if none exists."""
+    symmetric box [-B, B]^dim that contains one, or None if none exists.
+
+    Box B - 1 holds none, so only the shell max |lambda_i| = B of box B
+    is scanned, and its first hit is the lex-min of the whole box.
+    """
     if _destabilizer_witness(dim, dirs) is None:
         return None
     box = 1
     while box <= _BOX_LIMIT:
-        for lam in itertools.product(range(-box, box + 1), repeat=dim):
-            dots = [sum(a * b for a, b in zip(lam, d)) for d in dirs]
-            if all(v >= 0 for v in dots) and any(v > 0 for v in dots):
-                return lam
+        for lam in _shell(dim, box):
+            positive = False
+            for d in dirs:
+                v = sum(map(mul, lam, d))
+                if v < 0:
+                    break
+                positive = positive or v > 0
+            else:
+                if positive:
+                    return lam
         box += 1
     raise RuntimeError("no integer destabilizer found within the search limit")
 
@@ -434,13 +487,10 @@ def in_rational_cone(
 ) -> bool:
     """Whether the vector lies in the rational cone spanned by the generators.
 
-    By LP duality the vector is outside the cone iff some lambda is
-    nonnegative on every generator and negative on the vector.
+    One phase-one simplex call: is sum x_g g = vector solvable with x >= 0?
     """
-    v = tuple(int(x) for x in vector)
-    rows = [(tuple(int(x) for x in g), 0) for g in generators]
-    rows.append((tuple(-x for x in v), 1))
-    return fm_witness(rows, len(v)) is None
+    v = [int(x) for x in vector]
+    return _simplex([[int(x) for x in g] for g in generators], v)[0]
 
 
 def open_half_space_certificate(
@@ -451,9 +501,32 @@ def open_half_space_certificate(
     Such a certificate exists iff only the origin is polystable (every
     nonempty support is destabilized to a strictly smaller one), which
     is the isolated-point criterion for the local moduli space.
+
+    The functional returned is the point of {lambda : <lambda, w_i> >= 1}
+    picked coordinate by coordinate: with lambda_0..lambda_{j-1} fixed,
+    lambda_j is the minimum of its range if that is bounded below, else
+    min(sup, 0) if bounded above, else 0. Each end of the range is the
+    optimum of the LP dual over the columns' tails w_i[j:].
     """
-    rows = [(col, 1) for col in ws.columns]
-    return fm_witness(rows, ws.rank)
+    cols = ws.columns
+    k = ws.rank
+    # Gordan: the region is empty iff some x >= 0, sum x = 1, has W x = 0
+    if _simplex([col + (1,) for col in cols], (0,) * k + (1,))[0]:
+        return None
+    values: list[Fraction] = []
+    for j in range(k):
+        bounds = [1 - sum(a * v for a, v in zip(col, values)) for col in cols]
+        scale = lcm(*(b.denominator for b in bounds))
+        cost = [int(b * scale) for b in bounds]
+        tails = [col[j:] for col in cols]
+        unit = [1] + [0] * (k - j - 1)
+        bounded, low = _simplex(tails, unit, cost)
+        if bounded:
+            values.append(low / scale)
+            continue
+        bounded, high = _simplex(tails, [-x for x in unit], cost)
+        values.append(min(-high / scale, Fraction(0)) if bounded else Fraction(0))
+    return tuple(values)
 
 
 # invariant-monomial oracle
@@ -467,7 +540,8 @@ def invariant_monomials(
 
     Brute-force oracle: the rank of the lattice generated by the output
     converges to quotient_dim as the cap grows. The enumeration size
-    C(N + cap, N) is checked against the budget first. Output is in
+    C(N + cap, N) is checked against the budget first, and the output,
+    N exponents per monomial, is kept within it as well. Output is in
     ascending lexicographic order and always contains the zero vector.
     """
     if degree_cap < 1:
@@ -486,6 +560,11 @@ def invariant_monomials(
     nonzero: list[int] = []  # positions of nonzero exponents, increasing
     while True:
         if not any(weight):
+            if (len(out) + 1) * n > budget:
+                raise EnumerationBudgetError(
+                    f"keeping more than {len(out)} invariant monomials of {n} "
+                    f"exponents exceeds the budget {budget}"
+                )
             out.append(tuple(exponents))
         # lex successor: raise the last exponent while the degree allows,
         # else clear the last nonzero exponent and raise the one before it

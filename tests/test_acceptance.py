@@ -28,6 +28,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 from continued_fractions import continued_fraction_value
+from fourier_motzkin import fm_witness
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -44,7 +45,6 @@ from kmoduli.torusgit import (
     SupportPoint,
     WeightSystem,
     destabilizing_limit,
-    fm_witness,
     integer_matrix_rank,
     is_polystable,
     kernel_rank,

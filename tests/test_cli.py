@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,49 @@ def test_git_oracle_on_many_coordinates(capsys):
     code, out, err = run_cli(capsys, "git", f"--weights={weights}", "--oracle-cap", "1")
     assert (code, err) == (0, "")
     assert "invariant monomials up to degree 1: 1 (exponent lattice rank 0)" in out
+
+
+def test_git_oracle_output_is_within_the_budget(capsys):
+    # the 721,801 candidate monomials pass the budget, but keeping the
+    # 360,001 invariants of 1,200 exponents each does not
+    weights = ",".join(["1,-1"] * 600)
+    code, out, err = run_cli(capsys, "git", f"--weights={weights}", "--oracle-cap", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "budget" in err
+
+
+FM_BLOWUP_WEIGHTS = (
+    "-1,-3,-5,3,-5,4,-2,4,2,-3;4,3,-5,1,-2,0,-4,-2,4,5;1,4,-2,2,-4,5,1,-1,3,2;"
+    "-5,0,4,1,-1,-5,-3,-2,0,4;-3,0,1,-2,-1,5,-4,1,3,0"
+)
+
+
+def test_git_5x10_system_answers_within_a_second(capsys):
+    # Fourier-Motzkin elimination ran 62 s on this system, then ran out of memory
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "git", f"--weights={FM_BLOWUP_WEIGHTS}",
+        "--support", ",".join(map(str, range(1, 11))), "--format", "json",
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["quotient_dim"] == 5
+    assert data["support_analysis"] == {"support": list(range(1, 11)), "polystable": True}
+    assert elapsed < 1.0
+
+
+def test_git_thin_cone_destabilizer_within_five_seconds(capsys):
+    # the whole-box search took 47 s here
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "git", "--weights=1,-1;200,-199", "--support", "1,2", "--format", "json"
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    dest = json.loads(out)["support_analysis"]["destabilizer"]
+    assert dest == {"lambda": [-199, 1], "limit_support": [2]}
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("command", [

@@ -9,10 +9,13 @@ the x variables), while the library decides supports on the dual side
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from fourier_motzkin import fm_witness
 
 from kmoduli.torusgit import (
+    _destabilizer_witness,
     EnumerationBudgetError,
     GITResult,
     SupportPoint,
@@ -20,7 +23,6 @@ from kmoduli.torusgit import (
     analyze,
     destabilizing_limit,
     effective_rank,
-    fm_witness,
     in_rational_cone,
     integer_matrix_rank,
     invariant_monomials,
@@ -377,6 +379,17 @@ def test_destabilizing_limit_mixed_support():
     assert limit == SupportPoint.origin()
 
 
+def lex_box_destabilizer(ws, S):
+    """The lex-min destabilizer of S in the smallest box [-B, B]^k holding
+    one, by scanning whole boxes."""
+    cols = [ws.column(i) for i in sorted(S.support)]
+    for box in itertools.count(1):
+        for lam in itertools.product(range(-box, box + 1), repeat=ws.rank):
+            dots = [sum(a * b for a, b in zip(lam, c)) for c in cols]
+            if all(v >= 0 for v in dots) and any(v > 0 for v in dots):
+                return lam
+
+
 def test_polystable_iff_no_destabilizer():
     rng = random.Random(13)
     for _ in range(80):
@@ -393,6 +406,7 @@ def test_polystable_iff_no_destabilizer():
                 ]
                 assert all(v >= 0 for v in dots) and any(v > 0 for v in dots)
                 assert limit.support < S.support
+                assert lam == lex_box_destabilizer(ws, S)
 
 
 def test_iterated_destabilization_reaches_polystable():
@@ -421,6 +435,77 @@ def test_negation_invariance():
         for mask in range(1 << ws.n_coords):
             S = SupportPoint.of(i + 1 for i in range(ws.n_coords) if mask >> i & 1)
             assert is_polystable(ws, S) == is_polystable(neg, S)
+
+
+# the simplex kernel against the Fourier-Motzkin oracle
+
+
+def random_vectors(rng, dim, count, bound=3):
+    return [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(count)]
+
+
+def test_cone_membership_agrees_with_fourier_motzkin():
+    # v lies outside cone(gens) iff some lambda is >= 0 on gens and < 0 on v
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(500):
+        dim = rng.randint(1, 5)
+        gens = random_vectors(rng, dim, rng.randint(0, 6))
+        if gens and rng.random() < 0.5:
+            mix = [rng.randint(0, 2) for _ in gens]
+            v = tuple(sum(m * g[t] for m, g in zip(mix, gens)) for t in range(dim))
+        else:
+            v = random_vectors(rng, dim, 1)[0]
+        rows = [(g, 0) for g in gens] + [(tuple(-x for x in v), 1)]
+        inside = in_rational_cone(v, gens)
+        assert inside == (fm_witness(rows, dim) is None), (gens, v)
+        seen.add((dim, inside))
+    assert seen == {(dim, b) for dim in range(1, 6) for b in (True, False)}
+
+
+def test_destabilizer_witness_is_a_checked_farkas_vector():
+    rng = random.Random(43)
+    found = 0
+    for _ in range(500):
+        dim = rng.randint(1, 5)
+        dirs = set()
+        for v in random_vectors(rng, dim, rng.randint(1, 7)):
+            g = 0
+            for x in v:
+                g = gcd(g, x)
+            if g:
+                dirs.add(tuple(x // g for x in v))
+        dirs = frozenset(dirs)
+        total = tuple(sum(c) for c in zip(*dirs)) if dirs else (0,) * dim
+        lam = _destabilizer_witness(dim, dirs)
+        oracle = fm_witness([(d, 0) for d in dirs] + [(total, 1)], dim)
+        assert (lam is None) == (oracle is None), sorted(dirs)
+        if lam is not None:
+            found += 1
+            assert all(isinstance(x, int) for x in lam)
+            assert all(sum(a * b for a, b in zip(lam, d)) >= 0 for d in dirs)
+            assert sum(a * b for a, b in zip(lam, total)) > 0
+    assert 100 < found < 500
+
+
+def test_open_half_space_certificate_is_the_fourier_motzkin_point():
+    # the kernel picks the same point of {lambda : <lambda, w_i> >= 1} as
+    # Fourier-Motzkin back-substitution, Fraction for Fraction
+    rng = random.Random(47)
+    certified = 0
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        cols = random_vectors(rng, k, rng.randint(1, 6))
+        if rng.random() < 0.7:
+            # keep the columns of a random open half-space, or flip them into it
+            f = random_vectors(rng, k, 1)[0]
+            cols = [c if sum(a * b for a, b in zip(f, c)) > 0 else tuple(-x for x in c) for c in cols]
+            cols = [c for c in cols if sum(a * b for a, b in zip(f, c)) > 0] or cols
+        ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
+        cert = open_half_space_certificate(ws)
+        assert cert == fm_witness([(c, 1) for c in ws.columns], k), ws.matrix
+        certified += cert is not None
+    assert certified > 150
 
 
 # cones and certificates
@@ -514,6 +599,11 @@ def test_invariant_monomials_budget():
         invariant_monomials(ws, 5, budget=10)
     with pytest.raises(EnumerationBudgetError):
         invariant_monomials(ws, 10**7)
+    # 10 candidates, all invariant: keeping them takes 20 exponents
+    zero = WeightSystem.from_rows([[0, 0]])
+    assert len(invariant_monomials(zero, 3, budget=20)) == 10
+    with pytest.raises(EnumerationBudgetError):
+        invariant_monomials(zero, 3, budget=19)
     with pytest.raises(ValueError):
         invariant_monomials(ws, 0)
 
