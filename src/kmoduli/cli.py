@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cqsing import (
@@ -45,14 +44,6 @@ from .torusgit import (
 )
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    """Output format of every subcommand, and the enumeration cap of git."""
-
-    format: str = "table"
-    budget: int = DEFAULT_ENUMERATION_BUDGET
-
-
 def _rat(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -64,7 +55,7 @@ def _dumps(data: dict) -> str:
 # ------------------------------------------------------------------ sing
 
 
-def cmd_sing(germ_text: str, config: ReportConfig) -> str:
+def cmd_sing(germ_text: str, fmt: str) -> str:
     """Report normal form, resolution, discrepancies (both conventions),
     Gorenstein index, and deformation classification of one germ."""
     germ = parse_singularity(germ_text)
@@ -93,7 +84,7 @@ def cmd_sing(germ_text: str, config: ReportConfig) -> str:
         "gorenstein_index": gorenstein_index(nf),
         "classification": cls.to_json_dict(),
     }
-    if config.format == "json":
+    if fmt == "json":
         return _dumps(data)
     lines = [f"singularity {nf.display()}"]
     if canonical != nf:
@@ -127,7 +118,7 @@ def cmd_sing(germ_text: str, config: ReportConfig) -> str:
 # --------------------------------------------------------------- surface
 
 
-def cmd_surface(family: str, l: int, config: ReportConfig) -> str:
+def cmd_surface(family: str, l: int, fmt: str) -> str:
     """Full local moduli report: model fields, singular locus, and the
     torus weight matrix on the deformation space."""
     surface = build_surface(action_for(family, l))
@@ -138,7 +129,7 @@ def cmd_surface(family: str, l: int, config: ReportConfig) -> str:
         "surface": surface.to_json_dict(),
         "qdef": qdef.to_json_dict(),
     }
-    if config.format == "json":
+    if fmt == "json":
         return _dumps(data)
     ambient = "(P1 x P1)" if surface.action.ambient == "P1xP1" else "P2"
     lines = [
@@ -219,8 +210,9 @@ def parse_support(text: str, n_coords: int) -> SupportPoint:
 def cmd_git(
     weights_text: str,
     support_text: str | None,
-    config: ReportConfig,
-    oracle_cap: int | None = None,
+    fmt: str,
+    oracle_cap: int | None,
+    budget: int,
 ) -> str:
     """Quotient dimension and kernel of a diagonal torus action; with a
     support, its polystability verdict and destabilizing data; with an
@@ -245,13 +237,13 @@ def cmd_git(
             }
         data["support_analysis"] = entry
     if oracle_cap is not None:
-        monomials = invariant_monomials(ws, oracle_cap, budget=config.budget)
+        monomials = invariant_monomials(ws, oracle_cap, budget=budget)
         data["invariant_monomials"] = {
             "degree_cap": oracle_cap,
             "count": len(monomials),
             "exponent_lattice_rank": integer_matrix_rank(monomials),
         }
-    if config.format == "json":
+    if fmt == "json":
         return _dumps(data)
     lines = [f"weight system: {ws.rank} x {ws.n_coords}"]
     for row in ws.matrix:
@@ -300,10 +292,10 @@ _TABLE_COLUMNS = (
 )
 
 
-def cmd_table(family: str, l_min: int, l_max: int, config: ReportConfig) -> str:
+def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
     """One moduli model row per valid order in the range."""
     rows = moduli_table(family, l_min, l_max)
-    if config.format == "json":
+    if fmt == "json":
         return _dumps(
             {
                 "family": family,
@@ -337,7 +329,7 @@ def cmd_table(family: str, l_min: int, l_max: int, config: ReportConfig) -> str:
 # --------------------------------------------------------------- witness
 
 
-def cmd_witness(family: str, target_dim: int, config: ReportConfig) -> str:
+def cmd_witness(family: str, target_dim: int, fmt: str) -> str:
     """Smallest order whose moduli dimension reaches the target."""
     model = witness_model(family, target_dim)
     kind = "coarse" if family == "X" else "stack"
@@ -349,7 +341,7 @@ def cmd_witness(family: str, target_dim: int, config: ReportConfig) -> str:
         "dimension_kind": kind,
         "achieved_dim": achieved,
     }
-    if config.format == "json":
+    if fmt == "json":
         return _dumps(data)
     return (
         f"smallest {family}-family order with {kind} dimension >= {target_dim}: "
@@ -420,21 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = getattr(args, "budget", DEFAULT_ENUMERATION_BUDGET)  # git only
-    if budget < 0:
-        parser.error(f"argument --budget: must be nonnegative, got {budget}")
-    config = ReportConfig(format=args.format, budget=budget)
+    if args.command == "git" and args.budget < 0:
+        parser.error(f"argument --budget: must be nonnegative, got {args.budget}")
+    fmt = args.format
     try:
         if args.command == "sing":
-            report = cmd_sing(args.germ, config)
+            report = cmd_sing(args.germ, fmt)
         elif args.command == "surface":
-            report = cmd_surface(args.family, args.l, config)
+            report = cmd_surface(args.family, args.l, fmt)
         elif args.command == "git":
-            report = cmd_git(args.weights, args.support, config, args.oracle_cap)
+            report = cmd_git(
+                args.weights, args.support, fmt, args.oracle_cap, args.budget
+            )
         elif args.command == "table":
-            report = cmd_table(args.family, args.l_min, args.l_max, config)
+            report = cmd_table(args.family, args.l_min, args.l_max, fmt)
         else:
-            report = cmd_witness(args.family, args.target_dim, config)
+            report = cmd_witness(args.family, args.target_dim, fmt)
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

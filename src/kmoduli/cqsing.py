@@ -103,20 +103,11 @@ class NormalForm:
     def is_smooth(self) -> bool:
         return self.order == 1
 
-    def inverse_partner(self) -> "NormalForm":
-        """The equivalent form 1/n(1, q^(-1) mod n) seen in the swapped chart."""
-        if self.is_smooth:
-            return self
-        return NormalForm(self.order, pow(self.q, -1, self.order))
-
     def canonical(self) -> "NormalForm":
         """The representative of the equivalence class with the smaller q."""
         if self.is_smooth:
             return self
         return NormalForm(self.order, min(self.q, pow(self.q, -1, self.order)))
-
-    def is_equivalent_to(self, other: "NormalForm") -> bool:
-        return self.canonical() == other.canonical()
 
     def display(self) -> str:
         if self.is_smooth:

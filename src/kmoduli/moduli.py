@@ -104,6 +104,11 @@ def evaluate_model(
     quotients do not change any dimension reported here).
     """
     aut = surface.aut0_dim
+    if aut is None:
+        raise ValueError(
+            f"no automorphism dimension is known for {surface.action}: "
+            "only the X and Y family actions have a moduli model"
+        )
     # no deformations: the quotient is a point and the whole 2-torus acts trivially
     git = analyze(qdef.weight_system()) if qdef.total_dim else GITResult(0, 2, 0)
     min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)

@@ -186,9 +186,6 @@ class QDefModel:
             raise ValueError("the deformation space is zero dimensional")
         return WeightSystem(rank=2, n_coords=self.total_dim, matrix=self.weight_matrix)
 
-    def columns(self) -> tuple[Character, ...]:
-        return tuple(zip(*self.weight_matrix)) if self.total_dim else ()
-
     def to_json_dict(self) -> dict:
         return {
             "total_dim": self.total_dim,

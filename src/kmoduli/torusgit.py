@@ -21,12 +21,14 @@ feasible point or an integer Farkas certificate):
     lambda once per direction and keeps the zero columns;
   * |S| - rank(W_S) is monotone under inclusion of supports, so the
     quotient dimension is attained at the largest polystable support;
+  * rank(W_S) is the rank of the distinct directions of S, as scaling,
+    repeating or adding zero columns leaves the span unchanged;
   * a nonempty polystable S has x > 0 with W_S x = 0, so rank(W_S) < |S|:
     only the origin is polystable iff the quotient dimension is 0.
 
-Polystability of a support depends only on the set of primitive
-directions of its nonzero weights, and the feasibility answers are
-cached on that set, which keeps exhaustive support sweeps cheap.
+Polystability, ranks and destabilizing limits of a support depend only
+on the set of primitive directions of its nonzero weights; they are
+computed and cached on that set, which keeps exhaustive sweeps cheap.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-
-_BOX_LIMIT = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -71,7 +71,7 @@ class WeightSystem:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "WeightSystem":
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
+        matrix = tuple(tuple(index(x) for x in row) for row in rows)
         if not matrix or not matrix[0]:
             raise ValueError("weight matrix must be nonempty")
         return cls(rank=len(matrix), n_coords=len(matrix[0]), matrix=matrix)
@@ -83,25 +83,9 @@ class WeightSystem:
     @cached_property
     def _directions(self) -> tuple[Optional[tuple[int, ...]], ...]:
         """Primitive direction of each column; None for zero columns."""
-        out = []
-        for col in self.columns:
-            g = 0
-            for x in col:
-                g = gcd(g, x)
-            out.append(tuple(x // g for x in col) if g else None)
-        return tuple(out)
-
-    def column(self, i: int) -> tuple[int, ...]:
-        """Weight of coordinate i (1-based)."""
-        if not 1 <= i <= self.n_coords:
-            raise ValueError(f"coordinate index {i} out of range 1..{self.n_coords}")
-        return self.columns[i - 1]
-
-    def negated(self) -> "WeightSystem":
-        return WeightSystem(
-            self.rank,
-            self.n_coords,
-            tuple(tuple(-x for x in row) for row in self.matrix),
+        return tuple(
+            tuple(x // g for x in col) if (g := gcd(*col)) else None
+            for col in self.columns
         )
 
     def to_json_dict(self) -> dict:
@@ -336,12 +320,14 @@ def _lex_destabilizer(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
     symmetric box [-B, B]^dim that contains one, or None if none exists.
 
     Box B - 1 holds none, so only the shell max |lambda_i| = B of box B
-    is scanned, and its first hit is the lex-min of the whole box.
+    is scanned, and its first hit is the lex-min of the whole box. The
+    integer witness is itself a destabilizer on the shell of box
+    max |witness_i|, so the scan returns by that box.
     """
-    if _destabilizer_witness(dim, dirs) is None:
+    witness = _destabilizer_witness(dim, dirs)
+    if witness is None:
         return None
-    box = 1
-    while box <= _BOX_LIMIT:
+    for box in range(1, max(map(abs, witness)) + 1):
         for lam in _shell(dim, box):
             positive = False
             for d in dirs:
@@ -352,8 +338,6 @@ def _lex_destabilizer(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
             else:
                 if positive:
                     return lam
-        box += 1
-    raise RuntimeError("no integer destabilizer found within the search limit")
 
 
 def _support_indices(ws: WeightSystem, p: SupportPoint) -> frozenset[int]:
@@ -367,6 +351,14 @@ def _support_indices(ws: WeightSystem, p: SupportPoint) -> frozenset[int]:
 def _direction_set(ws: WeightSystem, indices: Iterable[int]) -> frozenset:
     dirs = ws._directions
     return frozenset(d for i in indices if (d := dirs[i - 1]) is not None)
+
+
+def _indices_within(
+    ws: WeightSystem, indices: Iterable[int], kept: frozenset
+) -> frozenset[int]:
+    """The indices whose column is zero or has its direction in kept."""
+    dirs = ws._directions
+    return frozenset(i for i in indices if (d := dirs[i - 1]) is None or d in kept)
 
 
 def is_polystable(ws: WeightSystem, p: SupportPoint) -> bool:
@@ -392,17 +384,13 @@ def largest_polystable_support(
     shrinks S and terminates at the largest polystable support.
     """
     if within is None:
-        support = set(range(1, ws.n_coords + 1))
+        support = range(1, ws.n_coords + 1)
     else:
-        support = set(_support_indices(ws, within))
-    dirs = ws._directions
-    while True:
-        support_dirs = _direction_set(ws, support)
-        witness = _destabilizer_witness(ws.rank, support_dirs)
-        if witness is None:
-            return SupportPoint(frozenset(support))
-        cut = {d for d in support_dirs if sum(a * b for a, b in zip(witness, d))}
-        support = {i for i in support if dirs[i - 1] not in cut}
+        support = _support_indices(ws, within)
+    dirs = _direction_set(ws, support)
+    while (witness := _destabilizer_witness(ws.rank, dirs)) is not None:
+        dirs = frozenset(d for d in dirs if not sum(map(mul, witness, d)))
+    return SupportPoint(_indices_within(ws, support, dirs))
 
 
 def destabilizing_limit(
@@ -418,21 +406,19 @@ def destabilizing_limit(
     polystable support in at most N steps.
     """
     indices = _support_indices(ws, p)
-    lam = _lex_destabilizer(ws.rank, _direction_set(ws, indices))
+    dirs = _direction_set(ws, indices)
+    lam = _lex_destabilizer(ws.rank, dirs)
     if lam is None:
         return None
-    cols = ws.columns
-    limit = frozenset(
-        i for i in indices if sum(a * b for a, b in zip(lam, cols[i - 1])) == 0
-    )
-    return lam, SupportPoint(limit)
+    kept = frozenset(d for d in dirs if not sum(map(mul, lam, d)))
+    return lam, SupportPoint(_indices_within(ws, indices, kept))
 
 
 # dimensions
 
 def effective_rank(ws: WeightSystem) -> int:
     """Rank of the weight matrix over Q: the dimension of the acting torus image."""
-    return integer_matrix_rank(ws.matrix)
+    return integer_matrix_rank(zip(*_direction_set(ws, range(1, ws.n_coords + 1))))
 
 
 def kernel_rank(ws: WeightSystem) -> int:
@@ -448,10 +434,7 @@ def quotient_dim_via_supports(ws: WeightSystem) -> int:
     inclusion.
     """
     smax = largest_polystable_support(ws)
-    if not smax.support:
-        return 0
-    sub = [[row[i - 1] for i in sorted(smax.support)] for row in ws.matrix]
-    return len(smax) - integer_matrix_rank(sub)
+    return len(smax) - integer_matrix_rank(zip(*_direction_set(ws, smax.support)))
 
 
 def quotient_dim(ws: WeightSystem) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from continued_fractions import continued_fraction_value
 from fourier_motzkin import fm_witness
+from weight_systems import column, negated
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -176,7 +177,7 @@ def _assert_all_destabilized_to_origin(ws: WeightSystem, supports) -> int:
         assert not is_polystable(ws, p), s
         lam, limit = destabilizing_limit(ws, p)
         assert limit == SupportPoint.origin(), s
-        assert any(sum(a * b for a, b in zip(lam, ws.column(i))) > 0 for i in s)
+        assert any(sum(a * b for a, b in zip(lam, column(ws, i))) > 0 for i in s)
         checked += 1
     return checked
 
@@ -484,7 +485,7 @@ def test_criterion_08_sign_convention_invariance():
     systems = [preset_system("X", l) for l in range(2, 52)]
     systems += [preset_system("Y", l) for l in range(3, 52, 2)]
     for ws in systems:
-        neg = ws.negated()
+        neg = negated(ws)
         assert quotient_dim(neg) == quotient_dim(ws)
         assert kernel_rank(neg) == kernel_rank(ws)
         full = SupportPoint.full(ws.n_coords)

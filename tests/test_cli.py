@@ -302,9 +302,11 @@ def test_git_weights_starting_with_minus(capsys):
 
 
 def test_git_malformed_weights(capsys):
-    code, _, err = run_cli(capsys, "git", "--weights", "1,2;3")
-    assert code == 1
-    assert "1,2;3,4" in err
+    # JSON floats and strings are not truncated or split into digits
+    for weights in ("1,2;3", "[[1.7,-2.9]]", '["12"]'):
+        code, _, err = run_cli(capsys, "git", "--weights", weights)
+        assert code == 1, weights
+        assert "1,2;3,4" in err
 
 
 def test_git_support_out_of_range(capsys):

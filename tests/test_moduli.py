@@ -5,10 +5,12 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from weight_systems import negated
 
 from kmoduli.cqsing import NonIsolatedError
 from kmoduli.moduli import (
     LocalModuliModel,
+    evaluate_model,
     local_model,
     table,
     unboundedness_witness,
@@ -251,12 +253,16 @@ def test_errors_propagate():
         local_model("Q", 5)
     with pytest.raises(ValueError):
         table("Q", 2, 5)
+    # a valid action outside both families has no automorphism dimension
+    surface = build_surface(CyclicAction("P1xP1", 5, (1, 2)))
+    with pytest.raises(ValueError, match=r"order=5, weights=\(1, 2\)"):
+        evaluate_model("X", surface, assemble_qdef(surface))
 
 
 def test_negating_weight_matrix_changes_nothing():
     for family, l in [("X", 2), ("X", 4), ("X", 7), ("Y", 3), ("Y", 9), ("Y", 11)]:
         ws = weight_system_of(family, l)
-        neg = ws.negated()
+        neg = negated(ws)
         assert quotient_dim(neg) == quotient_dim(ws)
         full = SupportPoint.full(ws.n_coords)
         assert is_polystable(neg, full) == is_polystable(ws, full)

@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 from fourier_motzkin import fm_witness
+from weight_systems import column, negated
 
 from kmoduli.torusgit import (
     _destabilizer_witness,
@@ -95,9 +96,9 @@ def test_weight_system_validation():
         WeightSystem.from_rows([])
     ws = WeightSystem.from_rows([[1, -1]])
     assert ws.rank == 1 and ws.n_coords == 2
-    assert ws.column(1) == (1,) and ws.column(2) == (-1,)
+    assert column(ws, 1) == (1,) and column(ws, 2) == (-1,)
     with pytest.raises(ValueError):
-        ws.column(3)
+        column(ws, 3)
 
 
 def test_support_point_validation():
@@ -327,6 +328,13 @@ def test_largest_polystable_support_matches_coordinatewise_cut():
             assert largest_polystable_support(ws, within=point) == (
                 coordinatewise_cut_oracle(ws, point)
             ), (ws.matrix, sorted(point.support))
+        # the ranks over columns: rank W and |S| - rank W_S
+        assert effective_rank(ws) == integer_matrix_rank(ws.matrix), ws.matrix
+        smax = sorted(coordinatewise_cut_oracle(ws, SupportPoint.full(n)).support)
+        sub = [[row[i - 1] for i in smax] for row in ws.matrix]
+        assert quotient_dim_via_supports(ws) == (
+            len(smax) - integer_matrix_rank(sub)
+        ), ws.matrix
 
 
 def test_origin_only_polystable_iff_quotient_dim_zero():
@@ -382,7 +390,7 @@ def test_destabilizing_limit_mixed_support():
 def lex_box_destabilizer(ws, S):
     """The lex-min destabilizer of S in the smallest box [-B, B]^k holding
     one, by scanning whole boxes."""
-    cols = [ws.column(i) for i in sorted(S.support)]
+    cols = [column(ws, i) for i in sorted(S.support)]
     for box in itertools.count(1):
         for lam in itertools.product(range(-box, box + 1), repeat=ws.rank):
             dots = [sum(a * b for a, b in zip(lam, c)) for c in cols]
@@ -401,12 +409,17 @@ def test_polystable_iff_no_destabilizer():
             if res is not None:
                 lam, limit = res
                 dots = [
-                    sum(a * b for a, b in zip(lam, ws.column(i)))
+                    sum(a * b for a, b in zip(lam, column(ws, i)))
                     for i in sorted(S.support)
                 ]
                 assert all(v >= 0 for v in dots) and any(v > 0 for v in dots)
                 assert limit.support < S.support
                 assert lam == lex_box_destabilizer(ws, S)
+                # the scan ends by the box of the kernel's integer witness
+                cols = [column(ws, i) for i in S.support]
+                dirs = frozenset(tuple(x // gcd(*c) for x in c) for c in cols if any(c))
+                witness = _destabilizer_witness(ws.rank, dirs)
+                assert max(map(abs, lam)) <= max(map(abs, witness))
 
 
 def test_iterated_destabilization_reaches_polystable():
@@ -429,7 +442,7 @@ def test_negation_invariance():
     rng = random.Random(19)
     for _ in range(60):
         ws = random_system(rng, rng.randint(1, 2), rng.randint(1, 4))
-        neg = ws.negated()
+        neg = negated(ws)
         assert quotient_dim(ws) == quotient_dim(neg)
         assert kernel_rank(ws) == kernel_rank(neg)
         for mask in range(1 << ws.n_coords):
@@ -527,9 +540,9 @@ def test_polystable_matches_cone_criterion():
         for mask in range(1 << ws.n_coords):
             idx = [i + 1 for i in range(ws.n_coords) if mask >> i & 1]
             S = SupportPoint.of(idx)
-            gens = [ws.column(i) for i in idx]
+            gens = [column(ws, i) for i in idx]
             cone_ok = all(
-                in_rational_cone(tuple(-x for x in ws.column(i)), gens) for i in idx
+                in_rational_cone(tuple(-x for x in column(ws, i)), gens) for i in idx
             )
             assert is_polystable(ws, S) == cone_ok
 
