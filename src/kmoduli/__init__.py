@@ -45,6 +45,7 @@ from .torusgit import (
     SupportPoint,
     WeightSystem,
     analyze,
+    analyze_directions,
     destabilizing_limit,
     in_rational_cone,
     invariant_monomials,
@@ -73,6 +74,7 @@ __all__ = [
     "UnknownDeformationError",
     "WeightSystem",
     "analyze",
+    "analyze_directions",
     "assemble_qdef",
     "betti_of_generic_smoothing",
     "build_surface",

@@ -29,7 +29,7 @@ from .quotsurf import (
     build_surface,
     rational_json,
 )
-from .torusgit import GITResult, analyze
+from .torusgit import analyze_directions
 
 FAMILIES = ("X", "Y")
 
@@ -109,8 +109,7 @@ def evaluate_model(
             f"no automorphism dimension is known for {surface.action}: "
             "only the X and Y family actions have a moduli model"
         )
-    # no deformations: the quotient is a point and the whole 2-torus acts trivially
-    git = analyze(qdef.weight_system()) if qdef.total_dim else GITResult(0, 2, 0)
+    git = analyze_directions(2, qdef.direction_counts(), 0)
     min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)
     index = lcm(*(gorenstein_index(r.singularity) for r in surface.singular_locus))
     return LocalModuliModel(

@@ -174,12 +174,27 @@ class QDefModel:
 
     One block per singular point (rigid points keep an empty character
     list); weight_matrix holds the concatenated characters as columns,
-    one per deformation parameter.
+    one per deformation parameter. Every character of a block is a
+    positive multiple of alpha + beta at its point (versal_weights), so
+    direction_counts gives the GIT input without reading the columns.
     """
 
     total_dim: int
     blocks: tuple[tuple[FixedPointRecord, tuple[Character, ...]], ...]
     weight_matrix: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def direction_counts(self) -> dict[Character, int]:
+        """Primitive direction -> number of parameters on it, one entry
+        per deforming point: the multiset of the directions of the
+        columns of weight_matrix, in O(points)."""
+        counts: dict[Character, int] = {}
+        for _, chars in self.blocks:
+            if chars:
+                x, y = chars[0]
+                g = gcd(x, y)
+                d = (x // g, y // g)
+                counts[d] = counts.get(d, 0) + len(chars)
+        return counts
 
     def weight_system(self) -> WeightSystem:
         if self.total_dim == 0:

@@ -29,23 +29,38 @@ feasible point or an integer Farkas certificate):
 Polystability, ranks and destabilizing limits of a support depend only
 on the set of primitive directions of its nonzero weights; they are
 computed and cached on that set, which keeps exhaustive sweeps cheap.
+The invariants of a whole action depend only on the multiset of those
+directions and the number of zero columns, so analyze_directions takes
+exactly that: with K the directions the support cut keeps,
+
+    quotient dim = sum of the counts of K + zeros - rank(K),
+
+and its cost does not grow with the multiplicities. analyze(ws) counts
+the directions of a weight matrix and calls it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import index, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
     """The requested monomial enumeration exceeds the configured budget."""
+
+
+def _weight(x) -> int:
+    if isinstance(x, bool):
+        raise TypeError(f"weights must be integers, not booleans: {x!r}")
+    return index(x)
 
 
 @dataclass(frozen=True)
@@ -66,12 +81,13 @@ class WeightSystem:
         for row in self.matrix:
             if len(row) != self.n_coords:
                 raise ValueError(f"expected rows of length {self.n_coords}: {row}")
-            if not all(isinstance(x, int) for x in row):
+            if not all(type(x) is int for x in row):
                 raise ValueError(f"weights must be integers: {row}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "WeightSystem":
-        matrix = tuple(tuple(index(x) for x in row) for row in rows)
+        """Rows of integers, or of objects with __index__; bools are refused."""
+        matrix = tuple(tuple(map(_weight, row)) for row in rows)
         if not matrix or not matrix[0]:
             raise ValueError("weight matrix must be nonempty")
         return cls(rank=len(matrix), n_coords=len(matrix[0]), matrix=matrix)
@@ -387,10 +403,16 @@ def largest_polystable_support(
         support = range(1, ws.n_coords + 1)
     else:
         support = _support_indices(ws, within)
-    dirs = _direction_set(ws, support)
-    while (witness := _destabilizer_witness(ws.rank, dirs)) is not None:
+    kept = _polystable_directions(ws.rank, _direction_set(ws, support))
+    return SupportPoint(_indices_within(ws, support, kept))
+
+
+def _polystable_directions(rank: int, dirs: frozenset) -> frozenset:
+    """The directions of the largest polystable support within dirs: the
+    support cut of largest_polystable_support, on directions alone."""
+    while (witness := _destabilizer_witness(rank, dirs)) is not None:
         dirs = frozenset(d for d in dirs if not sum(map(mul, witness, d)))
-    return SupportPoint(_indices_within(ws, support, dirs))
+    return dirs
 
 
 def destabilizing_limit(
@@ -431,36 +453,66 @@ def quotient_dim_via_supports(ws: WeightSystem) -> int:
 
     max over polystable supports S of |S| - rank(W_S); the maximum is
     attained at the largest one since |S| - rank(W_S) is monotone under
-    inclusion.
+    inclusion. It works on coordinate indices, not on direction counts,
+    so it is an independent check of quotient_dim.
     """
     smax = largest_polystable_support(ws)
     return len(smax) - integer_matrix_rank(zip(*_direction_set(ws, smax.support)))
 
 
 def quotient_dim(ws: WeightSystem) -> int:
-    """Dimension of the affine GIT quotient Spec of the invariant ring.
+    """Dimension of the affine GIT quotient Spec of the invariant ring:
+    |S| - rank(W_S) at the largest polystable support S, counted on the
+    directions of W as in analyze_directions."""
+    return _quotient_dim(ws.rank, *_direction_counts(ws))
 
-    For k = 1 the closed form is used: (#zero weights) + (p + q - 1 if
-    positive and negative weights coexist, p + q counting them, else 0).
-    Higher ranks go through the support algorithm.
+
+def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
+    """The multiset of column directions and the number of zero columns."""
+    counts = Counter(ws._directions)
+    return counts, counts.pop(None, 0)
+
+
+def _quotient_dim(rank: int, counts: Mapping, zeros: int) -> int:
+    kept = _polystable_directions(rank, frozenset(counts))
+    return sum(counts[d] for d in kept) + zeros - integer_matrix_rank(zip(*kept))
+
+
+def analyze_directions(
+    rank: int, counts: Mapping[tuple[int, ...], int], zeros: int
+) -> GITResult:
+    """The invariants of a rank-k torus acting with the given weights.
+
+    counts maps each primitive direction (a tuple of k coprime integers)
+    to the number of coordinates whose weight is a positive multiple of
+    it; zeros counts the coordinates of weight 0. The effective rank is
+    the rank of the distinct directions, and the quotient dimension is
+    the sum of the counts of the directions the support cut keeps, plus
+    zeros, minus their rank. The cost depends on the distinct
+    directions only, not on their counts.
     """
-    if ws.rank == 1:
-        row = ws.matrix[0]
-        zeros = sum(1 for x in row if x == 0)
-        pos = sum(1 for x in row if x > 0)
-        neg = sum(1 for x in row if x < 0)
-        return zeros + (pos + neg - 1 if pos and neg else 0)
-    return quotient_dim_via_supports(ws)
+    if rank < 1:
+        raise ValueError(f"torus rank must be positive, got {rank}")
+    if zeros < 0:
+        raise ValueError(f"zero count must be nonnegative, got {zeros}")
+    for d, n in counts.items():
+        if len(d) != rank or gcd(*d) != 1 or n < 1:
+            raise ValueError(
+                f"need a positive count of a primitive direction of length {rank}: "
+                f"{d} -> {n}"
+            )
+    eff = integer_matrix_rank(zip(*counts))
+    return GITResult(
+        quotient_dim=_quotient_dim(rank, counts, zeros),
+        kernel_rank=rank - eff,
+        effective_rank=eff,
+    )
 
 
 def analyze(ws: WeightSystem) -> GITResult:
-    """Bundle quotient dimension, kernel rank, and effective rank (W ranked once)."""
-    eff = effective_rank(ws)
-    return GITResult(
-        quotient_dim=quotient_dim(ws),
-        kernel_rank=ws.rank - eff,
-        effective_rank=eff,
-    )
+    """Quotient dimension, kernel rank and effective rank of a weight
+    matrix, through the multiset of its column directions."""
+    return analyze_directions(ws.rank, *_direction_counts(ws))
 
 
 # cones and certificates

@@ -302,10 +302,14 @@ def test_git_weights_starting_with_minus(capsys):
 
 
 def test_git_malformed_weights(capsys):
-    # JSON floats and strings are not truncated or split into digits
-    for weights in ("1,2;3", "[[1.7,-2.9]]", '["12"]'):
+    # JSON floats and strings are not truncated or split into digits, and
+    # JSON booleans are not read as 1 and 0
+    for weights in (
+        "1,2;3", "[[1.7,-2.9]]", '["12"]', "[[true,false]]", "[true,false]", "[[1,true]]"
+    ):
         code, _, err = run_cli(capsys, "git", "--weights", weights)
         assert code == 1, weights
+        assert "cannot parse weight matrix" in err, weights
         assert "1,2;3,4" in err
 
 

@@ -43,20 +43,35 @@ def test_witness_request_builds_one_model(monkeypatch, capsys, family, target):
     assert f"l = {models[0][1]} " in capsys.readouterr().out
 
 
+def count_weight_systems(monkeypatch) -> list:
+    """Count every WeightSystem built, through its __post_init__."""
+    built = []
+    post_init = torusgit.WeightSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(torusgit.WeightSystem, "__post_init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_runs_one_support_cut(monkeypatch, family, l):
-    cuts = count_calls(monkeypatch, torusgit.largest_polystable_support)
-    ranks = count_calls(monkeypatch, torusgit.effective_rank)
+    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
+    analyses = count_calls(monkeypatch, torusgit.analyze_directions)
+    systems = count_weight_systems(monkeypatch)
     moduli.local_model(family, l)
     assert len(cuts) == 1
-    assert len(ranks) == 1
+    assert len(analyses) == 1
+    assert systems == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--support", "1,3"], ["--oracle-cap", "3"]])
 def test_git_request_runs_one_support_cut(monkeypatch, capsys, extra):
-    cuts = count_calls(monkeypatch, torusgit.largest_polystable_support)
-    ranks = count_calls(monkeypatch, torusgit.effective_rank)
+    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
+    analyses = count_calls(monkeypatch, torusgit.analyze_directions)
     argv = ["git", "--weights=1,-1,2,0;0,1,-1,1", *extra, "--format", "json"]
     assert main(argv) == 0
     assert len(cuts) == 1
-    assert len(ranks) == 1
+    assert len(analyses) == 1

@@ -91,6 +91,18 @@ def test_y_family_dimensions_sweep():
         assert m.kernel_rank == 1
 
 
+def test_family_dimensions_at_large_orders():
+    # the paper's closed forms over every order up to about 2000
+    for m in table("X", 2, 2000):
+        if m.l not in (2, 4):
+            assert m.coarse_dim == 2 * m.l - 3, m.l
+    ys = table("Y", 3, 2001)
+    assert [m.l for m in ys] == list(range(3, 2002, 2))
+    for m in ys:
+        if m.l not in (3, 9):
+            assert m.stack_dim == m.l - 3, m.l
+
+
 def test_stack_dim_is_qdef_minus_aut():
     for family, l in [("X", 2), ("X", 4), ("X", 11), ("Y", 3), ("Y", 9), ("Y", 13)]:
         m = local_model(family, l)

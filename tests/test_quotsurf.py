@@ -1,7 +1,9 @@
 """Tests for quotient surface construction and deformation assembly."""
 
 import json
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -283,6 +285,18 @@ def test_qdef_weight_matrix_shape():
     assert ws.n_coords == 4
 
 
+def test_direction_counts_are_the_primitive_columns():
+    actions = [CyclicAction.x_family(l) for l in range(2, 61)]
+    actions += [CyclicAction.y_family(l) for l in range(3, 62, 2)]
+    for action in actions:
+        q = assemble_qdef(build_surface(action))
+        primitive = Counter(
+            (x // gcd(x, y), y // gcd(x, y)) for x, y in qdef_columns(q)
+        )
+        assert q.direction_counts() == primitive, action
+        assert sum(q.direction_counts().values()) == q.total_dim
+
+
 def test_qdef_feeds_quotient_dim():
     q = assemble_qdef(build_surface(CyclicAction.x_family(5)))
     assert quotient_dim(q.weight_system()) == 7
@@ -296,6 +310,7 @@ def test_everything_rigid_yields_zero_space():
     assert q.total_dim == 0
     assert qdef_columns(q) == ()
     assert all(chars == () for _, chars in q.blocks)
+    assert q.direction_counts() == {}
     with pytest.raises(ValueError):
         q.weight_system()
     assert betti_of_generic_smoothing(s) == 2

@@ -22,6 +22,7 @@ from kmoduli.torusgit import (
     SupportPoint,
     WeightSystem,
     analyze,
+    analyze_directions,
     destabilizing_limit,
     effective_rank,
     in_rational_cone,
@@ -99,6 +100,15 @@ def test_weight_system_validation():
     assert column(ws, 1) == (1,) and column(ws, 2) == (-1,)
     with pytest.raises(ValueError):
         column(ws, 3)
+
+
+def test_weight_system_rejects_booleans():
+    with pytest.raises(TypeError):
+        WeightSystem.from_rows([[True, False]])
+    with pytest.raises(TypeError):
+        WeightSystem.from_rows([[1, -1], [0, True]])
+    with pytest.raises(ValueError):
+        WeightSystem(rank=1, n_coords=2, matrix=((True, False),))
 
 
 def test_support_point_validation():
@@ -194,6 +204,8 @@ def test_quotient_dim_positive_kernel_ray_needs_high_degree():
 
 
 def test_closed_form_matches_support_algorithm():
+    # rank 1: #zeros + (p + q - 1 if p positive and q negative weights
+    # coexist, else 0)
     values = range(-2, 3)
     for n in (1, 2, 3):
         rows = [[]]
@@ -201,7 +213,11 @@ def test_closed_form_matches_support_algorithm():
             rows = [r + [v] for r in rows for v in values]
         for row in rows:
             ws = WeightSystem.from_rows([row])
-            assert quotient_dim(ws) == quotient_dim_via_supports(ws)
+            zeros = row.count(0)
+            pos = sum(1 for x in row if x > 0)
+            neg = sum(1 for x in row if x < 0)
+            closed = zeros + (pos + neg - 1 if pos and neg else 0)
+            assert quotient_dim(ws) == quotient_dim_via_supports(ws) == closed, row
 
 
 def test_quotient_dim_matches_primal_oracle():
@@ -254,6 +270,75 @@ def test_kernel_rank_zero_matrix():
 def test_analyze_bundles():
     res = analyze(x_matrix(5))
     assert res == GITResult(quotient_dim=7, kernel_rank=1, effective_rank=1)
+    assert analyze_directions(2, {(1, 1): 4, (-1, -1): 4}, 0) == res
+
+
+def expanded_system(rng, counts, zeros):
+    """A weight matrix with the given direction counts and zero columns:
+    each column a random positive multiple of its direction, shuffled."""
+    k = len(next(iter(counts))) if counts else 1
+    cols = [[0] * k for _ in range(zeros)]
+    for d, n in counts.items():
+        for _ in range(n):
+            c = rng.choice((1, 1, 2, 3))
+            cols.append([c * x for x in d])
+    rng.shuffle(cols)
+    return WeightSystem.from_rows([list(row) for row in zip(*cols)])
+
+
+def test_analyze_directions_matches_analyze_on_expanded_systems():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        vs = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(0, 5))]
+        # an opposite direction and minus a partial sum make cuts that keep
+        # some or all of the directions
+        if vs and rng.random() < 0.5:
+            vs.append([-x for x in rng.choice(vs)])
+        if vs and rng.random() < 0.5:
+            vs.append([-sum(c) for c in zip(*rng.sample(vs, rng.randint(1, len(vs))))])
+        counts = {}
+        for v in vs:
+            if g := gcd(*v):
+                d = tuple(x // g for x in v)
+                counts[d] = counts.get(d, 0) + rng.randint(1, 3)
+        zeros = rng.choice((0, 0, 1, 2))
+        if not counts:
+            k, zeros = 1, zeros or 1
+        ws = expanded_system(rng, counts, zeros)
+        res = analyze_directions(k, counts, zeros)
+        assert res == analyze(ws), ws.matrix
+        assert res.quotient_dim == quotient_dim_via_supports(ws), ws.matrix
+        kept = largest_polystable_support(ws)
+        seen.add((k, len(kept) - zeros, len(kept) == ws.n_coords))
+    # every rank sees a cut to the zero columns, and ranks 2 to 4 a
+    # partial one, which keeps some but not all of the directions
+    assert {(k, 0, False) for k in (1, 2, 3, 4)} <= seen
+    for k in (2, 3, 4):
+        assert any(key[0] == k and key[1] > 0 and not key[2] for key in seen), k
+
+
+def test_analyze_directions_without_directions():
+    # no deformations: the quotient is a point and the torus acts trivially
+    assert analyze_directions(2, {}, 0) == GITResult(0, 2, 0)
+    assert analyze_directions(3, {}, 4) == GITResult(4, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "rank,counts,zeros",
+    [
+        (0, {}, 0),
+        (1, {}, -1),
+        (2, {(2, 0): 1}, 0),
+        (2, {(0, 0): 1}, 0),
+        (2, {(1,): 1}, 0),
+        (1, {(1,): 0}, 0),
+    ],
+)
+def test_analyze_directions_validation(rank, counts, zeros):
+    with pytest.raises(ValueError):
+        analyze_directions(rank, counts, zeros)
 
 
 # polystability
