@@ -17,9 +17,10 @@ fractions.Fraction); no floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 Character = tuple[int, int]
 
@@ -32,8 +33,9 @@ class UnknownDeformationError(ValueError):
     """The Q-Gorenstein deformation space is outside what this engine computes."""
 
 
-@dataclass(frozen=True)
-class CyclicQuotientSingularity:
+class CyclicQuotientSingularity(
+    namedtuple("CyclicQuotientSingularity", "order weight_a weight_b")
+):
     """The germ at the origin of C^2 / Z_n acting by (u, v) -> (zeta^a u, zeta^b v).
 
     Weights are stored reduced mod n. Both weights must be coprime to n,
@@ -41,22 +43,21 @@ class CyclicQuotientSingularity:
     not isolated. order = 1 denotes a smooth point.
     """
 
-    order: int
-    weight_a: int
-    weight_b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order}")
-        object.__setattr__(self, "weight_a", self.weight_a % self.order)
-        object.__setattr__(self, "weight_b", self.weight_b % self.order)
-        for name, w in (("a", self.weight_a), ("b", self.weight_b)):
-            g = gcd(self.order, w)
+    def __new__(cls, order: int, weight_a: int, weight_b: int):
+        if order < 1:
+            raise ValueError(f"order must be a positive integer, got {order}")
+        weight_a %= order
+        weight_b %= order
+        for name, w in (("a", weight_a), ("b", weight_b)):
+            g = gcd(order, w)
             if g != 1:
                 raise NonIsolatedError(
-                    f"1/{self.order}({self.weight_a},{self.weight_b}): "
+                    f"1/{order}({weight_a},{weight_b}): "
                     f"gcd(n, weight_{name}) = {g} != 1, an axis is fixed pointwise"
                 )
+        return super().__new__(cls, order, weight_a, weight_b)
 
     def __str__(self) -> str:
         return f"1/{self.order}({self.weight_a},{self.weight_b})"
@@ -74,30 +75,27 @@ def parse_singularity(text: str) -> CyclicQuotientSingularity:
     return CyclicQuotientSingularity(n, a, b)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "order q")):
     """The normal form 1/n(1,q), with q = None exactly when n = 1 (smooth).
 
     Two normal forms present the same singularity iff they are equal or
     q * q' = 1 mod n (swapping the two chart coordinates inverts q).
     """
 
-    order: int
-    q: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order}")
-        if self.order == 1:
-            if self.q is not None:
+    def __new__(cls, order: int, q: int | None):
+        if order < 1:
+            raise ValueError(f"order must be a positive integer, got {order}")
+        if order == 1:
+            if q is not None:
                 raise ValueError("smooth normal form must have q = None")
         else:
-            if self.q is None:
-                raise ValueError(f"normal form of order {self.order} needs q")
-            if not 1 <= self.q < self.order or gcd(self.order, self.q) != 1:
-                raise ValueError(
-                    f"q = {self.q} must satisfy 1 <= q < {self.order} and gcd = 1"
-                )
+            if q is None:
+                raise ValueError(f"normal form of order {order} needs q")
+            if not 1 <= q < order or gcd(order, q) != 1:
+                raise ValueError(f"q = {q} must satisfy 1 <= q < {order} and gcd = 1")
+        return super().__new__(cls, order, q)
 
     @property
     def is_smooth(self) -> bool:
@@ -131,22 +129,22 @@ def normalize(s: CyclicQuotientSingularity) -> NormalForm:
     return NormalForm(s.order, q)
 
 
-@dataclass(frozen=True)
-class HJResolution:
+class HJResolution(namedtuple("HJResolution", "coefficients")):
     """The minimal resolution of 1/n(1,q): a chain of rational curves.
 
     coefficients are the continued-fraction digits of n/q,
         n/q = b_1 - 1/(b_2 - 1/(... - 1/b_k)),   all b_i >= 2;
-    curve i has self-intersection -b_i.
+    curve i has self-intersection -b_i. len() counts the curves.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    def __new__(cls, coefficients: tuple[int, ...]):
+        if not coefficients:
             raise ValueError("a resolution chain needs at least one curve")
-        if any(b < 2 for b in self.coefficients):
-            raise ValueError(f"all chain coefficients must be >= 2: {self.coefficients}")
+        if any(b < 2 for b in coefficients):
+            raise ValueError(f"all chain coefficients must be >= 2: {coefficients}")
+        return super().__new__(cls, coefficients)
 
     @property
     def self_intersections(self) -> tuple[int, ...]:
@@ -169,8 +167,7 @@ def hirzebruch_jung(nf: NormalForm) -> HJResolution:
     return HJResolution(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class DiscrepancyVector:
+class DiscrepancyVector(NamedTuple):
     """Exceptional-curve coefficients a_i in K_resolution = pullback(K) + sum a_i E_i."""
 
     values: tuple[Fraction, ...]
@@ -221,8 +218,7 @@ def gorenstein_index(nf: NormalForm) -> int:
     return nf.order // gcd(nf.order, nf.q + 1)
 
 
-@dataclass(frozen=True)
-class SingularityClassification:
+class SingularityClassification(NamedTuple):
     """Deformation-theoretic classification of 1/n(1,q).
 
     With w = gcd(n, q+1), r = n/w and the Euclidean division

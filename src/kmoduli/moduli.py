@@ -15,9 +15,9 @@ same code paths as all others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .cqsing import gorenstein_index, min_discrepancy
 from .quotsurf import (
@@ -34,8 +34,7 @@ from .torusgit import analyze_directions
 FAMILIES = ("X", "Y")
 
 
-@dataclass(frozen=True)
-class LocalModuliModel:
+class LocalModuliModel(NamedTuple):
     """The local K-moduli picture at one quotient surface.
 
     stack_dim = qdef_dim - aut_dim always; coarse_dim is the dimension

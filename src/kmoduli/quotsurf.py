@@ -27,10 +27,10 @@ chart weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cqsing import (
     Character,
@@ -42,7 +42,6 @@ from .cqsing import (
     normalize,
     versal_weights,
 )
-from .torusgit import WeightSystem
 
 P1XP1 = "P1xP1"
 P2 = "P2"
@@ -52,28 +51,22 @@ def rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
     """A diagonal action of Z_l on P1 x P1 (one weight per factor, on the
     first homogeneous coordinate) or on P2 (one weight per coordinate)."""
 
-    ambient: str
-    order: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ambient not in (P1XP1, P2):
-            raise ValueError(f"ambient must be {P1XP1!r} or {P2!r}: {self.ambient!r}")
-        if self.order < 2:
-            raise ValueError(f"group order must be at least 2, got {self.order}")
-        expected = 2 if self.ambient == P1XP1 else 3
-        if len(self.weights) != expected:
-            raise ValueError(
-                f"{self.ambient} takes {expected} weights, got {len(self.weights)}"
-            )
-        object.__setattr__(
-            self, "weights", tuple(w % self.order for w in self.weights)
-        )
+    def __new__(cls, ambient: str, order: int, weights: tuple[int, ...]):
+        if ambient not in (P1XP1, P2):
+            raise ValueError(f"ambient must be {P1XP1!r} or {P2!r}: {ambient!r}")
+        if order < 2:
+            raise ValueError(f"group order must be at least 2, got {order}")
+        expected = 2 if ambient == P1XP1 else 3
+        if len(weights) != expected:
+            raise ValueError(f"{ambient} takes {expected} weights, got {len(weights)}")
+        weights = tuple(w % order for w in weights)
+        return super().__new__(cls, ambient, order, weights)
 
     @classmethod
     def x_family(cls, l: int) -> "CyclicAction":
@@ -114,8 +107,7 @@ class CyclicAction:
         }
 
 
-@dataclass(frozen=True)
-class FixedPointRecord:
+class FixedPointRecord(NamedTuple):
     """One fixed coordinate point and its local data.
 
     local_cyclic_weights are the Z_l chart weights (reduced mod the
@@ -141,8 +133,7 @@ class FixedPointRecord:
         }
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     """A quotient surface: singular locus, volume, and base topology.
 
     aut0_dim is the dimension of the connected automorphism group; it
@@ -168,8 +159,7 @@ class SurfaceModel:
         }
 
 
-@dataclass(frozen=True)
-class QDefModel:
+class QDefModel(NamedTuple):
     """The assembled Q-Gorenstein deformation space of a surface.
 
     One block per singular point (rigid points keep an empty character
@@ -195,11 +185,6 @@ class QDefModel:
                 d = (x // g, y // g)
                 counts[d] = counts.get(d, 0) + len(chars)
         return counts
-
-    def weight_system(self) -> WeightSystem:
-        if self.total_dim == 0:
-            raise ValueError("the deformation space is zero dimensional")
-        return WeightSystem(rank=2, n_coords=self.total_dim, matrix=self.weight_matrix)
 
     def to_json_dict(self) -> dict:
         return {

@@ -42,13 +42,12 @@ the directions of a weight matrix and calls it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import index, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -63,26 +62,24 @@ def _weight(x) -> int:
     return index(x)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
     """An integer k x N weight matrix of a diagonal k-torus action."""
 
-    rank: int
-    n_coords: int
-    matrix: tuple[tuple[int, ...], ...]
+    # no __slots__: the cached properties below live in the instance dict
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"torus rank must be positive, got {self.rank}")
-        if self.n_coords < 1:
-            raise ValueError(f"need at least one coordinate, got {self.n_coords}")
-        if len(self.matrix) != self.rank:
-            raise ValueError(f"expected {self.rank} rows, got {len(self.matrix)}")
-        for row in self.matrix:
-            if len(row) != self.n_coords:
-                raise ValueError(f"expected rows of length {self.n_coords}: {row}")
+    def __new__(cls, rank: int, n_coords: int, matrix: tuple[tuple[int, ...], ...]):
+        if rank < 1:
+            raise ValueError(f"torus rank must be positive, got {rank}")
+        if n_coords < 1:
+            raise ValueError(f"need at least one coordinate, got {n_coords}")
+        if len(matrix) != rank:
+            raise ValueError(f"expected {rank} rows, got {len(matrix)}")
+        for row in matrix:
+            if len(row) != n_coords:
+                raise ValueError(f"expected rows of length {n_coords}: {row}")
             if not all(type(x) is int for x in row):
                 raise ValueError(f"weights must be integers: {row}")
+        return super().__new__(cls, rank, n_coords, matrix)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "WeightSystem":
@@ -112,20 +109,21 @@ class WeightSystem:
         }
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(namedtuple("SupportPoint", "support")):
     """The set of nonzero coordinates of a point, 1-based.
 
     Polystability of a point under a diagonal torus action depends only
-    on its support, so points are represented by supports.
+    on its support, so points are represented by supports. len() counts
+    the indices.
     """
 
-    support: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", frozenset(self.support))
-        if not all(isinstance(i, int) and i >= 1 for i in self.support):
-            raise ValueError(f"support must hold 1-based indices: {sorted(self.support)}")
+    def __new__(cls, support: Iterable[int]):
+        support = frozenset(support)
+        if not all(isinstance(i, int) and i >= 1 for i in support):
+            raise ValueError(f"support must hold 1-based indices: {sorted(support)}")
+        return super().__new__(cls, support)
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "SupportPoint":
@@ -146,8 +144,7 @@ class SupportPoint:
         return sorted(self.support)
 
 
-@dataclass(frozen=True)
-class GITResult:
+class GITResult(NamedTuple):
     """Summary invariants of one torus action."""
 
     quotient_dim: int
@@ -155,7 +152,7 @@ class GITResult:
     effective_rank: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # exact linear algebra

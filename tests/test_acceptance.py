@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from continued_fractions import continued_fraction_value
 from fourier_motzkin import fm_witness
-from weight_systems import column, negated
+from weight_systems import column, negated, qdef_weight_system
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -64,7 +64,7 @@ def _pass(num: str, budget: float, start: float, detail: str) -> None:
 
 def preset_system(family: str, l: int) -> WeightSystem:
     action = CyclicAction.x_family(l) if family == "X" else CyclicAction.y_family(l)
-    return assemble_qdef(build_surface(action)).weight_system()
+    return qdef_weight_system(assemble_qdef(build_surface(action)))
 
 
 # --------------------------------------------------------------------------

@@ -44,16 +44,23 @@ def test_witness_request_builds_one_model(monkeypatch, capsys, family, target):
 
 
 def count_weight_systems(monkeypatch) -> list:
-    """Count every WeightSystem built, through its __post_init__."""
+    """Count every WeightSystem built, through its __new__."""
     built = []
-    post_init = torusgit.WeightSystem.__post_init__
+    new = torusgit.WeightSystem.__new__
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls, *args, **kwargs):
+        ws = new(cls, *args, **kwargs)
+        built.append(ws)
+        return ws
 
-    monkeypatch.setattr(torusgit.WeightSystem, "__post_init__", counted)
+    monkeypatch.setattr(torusgit.WeightSystem, "__new__", counted)
     return built
+
+
+def test_weight_system_counter_sees_a_build(monkeypatch):
+    systems = count_weight_systems(monkeypatch)
+    ws = torusgit.WeightSystem.from_rows([[1, -1]])
+    assert systems == [ws]
 
 
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])

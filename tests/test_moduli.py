@@ -1,12 +1,14 @@
 """Tests for the local K-moduli models and the Proposition-style table."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from weight_systems import negated
+from weight_systems import negated, qdef_weight_system
 
+import kmoduli
 from kmoduli.cqsing import NonIsolatedError
 from kmoduli.moduli import (
     LocalModuliModel,
@@ -26,7 +28,7 @@ from kmoduli.torusgit import (
 
 def weight_system_of(family: str, l: int):
     action = CyclicAction.x_family(l) if family == "X" else CyclicAction.y_family(l)
-    return assemble_qdef(build_surface(action)).weight_system()
+    return qdef_weight_system(assemble_qdef(build_surface(action)))
 
 
 # -------------------------------------------------------- frozen examples
@@ -303,8 +305,124 @@ def test_model_json_is_deterministic():
     assert parsed["min_discrepancy"] == {"num": -3, "den": 5}
 
 
-def test_model_is_frozen():
-    m = local_model("X", 2)
-    assert isinstance(m, LocalModuliModel)
+def _x5_surface():
+    return build_surface(CyclicAction.x_family(5))
+
+
+# record type -> (a record the library builds, its field names in order)
+RECORDS = {
+    "CyclicQuotientSingularity": (
+        lambda: kmoduli.parse_singularity("1/5(1,2)"),
+        ("order", "weight_a", "weight_b"),
+    ),
+    "NormalForm": (lambda: kmoduli.NormalForm(7, 3), ("order", "q")),
+    "HJResolution": (
+        lambda: kmoduli.hirzebruch_jung(kmoduli.NormalForm(7, 3)),
+        ("coefficients",),
+    ),
+    "DiscrepancyVector": (
+        lambda: kmoduli.discrepancies(kmoduli.HJResolution((3, 2, 2))),
+        ("values",),
+    ),
+    "SingularityClassification": (
+        lambda: kmoduli.classify(kmoduli.NormalForm(4, 1)),
+        ("normal_form", "w", "r", "m", "w0", "is_du_val", "is_T",
+         "is_primitive_T", "is_qg_rigid", "qdef_dim"),
+    ),
+    "CyclicAction": (
+        lambda: CyclicAction.y_family(5), ("ambient", "order", "weights")
+    ),
+    "FixedPointRecord": (
+        lambda: _x5_surface().singular_locus[0],
+        ("point_label", "stabilizer_order", "local_cyclic_weights",
+         "local_torus_weights", "singularity"),
+    ),
+    "SurfaceModel": (
+        _x5_surface,
+        ("action", "singular_locus", "volume", "aut0_dim", "b2_base"),
+    ),
+    "QDefModel": (
+        lambda: assemble_qdef(_x5_surface()),
+        ("total_dim", "blocks", "weight_matrix"),
+    ),
+    "WeightSystem": (
+        lambda: kmoduli.WeightSystem.from_rows([[1, -1, 0], [0, 2, 1]]),
+        ("rank", "n_coords", "matrix"),
+    ),
+    "SupportPoint": (lambda: SupportPoint.of([3, 1]), ("support",)),
+    "GITResult": (
+        lambda: kmoduli.analyze(weight_system_of("X", 5)),
+        ("quotient_dim", "kernel_rank", "effective_rank"),
+    ),
+    "LocalModuliModel": (
+        lambda: local_model("X", 2),
+        ("family", "l", "qdef_dim", "aut_dim", "stack_dim", "coarse_dim",
+         "kernel_rank", "isolated", "volume", "min_discrepancy",
+         "gorenstein_index", "b2_generic"),
+    ),
+}
+
+# validating record type -> keyword arguments it refuses, with the error
+REFUSED = {
+    "CyclicQuotientSingularity": [
+        (dict(order=0, weight_a=1, weight_b=1), ValueError, "order must be a positive"),
+        (dict(order=4, weight_a=2, weight_b=1), NonIsolatedError, "gcd"),
+    ],
+    "NormalForm": [
+        (dict(order=5, q=0), ValueError, "must satisfy 1 <= q < 5"),
+        (dict(order=1, q=2), ValueError, "q = None"),
+        (dict(order=5, q=None), ValueError, "needs q"),
+    ],
+    "HJResolution": [
+        (dict(coefficients=()), ValueError, "at least one curve"),
+        (dict(coefficients=(3, 1)), ValueError, ">= 2"),
+    ],
+    "CyclicAction": [
+        (dict(ambient="P3", order=5, weights=(1, 2)), ValueError, "ambient must be"),
+        (dict(ambient="P2", order=1, weights=(1, 2, 0)), ValueError, "at least 2"),
+        (dict(ambient="P2", order=5, weights=(1, 2)), ValueError, "takes 3 weights"),
+    ],
+    "WeightSystem": [
+        (dict(rank=1, n_coords=2, matrix=((1, 2), (3, 4))), ValueError, "expected 1 rows"),
+        (dict(rank=1, n_coords=2, matrix=((1, 2.0),)), ValueError, "must be integers"),
+    ],
+    "SupportPoint": [(dict(support=[0, 1]), ValueError, "1-based")],
+}
+
+# record type -> keyword arguments it normalises, and the record they give
+NORMALISED = {
+    "CyclicQuotientSingularity": (
+        dict(order=5, weight_a=6, weight_b=-3), (5, 1, 2)
+    ),
+    "CyclicAction": (dict(ambient="P1xP1", order=5, weights=(6, -1)), ("P1xP1", 5, (1, 4))),
+    "SupportPoint": (dict(support=[3, 1, 3]), (frozenset({1, 3}),)),
+}
+
+# len() of these counts the curves of the chain and the indices of the
+# support, not the fields
+SIZES = {"HJResolution": 3, "SupportPoint": 2}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_model_is_frozen(name):
+    cls = getattr(kmoduli, name)
+    build, fields = RECORDS[name]
+    record = build()
+    assert isinstance(record, cls)
+    values = {f: getattr(record, f) for f in fields}
     with pytest.raises(AttributeError):
-        m.coarse_dim = 0
+        setattr(record, fields[0], values[fields[0]])
+    again = cls(**values)
+    assert again == record == build()
+    assert hash(again) == hash(record)
+    shown = ", ".join(f"{f}={v!r}" for f, v in values.items())
+    assert repr(record) == f"{name}({shown})"
+    for kwargs, error, message in REFUSED.get(name, []):
+        with pytest.raises(error, match=re.escape(message)):
+            cls(**kwargs)
+    if name in NORMALISED:
+        kwargs, normal = NORMALISED[name]
+        assert cls(**kwargs) == cls(*normal)
+        assert tuple(cls(**kwargs)) == normal
+    if name in SIZES:
+        assert len(record) == SIZES[name]

@@ -1,6 +1,9 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its
+command line starts without the heavier parts of it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,21 @@ def test_runtime_imports_are_stdlib_only():
         if name not in ALLOWED
     }
     assert not outside
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect: together about 11 ms of every request's start-up
+    src = str(Path(kmoduli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, kmoduli.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

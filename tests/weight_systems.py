@@ -16,3 +16,11 @@ def negated(ws: WeightSystem) -> WeightSystem:
         ws.n_coords,
         tuple(tuple(-x for x in row) for row in ws.matrix),
     )
+
+
+def qdef_weight_system(qdef) -> WeightSystem:
+    """The 2 x N weight system on a deformation space (QDefModel): one
+    column per deformation parameter."""
+    if qdef.total_dim == 0:
+        raise ValueError("the deformation space is zero dimensional")
+    return WeightSystem(rank=2, n_coords=qdef.total_dim, matrix=qdef.weight_matrix)
