@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from .cqsing import (
+    chain_length,
     classify,
     discrepancies,
     gorenstein_index,
@@ -44,6 +45,14 @@ from .torusgit import (
 )
 
 
+# The sing report prints every curve of the chain, and the surface report
+# one weight column per deformation parameter (about 2l); both refuse
+# larger requests before building anything. table and witness cost
+# O(log l) per model and have no limit.
+MAX_CHAIN_CURVES = 100_000
+MAX_SURFACE_ORDER = 100_000
+
+
 def _rat(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -60,6 +69,11 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
     Gorenstein index, and deformation classification of one germ."""
     germ = parse_singularity(germ_text)
     nf = normalize(germ)
+    if not nf.is_smooth and (curves := chain_length(nf)) > MAX_CHAIN_CURVES:
+        raise ValueError(
+            f"chain too long: {nf.display()} resolves into {curves} curves, "
+            f"above the sing limit of {MAX_CHAIN_CURVES}"
+        )
     cls = classify(nf)
     if nf.is_smooth:
         chain: tuple[int, ...] = ()
@@ -121,9 +135,15 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
 def cmd_surface(family: str, l: int, fmt: str) -> str:
     """Full local moduli report: model fields, singular locus, and the
     torus weight matrix on the deformation space."""
+    if l > MAX_SURFACE_ORDER:
+        raise ValueError(
+            f"order too large: surface prints about 2l weight columns, and "
+            f"l = {l} is above the surface limit of {MAX_SURFACE_ORDER}; "
+            "table and witness have no such limit"
+        )
     surface = build_surface(action_for(family, l))
     qdef = assemble_qdef(surface)
-    model = evaluate_model(family, surface, qdef)
+    model = evaluate_model(family, surface)
     data = {
         "model": model.to_json_dict(),
         "surface": surface.to_json_dict(),
@@ -370,12 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sing = sub.add_parser("sing", help="analyze a cyclic quotient singularity")
-    sing.add_argument("germ", metavar="GERM", help='singularity in the form "1/n(a,b)"')
+    sing.add_argument(
+        "germ", metavar="GERM",
+        help='singularity in the form "1/n(a,b)"; its resolution chain may '
+        f"have at most {MAX_CHAIN_CURVES} curves",
+    )
     add_common(sing)
 
     surface = sub.add_parser("surface", help="local moduli model of one surface")
     surface.add_argument("--family", type=str.upper, choices=("X", "Y"), required=True)
-    surface.add_argument("--l", type=int, required=True, help="order of the cyclic group")
+    surface.add_argument(
+        "--l", type=int, required=True,
+        help=f"order of the cyclic group, at most {MAX_SURFACE_ORDER}",
+    )
     add_common(surface)
 
     git = sub.add_parser("git", help="torus GIT analysis of a weight system")

@@ -10,6 +10,19 @@ Discrepancies come from the toric integer formula (Cox-Little-Schenck
 x_{i+1} = b_i x_i - x_{i-1} for both sequences, the log discrepancy of
 the i-th exceptional curve of 1/n(1,q) is (alpha_i + beta_i) / n.
 
+The recurrence is walked by runs, so its cost is Euclid-many steps, not
+the number of curves (Riemenschneider 1974; Cox-Little-Schenck 10.2).
+Curve i has b_i = 2 iff d = alpha_{i-1} - alpha_i <= alpha_i. On a run
+of 2s the recurrence is x_{i+1} - x_i = x_i - x_{i-1}, so alpha falls
+by d and beta rises by e = beta_i - beta_{i-1} per curve, and the run
+goes on while alpha >= d: it has floor(alpha_i / d) curves. Between
+the runs stand the curves with b_i >= 3, about as many as the terms of
+the ordinary continued fraction of n/q, so O(log n) of them. Along a
+run alpha_i + beta_i is an arithmetic progression, linear in the
+position, so its minimum over the run lies at one of the run's two
+ends; the minimal discrepancy and the chain length read those ends
+only, and discrepancies expands the runs.
+
 All arithmetic is exact (arbitrary-precision integers and
 fractions.Fraction); no floating point is used anywhere.
 """
@@ -154,10 +167,14 @@ class HJResolution(namedtuple("HJResolution", "coefficients")):
         return len(self.coefficients)
 
 
+def _check_singular(nf: NormalForm) -> None:
+    if nf.is_smooth:
+        raise ValueError("a smooth point has no exceptional curves to resolve")
+
+
 def hirzebruch_jung(nf: NormalForm) -> HJResolution:
     """The Hirzebruch-Jung continued-fraction expansion of n/q."""
-    if nf.order < 2:
-        raise ValueError("a smooth point has no exceptional curves to resolve")
+    _check_singular(nf)
     n, q = nf.order, nf.q
     coeffs = []
     while q > 0:
@@ -178,14 +195,25 @@ class DiscrepancyVector(NamedTuple):
         return tuple(1 + a for a in self.values)
 
 
-def _log_discrepancy_numerators(n: int, q: int):
-    """Yield alpha_i + beta_i, n times the log discrepancy of E_i, for 1/n(1,q)."""
+def _log_discrepancy_runs(n: int, q: int):
+    """Yield the chain of 1/n(1,q) as runs (first, step, length): the
+    j-th curve of a run, j = 0..length-1, has alpha + beta = first +
+    j * step, n times its log discrepancy. Each maximal run of 2s is one
+    run; every other curve is a run of length 1 and step 0."""
     alpha_prev, alpha, beta_prev, beta = n, q, 0, 1
     while alpha > 0:
-        b = -(-alpha_prev // alpha)
-        yield alpha + beta
-        alpha_prev, alpha = alpha, b * alpha - alpha_prev
-        beta_prev, beta = beta, b * beta - beta_prev
+        d = alpha_prev - alpha
+        if d <= alpha:
+            e = beta - beta_prev
+            length = alpha // d
+            yield alpha + beta, e - d, length
+            alpha_prev, alpha = alpha - (length - 1) * d, alpha - length * d
+            beta_prev, beta = beta + (length - 1) * e, beta + length * e
+        else:
+            b = -(-alpha_prev // alpha)
+            yield alpha + beta, 0, 1
+            alpha_prev, alpha = alpha, b * alpha - alpha_prev
+            beta_prev, beta = beta, b * beta - beta_prev
 
 
 def discrepancies(hj: HJResolution) -> DiscrepancyVector:
@@ -199,16 +227,30 @@ def discrepancies(hj: HJResolution) -> DiscrepancyVector:
     for b in reversed(hj.coefficients):
         n, q = b * n - q, n
     return DiscrepancyVector(
-        tuple(Fraction(s - n, n) for s in _log_discrepancy_numerators(n, q))
+        tuple(
+            Fraction(first + j * step - n, n)
+            for first, step, length in _log_discrepancy_runs(n, q)
+            for j in range(length)
+        )
     )
 
 
 def min_discrepancy(nf: NormalForm) -> Fraction:
-    """min(discrepancies(hirzebruch_jung(nf)).values), in one pass without the chain."""
-    if nf.is_smooth:
-        raise ValueError("a smooth point has no exceptional curves to resolve")
+    """min(discrepancies(hirzebruch_jung(nf)).values), from the ends of
+    the runs of the chain, in O(log n)."""
+    _check_singular(nf)
     n = nf.order
-    return Fraction(min(_log_discrepancy_numerators(n, nf.q)) - n, n)
+    low = min(
+        min(first, first + (length - 1) * step)
+        for first, step, length in _log_discrepancy_runs(n, nf.q)
+    )
+    return Fraction(low - n, n)
+
+
+def chain_length(nf: NormalForm) -> int:
+    """len(hirzebruch_jung(nf)), the number of exceptional curves, in O(log n)."""
+    _check_singular(nf)
+    return sum(length for _, _, length in _log_discrepancy_runs(nf.order, nf.q))
 
 
 def gorenstein_index(nf: NormalForm) -> int:

@@ -22,11 +22,10 @@ from typing import NamedTuple
 from .cqsing import gorenstein_index, min_discrepancy
 from .quotsurf import (
     CyclicAction,
-    QDefModel,
     SurfaceModel,
-    assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
+    qdef_directions,
     rational_json,
 )
 from .torusgit import analyze_directions
@@ -88,19 +87,21 @@ def action_for(family: str, l: int) -> CyclicAction:
 
 
 def local_model(family: str, l: int) -> LocalModuliModel:
-    """Build the surface, assemble its deformation space, and quotient."""
-    surface = build_surface(action_for(family, l))
-    return evaluate_model(family, surface, assemble_qdef(surface))
+    """Build the surface and evaluate its model, in O(log l)."""
+    return evaluate_model(family, build_surface(action_for(family, l)))
 
 
-def evaluate_model(
-    family: str, surface: SurfaceModel, qdef: QDefModel
-) -> LocalModuliModel:
-    """The local moduli model of a built surface and its deformation space.
+def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
+    """The local moduli model of a built surface.
 
-    aut_dim is the dimension of the connected reductive automorphism
-    group (the residual torus; finite factors are ignored, and finite
-    quotients do not change any dimension reported here).
+    The dimension of the deformation space and the GIT input, the
+    multiset of the primitive directions of its characters, come from
+    one pass over the singular locus (qdef_directions); no character
+    and no weight matrix is built, so with the run form of the chain
+    walk (min_discrepancy) the cost grows as log l. aut_dim is the
+    dimension of the connected reductive automorphism group (the
+    residual torus; finite factors are ignored, and finite quotients do
+    not change any dimension reported here).
     """
     aut = surface.aut0_dim
     if aut is None:
@@ -108,15 +109,16 @@ def evaluate_model(
             f"no automorphism dimension is known for {surface.action}: "
             "only the X and Y family actions have a moduli model"
         )
-    git = analyze_directions(2, qdef.direction_counts(), 0)
+    qdef_dim, counts = qdef_directions(surface)
+    git = analyze_directions(2, counts, 0)
     min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)
     index = lcm(*(gorenstein_index(r.singularity) for r in surface.singular_locus))
     return LocalModuliModel(
         family=family,
         l=surface.action.order,
-        qdef_dim=qdef.total_dim,
+        qdef_dim=qdef_dim,
         aut_dim=aut,
-        stack_dim=qdef.total_dim - aut,
+        stack_dim=qdef_dim - aut,
         coarse_dim=git.quotient_dim,
         kernel_rank=git.kernel_rank,
         isolated=git.quotient_dim == 0,

@@ -37,6 +37,7 @@ from .cqsing import (
     CyclicQuotientSingularity,
     NonIsolatedError,
     NormalForm,
+    SingularityClassification,
     UnknownDeformationError,
     classify,
     normalize,
@@ -164,27 +165,14 @@ class QDefModel(NamedTuple):
 
     One block per singular point (rigid points keep an empty character
     list); weight_matrix holds the concatenated characters as columns,
-    one per deformation parameter. Every character of a block is a
-    positive multiple of alpha + beta at its point (versal_weights), so
-    direction_counts gives the GIT input without reading the columns.
+    one per deformation parameter, so it grows with the order and only
+    the surface report builds this record. The dimension and the GIT
+    input come from qdef_directions, which builds no character.
     """
 
     total_dim: int
     blocks: tuple[tuple[FixedPointRecord, tuple[Character, ...]], ...]
     weight_matrix: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def direction_counts(self) -> dict[Character, int]:
-        """Primitive direction -> number of parameters on it, one entry
-        per deforming point: the multiset of the directions of the
-        columns of weight_matrix, in O(points)."""
-        counts: dict[Character, int] = {}
-        for _, chars in self.blocks:
-            if chars:
-                x, y = chars[0]
-                g = gcd(x, y)
-                d = (x // g, y // g)
-                counts[d] = counts.get(d, 0) + len(chars)
-        return counts
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,6 +287,42 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     )
 
 
+def _classify_point(record: FixedPointRecord) -> SingularityClassification:
+    """classify at a fixed point; an unknown deformation theory is an
+    error naming the point."""
+    cls = classify(record.singularity)
+    if cls.qdef_dim is None:
+        raise UnknownDeformationError(
+            f"point {record.point_label}: no deformation dimension known "
+            f"for {record.singularity.display()}"
+        )
+    return cls
+
+
+def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
+    """The dimension of the deformation space and the multiset of the
+    primitive directions of its torus characters, in O(points).
+
+    Every character of a point's block is a positive multiple of
+    alpha + beta at the point (versal_weights), so a deforming point
+    adds qdef_dim to the count of the primitive direction of alpha +
+    beta; no character is built. This is the multiset of the columns
+    of assemble_qdef(surface).weight_matrix, up to positive scaling.
+    """
+    total = 0
+    counts: dict[Character, int] = {}
+    for record in surface.singular_locus:
+        dim = _classify_point(record).qdef_dim
+        if dim:
+            (a0, a1), (b0, b1) = record.local_torus_weights
+            x, y = a0 + b0, a1 + b1
+            g = gcd(x, y)
+            d = (x // g, y // g)
+            counts[d] = counts.get(d, 0) + dim
+            total += dim
+    return total, counts
+
+
 def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     """Direct sum of the local Q-Gorenstein deformation spaces.
 
@@ -311,13 +335,7 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     blocks = []
     columns: list[Character] = []
     for record in surface.singular_locus:
-        cls = classify(record.singularity)
-        if cls.qdef_dim is None:
-            raise UnknownDeformationError(
-                f"point {record.point_label}: no deformation dimension known "
-                f"for {record.singularity.display()}"
-            )
-        if cls.qdef_dim == 0:
+        if _classify_point(record).qdef_dim == 0:
             blocks.append((record, ()))
             continue
         chars = tuple(versal_weights(record.singularity, record.local_torus_weights))
@@ -344,12 +362,7 @@ def betti_of_generic_smoothing(surface: SurfaceModel) -> int:
     """
     total = surface.b2_base
     for record in surface.singular_locus:
-        cls = classify(record.singularity)
-        if cls.qdef_dim is None:
-            raise UnknownDeformationError(
-                f"point {record.point_label}: no deformation dimension known "
-                f"for {record.singularity.display()}"
-            )
+        cls = _classify_point(record)
         if cls.is_du_val:
             total += record.singularity.order - 1
         elif cls.is_T:

@@ -470,9 +470,17 @@ def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
     return counts, counts.pop(None, 0)
 
 
-def _quotient_dim(rank: int, counts: Mapping, zeros: int) -> int:
+def _quotient_dim(
+    rank: int, counts: Mapping, zeros: int, full_rank: Optional[int] = None
+) -> int:
+    """full_rank, the rank of all the directions when the caller has it,
+    is reused when the support cut keeps every direction."""
     kept = _polystable_directions(rank, frozenset(counts))
-    return sum(counts[d] for d in kept) + zeros - integer_matrix_rank(zip(*kept))
+    if full_rank is not None and len(kept) == len(counts):
+        kept_rank = full_rank
+    else:
+        kept_rank = integer_matrix_rank(zip(*kept))
+    return sum(counts[d] for d in kept) + zeros - kept_rank
 
 
 def analyze_directions(
@@ -500,7 +508,7 @@ def analyze_directions(
             )
     eff = integer_matrix_rank(zip(*counts))
     return GITResult(
-        quotient_dim=_quotient_dim(rank, counts, zeros),
+        quotient_dim=_quotient_dim(rank, counts, zeros, eff),
         kernel_rank=rank - eff,
         effective_rank=eff,
     )

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from capped import run_capped
 
 from kmoduli import cli
 from kmoduli.cli import main
@@ -32,6 +33,46 @@ def test_sing_table_report(capsys):
     assert "gorenstein index:    3" in out
     assert "T-singularity (primitive)" in out
     assert "qdef dimension:      1" in out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sing", "1/1000000(1,999999)", "--format", "json"], "chain too long"),
+        (["sing", "1/99999999999(1,99999999998)"], "chain too long"),
+        # n/q = k + 1/k: one curve -(k + 1), then k - 1 curves -2
+        (["sing", f"1/{100001**2 + 1}(1,100001)"], "chain too long"),
+        (["surface", "--family", "X", "--l", "100001", "--format", "json"],
+         "order too large"),
+        (["surface", "--family", "Y", "--l", str(10**9 + 1)], "order too large"),
+    ],
+)
+def test_over_limit_requests_are_refused(argv, message):
+    proc = run_capped(["-m", "kmoduli.cli", *argv], timeout=2)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "100000" in proc.stderr
+
+
+def test_limits_are_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CHAIN_CURVES", 5)
+    monkeypatch.setattr(cli, "MAX_SURFACE_ORDER", 7)
+    assert run_cli(capsys, "sing", "1/6(1,5)")[0] == 0
+    assert run_cli(capsys, "sing", "1/7(1,6)", "--format", "json")[0] == 1
+    assert run_cli(capsys, "sing", "1/101(1,1)")[0] == 0
+    assert run_cli(capsys, "surface", "--family", "Y", "--l", "7")[0] == 0
+    code, out, err = run_cli(capsys, "surface", "--family", "X", "--l", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: order too large") and "limit of 7" in err
+
+
+@pytest.mark.parametrize("command", ["sing", "surface"])
+def test_help_states_the_limit(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert "at most 100000" in " ".join(capsys.readouterr().out.split())
 
 
 def test_sing_smooth_point(capsys):

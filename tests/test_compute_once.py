@@ -82,3 +82,21 @@ def test_git_request_runs_one_support_cut(monkeypatch, capsys, extra):
     assert main(argv) == 0
     assert len(cuts) == 1
     assert len(analyses) == 1
+
+
+@pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
+def test_local_model_builds_no_characters(monkeypatch, family, l):
+    qdefs = count_calls(monkeypatch, quotsurf.assemble_qdef)
+    characters = count_calls(monkeypatch, cqsing.versal_weights)
+    moduli.local_model(family, l)
+    assert qdefs == []
+    assert characters == []
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 30, 401])
+def test_x_local_model_ranks_once(monkeypatch, l):
+    # the support cut keeps every direction of X_l, so the rank of all
+    # the directions is the rank of the kept ones
+    ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
+    moduli.local_model("X", l)
+    assert len(ranks) == 1

@@ -5,6 +5,7 @@ systems, brute-force modular arithmetic) and are frozen here; the
 property sweeps check the structural invariants on exhaustive ranges.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,7 @@ from kmoduli.cqsing import (
     NonIsolatedError,
     NormalForm,
     UnknownDeformationError,
+    chain_length,
     classify,
     discrepancies,
     gorenstein_index,
@@ -61,6 +63,20 @@ def chain_discrepancy_oracle(bs):
         R[i] = bs[i - 1] * R[i + 1] - R[i + 2]
     n = P[k]
     return tuple(-1 + Fraction(P[i - 1] + R[i + 1], n) for i in range(1, k + 1))
+
+
+def log_discrepancy_numerators_oracle(n, q):
+    """alpha_i + beta_i, n times the log discrepancy of E_i, one curve at
+    a time: the toric recurrence x_{i+1} = b_i x_i - x_{i-1} from alpha_0
+    = n, alpha_1 = q, beta_0 = 0, beta_1 = 1."""
+    alpha_prev, alpha, beta_prev, beta = n, q, 0, 1
+    values = []
+    while alpha > 0:
+        b = -(-alpha_prev // alpha)
+        values.append(alpha + beta)
+        alpha_prev, alpha = alpha, b * alpha - alpha_prev
+        beta_prev, beta = beta, b * beta - beta_prev
+    return values
 
 
 def elimination_discrepancy_oracle(bs):
@@ -242,9 +258,50 @@ def test_discrepancy_long_a_chain_matches_elimination_oracle():
     assert min_discrepancy(nf) == min(values) == 0
 
 
+def assert_runs_match_oracle(n, q):
+    nf = NormalForm(n, q)
+    hj = hirzebruch_jung(nf)
+    numerators = log_discrepancy_numerators_oracle(n, q)
+    assert discrepancies(hj).values == tuple(Fraction(s - n, n) for s in numerators)
+    assert min_discrepancy(nf) == Fraction(min(numerators) - n, n), (n, q)
+    assert chain_length(nf) == len(hj) == len(numerators), (n, q)
+
+
+def test_run_form_matches_per_curve_oracle():
+    for n in range(2, 200):
+        for q in valid_q(n):
+            assert_runs_match_oracle(n, q)
+    rng = random.Random(20211)
+    for _ in range(2000):
+        n = rng.randint(2, 10**6)
+        q = rng.randrange(1, n)
+        while gcd(n, q) != 1:
+            q = rng.randrange(1, n)
+        assert_runs_match_oracle(n, q)
+
+
+def test_run_form_at_huge_orders():
+    a = NormalForm(10**18, 10**18 - 1)
+    assert min_discrepancy(a) == 0
+    assert chain_length(a) == 10**18 - 1
+    # n/q = k + 1/k: the chain is k + 1 followed by k - 1 curves of
+    # self-intersection -2, and the first curve has the least log
+    # discrepancy, (q + 1)/n
+    assert hirzebruch_jung(NormalForm(1000**2 + 1, 1000)).coefficients == (
+        (1001,) + (2,) * 999
+    )
+    assert_runs_match_oracle(1000**2 + 1, 1000)
+    for k in (1000, 10**9):
+        nf = NormalForm(k * k + 1, k)
+        assert chain_length(nf) == k
+        assert min_discrepancy(nf) == Fraction(k + 1, k * k + 1) - 1
+
+
 def test_min_discrepancy_rejects_smooth():
     with pytest.raises(ValueError):
         min_discrepancy(NormalForm(1, None))
+    with pytest.raises(ValueError):
+        chain_length(NormalForm(1, None))
 
 
 # Gorenstein index

@@ -4,8 +4,10 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd
 
 import pytest
+from capped import run_capped
 from weight_systems import negated, qdef_weight_system
 
 import kmoduli
@@ -103,6 +105,64 @@ def test_family_dimensions_at_large_orders():
     for m in ys:
         if m.l not in (3, 9):
             assert m.stack_dim == m.l - 3, m.l
+
+
+def family_closed_form(family: str, l: int) -> LocalModuliModel:
+    """The whole model at a generic order, from the singular loci: X_l
+    (l not in {2, 4}) has two A_{l-1} points and two rigid 1/l(1,1);
+    Y_l (odd l not in {3, 9}) has one A_{l-1} point and two rigid
+    1/l(1,2)."""
+    if family == "X":
+        qdef, coarse, isolated, degree, b2 = 2 * l - 2, 2 * l - 3, False, 8, 2 * l
+        min_disc, index = Fraction(2, l) - 1, l // gcd(l, 2)
+    else:
+        qdef, coarse, isolated, degree, b2 = l - 1, 0, True, 9, l
+        min_disc, index = Fraction(3, l) - 1, l // gcd(l, 3)
+    return LocalModuliModel(
+        family, l, qdef, 2, qdef - 2, coarse, 1, isolated,
+        Fraction(degree, l), min_disc, index, b2,
+    )
+
+
+def test_models_match_family_closed_forms():
+    for m in table("X", 3, 300):
+        if m.l != 4:
+            assert m == family_closed_form("X", m.l)
+    for m in table("Y", 5, 301):
+        if m.l != 9:
+            assert m == family_closed_form("Y", m.l)
+
+
+LARGE_ORDER_CHILD = """
+import json, tracemalloc
+from kmoduli import moduli
+tracemalloc.start()
+models = {call}
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({{"peak": peak, "models": [m.to_json_dict() for m in models]}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        ("[moduli.local_model('X', 10**9)]", [("X", 10**9)]),
+        ("[moduli.witness_model('Y', 10**9)]", [("Y", 10**9 + 3)]),
+        (
+            "moduli.table('X', 10**9, 10**9 + 50)",
+            [("X", l) for l in range(10**9, 10**9 + 51)],
+        ),
+    ],
+)
+def test_models_at_order_a_billion_in_constant_memory(call, expected):
+    # in a capped child: a model whose cost grows with l would fill memory
+    proc = run_capped(["-c", LARGE_ORDER_CHILD.format(call=call)], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["models"] == [
+        family_closed_form(*fl).to_json_dict() for fl in expected
+    ]
+    assert result["peak"] < 1 << 20
 
 
 def test_stack_dim_is_qdef_minus_aut():
@@ -270,7 +330,7 @@ def test_errors_propagate():
     # a valid action outside both families has no automorphism dimension
     surface = build_surface(CyclicAction("P1xP1", 5, (1, 2)))
     with pytest.raises(ValueError, match=r"order=5, weights=\(1, 2\)"):
-        evaluate_model("X", surface, assemble_qdef(surface))
+        evaluate_model("X", surface)
 
 
 def test_negating_weight_matrix_changes_nothing():

@@ -14,6 +14,7 @@ from kmoduli.quotsurf import (
     assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
+    qdef_directions,
 )
 from kmoduli.torusgit import quotient_dim
 
@@ -290,12 +291,14 @@ def test_direction_counts_are_the_primitive_columns():
     actions = [CyclicAction.x_family(l) for l in range(2, 61)]
     actions += [CyclicAction.y_family(l) for l in range(3, 62, 2)]
     for action in actions:
-        q = assemble_qdef(build_surface(action))
+        s = build_surface(action)
+        q = assemble_qdef(s)
         primitive = Counter(
             (x // gcd(x, y), y // gcd(x, y)) for x, y in qdef_columns(q)
         )
-        assert q.direction_counts() == primitive, action
-        assert sum(q.direction_counts().values()) == q.total_dim
+        total, counts = qdef_directions(s)
+        assert counts == primitive, action
+        assert total == sum(counts.values()) == q.total_dim
 
 
 def test_qdef_feeds_quotient_dim():
@@ -311,7 +314,7 @@ def test_everything_rigid_yields_zero_space():
     assert q.total_dim == 0
     assert qdef_columns(q) == ()
     assert all(chars == () for _, chars in q.blocks)
-    assert q.direction_counts() == {}
+    assert qdef_directions(s) == (0, {})
     with pytest.raises(ValueError):
         qdef_weight_system(q)
     assert betti_of_generic_smoothing(s) == 2
@@ -322,6 +325,8 @@ def test_unknown_deformation_point_is_an_error():
     s = build_surface(CyclicAction("P1xP1", 12, (1, 5)))
     with pytest.raises(UnknownDeformationError, match=r"\(\[0:1\],\[1:0\]\)"):
         assemble_qdef(s)
+    with pytest.raises(UnknownDeformationError, match=r"\(\[0:1\],\[1:0\]\)"):
+        qdef_directions(s)
     with pytest.raises(UnknownDeformationError):
         betti_of_generic_smoothing(s)
 
