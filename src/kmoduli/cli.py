@@ -11,13 +11,14 @@ Subcommands:
 Each subcommand takes --format table|json. Table mode renders rationals
 as "p/q", never as decimals; JSON mode emits {"num", "den"} pairs and
 is byte-stable across runs. Exit status is 0 on success, 1 on a domain
-error (diagnostic on stderr), 2 on a usage error.
+error (diagnostic on stderr) or a closed stdout, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -461,7 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-    print(report)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -115,7 +115,7 @@ class FixedPointRecord(NamedTuple):
     stabilizer order), local_torus_weights the characters of the
     residual 2-torus on the same two chart coordinates. The stored
     normal form is the canonical representative of its equivalence
-    class (smaller q of the two chart orderings).
+    class (smaller q of the two chart orderings), classified once.
     """
 
     point_label: str
@@ -123,6 +123,7 @@ class FixedPointRecord(NamedTuple):
     local_cyclic_weights: tuple[int, int]
     local_torus_weights: tuple[Character, Character]
     singularity: NormalForm
+    classification: SingularityClassification
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,15 +221,15 @@ def _p1xp1_records(action: CyclicAction) -> list[FixedPointRecord]:
             b = w2 if p2 == 0 else -w2
             alpha = (1 if p1 == 0 else -1, 0)
             beta = (0, 1 if p2 == 0 else -1)
+            nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
             records.append(
                 FixedPointRecord(
                     point_label=f"({factor_labels[p1]},{factor_labels[p2]})",
                     stabilizer_order=l,
                     local_cyclic_weights=(a % l, b % l),
                     local_torus_weights=(alpha, beta),
-                    singularity=normalize(
-                        CyclicQuotientSingularity(l, a, b)
-                    ).canonical(),
+                    singularity=nf,
+                    classification=classify(nf),
                 )
             )
     return records
@@ -248,13 +249,15 @@ def _p2_records(action: CyclicAction) -> list[FixedPointRecord]:
             for j in js
         )
         label = "[" + ":".join("1" if j == i else "0" for j in range(3)) + "]"
+        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
         records.append(
             FixedPointRecord(
                 point_label=label,
                 stabilizer_order=l,
                 local_cyclic_weights=(a, b),
                 local_torus_weights=chars,
-                singularity=normalize(CyclicQuotientSingularity(l, a, b)).canonical(),
+                singularity=nf,
+                classification=classify(nf),
             )
         )
     return records
@@ -288,9 +291,9 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
 
 
 def _classify_point(record: FixedPointRecord) -> SingularityClassification:
-    """classify at a fixed point; an unknown deformation theory is an
-    error naming the point."""
-    cls = classify(record.singularity)
+    """The classification of a fixed point; an unknown deformation theory
+    is an error naming the point."""
+    cls = record.classification
     if cls.qdef_dim is None:
         raise UnknownDeformationError(
             f"point {record.point_label}: no deformation dimension known "
@@ -312,8 +315,7 @@ def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
     total = 0
     counts: dict[Character, int] = {}
     for record in surface.singular_locus:
-        dim = _classify_point(record).qdef_dim
-        if dim:
+        if dim := _classify_point(record).qdef_dim:
             (a0, a1), (b0, b1) = record.local_torus_weights
             x, y = a0 + b0, a1 + b1
             g = gcd(x, y)

@@ -9,7 +9,7 @@ independent oracle.
 
 Key facts used (all over the rationals, decided by one exact simplex
 kernel with Bland's rule and integer-only pivoting, which returns a
-feasible point or an integer Farkas certificate):
+feasible point, an integer Farkas certificate or an integer optimum):
 
   * a support S is polystable iff no one-parameter subgroup lambda has
     <lambda, w_i> >= 0 for all i in S with strict inequality somewhere
@@ -45,7 +45,7 @@ import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import index, mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -239,7 +239,7 @@ def _simplex(
     Returns (False, y) when the system is infeasible, with y an integer
     Farkas vector: y . c <= 0 for every column and y . rhs > 0. When it
     is feasible, returns (True, None) without a cost row, and otherwise
-    (True, the maximum as a Fraction), or (True, None) if unbounded.
+    (True, (p, d)) for the maximum p / d, d > 0, or (True, None) if unbounded.
     """
     m, n = len(rhs), len(columns)
     signs = [-1 if b < 0 else 1 for b in rhs]
@@ -282,7 +282,7 @@ def _simplex(
     while True:
         c = next((j for j in range(n) if z[j] < 0), None)
         if c is None:
-            return True, Fraction(z[-1], d)
+            return True, (z[-1], d)
         r = _leaving_row(rows, basis, m, c)
         if r is None:
             return True, None
@@ -546,27 +546,30 @@ def open_half_space_certificate(
     picked coordinate by coordinate: with lambda_0..lambda_{j-1} fixed,
     lambda_j is the minimum of its range if that is bounded below, else
     min(sup, 0) if bounded above, else 0. Each end of the range is the
-    optimum of the LP dual over the columns' tails w_i[j:].
+    optimum of the LP dual over the tails w_i[j:], with the integer cost
+    D - <w_i, prefix numerators> for the prefix over one denominator D.
     """
     cols = ws.columns
     k = ws.rank
     # Gordan: the region is empty iff some x >= 0, sum x = 1, has W x = 0
     if _simplex([col + (1,) for col in cols], (0,) * k + (1,))[0]:
         return None
-    values: list[Fraction] = []
+    # the fixed prefix is lambda_t = nums[t] / den, gcd(den, *nums) = 1
+    nums, den = [], 1
     for j in range(k):
-        bounds = [1 - sum(a * v for a, v in zip(col, values)) for col in cols]
-        scale = lcm(*(b.denominator for b in bounds))
-        cost = [int(b * scale) for b in bounds]
+        cost = [den - sum(map(mul, col, nums)) for col in cols]
         tails = [col[j:] for col in cols]
         unit = [1] + [0] * (k - j - 1)
         bounded, low = _simplex(tails, unit, cost)
         if bounded:
-            values.append(low / scale)
-            continue
-        bounded, high = _simplex(tails, [-x for x in unit], cost)
-        values.append(min(-high / scale, Fraction(0)) if bounded else Fraction(0))
-    return tuple(values)
+            num, d = low
+        else:
+            bounded, high = _simplex(tails, [-x for x in unit], cost)
+            num, d = (-high[0], high[1]) if bounded and high[0] > 0 else (0, 1)
+        nums, den = [x * d for x in nums] + [num], den * d
+        g = gcd(den, *nums)
+        nums, den = [x // g for x in nums], den // g
+    return tuple(Fraction(x, den) for x in nums)
 
 
 # invariant-monomial oracle

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from capped import run_capped
+from capped import SRC, run_capped
 
 from kmoduli import cli
 from kmoduli.cli import main
@@ -485,3 +485,24 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)["rows"]
     assert [r["stack_dim"] for r in rows] == [2, 4, 8]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # a reader that leaves after 300 bytes, like `| head -c 300`, of a
+    # report of several megabytes
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kmoduli.cli", "sing", "1/20001(1,20000)", "--format", "json"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        head = reader.read(300)
+    _, err = proc.communicate(timeout=30)
+    assert head.startswith(b"{")
+    assert proc.returncode == 1
+    assert err == ""

@@ -84,6 +84,14 @@ def test_git_request_runs_one_support_cut(monkeypatch, capsys, extra):
     assert len(analyses) == 1
 
 
+@pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
+def test_local_model_classifies_each_point_once(monkeypatch, family, l):
+    points = quotsurf.build_surface(moduli.action_for(family, l)).singular_locus
+    classified = count_calls(monkeypatch, cqsing.classify)
+    moduli.local_model(family, l)
+    assert len(classified) == len(points)
+
+
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_builds_no_characters(monkeypatch, family, l):
     qdefs = count_calls(monkeypatch, quotsurf.assemble_qdef)

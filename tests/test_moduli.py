@@ -395,7 +395,7 @@ RECORDS = {
     "FixedPointRecord": (
         lambda: _x5_surface().singular_locus[0],
         ("point_label", "stabilizer_order", "local_cyclic_weights",
-         "local_torus_weights", "singularity"),
+         "local_torus_weights", "singularity", "classification"),
     ),
     "SurfaceModel": (
         _x5_surface,

@@ -9,7 +9,7 @@ the x variables), while the library decides supports on the dual side
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from fourier_motzkin import fm_witness
@@ -17,6 +17,7 @@ from weight_systems import column, negated
 
 from kmoduli.torusgit import (
     _destabilizer_witness,
+    _simplex,
     EnumerationBudgetError,
     GITResult,
     SupportPoint,
@@ -602,8 +603,29 @@ def test_open_half_space_certificate_is_the_fourier_motzkin_point():
         ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
         cert = open_half_space_certificate(ws)
         assert cert == fm_witness([(c, 1) for c in ws.columns], k), ws.matrix
-        certified += cert is not None
+        if cert is not None:
+            # the same check in integers: D <lambda, w_i> >= D on every column
+            d = lcm(*(x.denominator for x in cert))
+            nums = [int(x * d) for x in cert]
+            assert all(sum(a * b for a, b in zip(nums, c)) >= d for c in ws.columns)
+            certified += 1
     assert certified > 150
+
+
+def test_simplex_returns_the_optimum_as_integers():
+    # max cost . x over sum_j x_j columns[j] = rhs, x >= 0, as the pair
+    # (numerator, tableau denominator), not reduced
+    assert _simplex([(1,), (2,)], [4], [3, 5]) == (True, (12, 1))
+    assert _simplex([(2,), (3,)], [1], [-1, -1]) == (True, (-1, 3))
+    assert _simplex([(3, 1), (1, 3)], [1, 1], [1, 1]) == (True, (4, 8))
+    # unbounded: x_1 = x_2 grows without end
+    assert _simplex([(1,), (-1,)], [0], [1, 0]) == (True, None)
+    # degenerate: the second row starts and stays at level 0
+    assert _simplex([(1, 1), (1, -1), (2, 0)], [2, 0], [1, 2, 1]) == (True, (6, 2))
+    # a redundant row keeps its artificial in the basis at level 0
+    assert _simplex([(1, 1), (1, 1)], [1, 1], [1, 2]) == (True, (2, 1))
+    # infeasible: the Farkas vector, whatever the cost row
+    assert _simplex([(1, 0), (0, 1)], [-1, 1], [1, 1]) == (False, (-1, 0))
 
 
 # cones and certificates
