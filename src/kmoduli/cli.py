@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cqsing import (
     chain_length,
@@ -31,7 +30,7 @@ from .cqsing import (
     normalize,
     parse_singularity,
 )
-from .moduli import action_for, evaluate_model, witness_model
+from .moduli import FAMILIES, action_for, evaluate_model, witness_dim, witness_model
 from .moduli import table as moduli_table
 from .quotsurf import assemble_qdef, build_surface, rational_json
 from .torusgit import (
@@ -42,7 +41,6 @@ from .torusgit import (
     destabilizing_limit,
     integer_matrix_rank,
     invariant_monomials,
-    is_polystable,
 )
 
 
@@ -52,10 +50,6 @@ from .torusgit import (
 # O(log l) per model and have no limit.
 MAX_CHAIN_CURVES = 100_000
 MAX_SURFACE_ORDER = 100_000
-
-
-def _rat(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _dumps(data: dict) -> str:
@@ -77,42 +71,38 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
         )
     cls = classify(nf)
     if nf.is_smooth:
-        chain: tuple[int, ...] = ()
-        discs: tuple[Fraction, ...] = ()
-        logs: tuple[Fraction, ...] = ()
+        chain = self_ints = discs = logs = ()
     else:
         hj = hirzebruch_jung(nf)
         vec = discrepancies(hj)
-        chain = hj.coefficients
-        discs = vec.values
-        logs = vec.log_values
+        chain, self_ints = hj.coefficients, hj.self_intersections
+        discs, logs = vec.values, vec.log_values
     canonical = nf.canonical()
-    data = {
-        "input": germ_text.strip(),
-        "normal_form": nf.to_json_dict(),
-        "canonical_form": canonical.to_json_dict(),
-        "display": canonical.display(),
-        "resolution_chain": list(chain),
-        "self_intersections": [-b for b in chain],
-        "discrepancies": [rational_json(a) for a in discs],
-        "log_discrepancies": [rational_json(a) for a in logs],
-        "gorenstein_index": gorenstein_index(nf),
-        "classification": cls.to_json_dict(),
-    }
     if fmt == "json":
-        return _dumps(data)
+        return _dumps({
+            "input": germ_text.strip(),
+            "normal_form": nf.to_json_dict(),
+            "canonical_form": canonical.to_json_dict(),
+            "display": canonical.display(),
+            "resolution_chain": list(chain),
+            "self_intersections": list(self_ints),
+            "discrepancies": [rational_json(a) for a in discs],
+            "log_discrepancies": [rational_json(a) for a in logs],
+            "gorenstein_index": gorenstein_index(nf),
+            "classification": cls.to_json_dict(),
+        })
     lines = [f"singularity {nf.display()}"]
     if canonical != nf:
         lines.append(f"  canonical form:      {canonical.display()}")
     if nf.is_smooth:
         lines.append("  smooth point: no exceptional curves")
     else:
-        ints = ", ".join(str(-b) for b in chain)
+        ints = ", ".join(map(str, self_ints))
         lines.append(f"  resolution chain:    {list(chain)}  (self-intersections {ints})")
-        lines.append(f"  discrepancies:       {', '.join(_rat(a) for a in discs)}")
-        lines.append(f"  log discrepancies:   {', '.join(_rat(a) for a in logs)}")
+        lines.append(f"  discrepancies:       {', '.join(map(str, discs))}")
+        lines.append(f"  log discrepancies:   {', '.join(map(str, logs))}")
         lines.append("  (log discrepancy = 1 + discrepancy; both conventions shown)")
-    lines.append(f"  gorenstein index:    {data['gorenstein_index']}")
+    lines.append(f"  gorenstein index:    {gorenstein_index(nf)}")
     lines.append(
         f"  classification:      w = {cls.w}, r = {cls.r}, m = {cls.m}, w0 = {cls.w0}"
     )
@@ -145,38 +135,36 @@ def cmd_surface(family: str, l: int, fmt: str) -> str:
     surface = build_surface(action_for(family, l))
     qdef = assemble_qdef(surface)
     model = evaluate_model(family, surface)
-    data = {
-        "model": model.to_json_dict(),
-        "surface": surface.to_json_dict(),
-        "qdef": qdef.to_json_dict(),
-    }
     if fmt == "json":
-        return _dumps(data)
+        return _dumps({
+            "model": model.to_json_dict(),
+            "surface": surface.to_json_dict(),
+            "qdef": qdef.to_json_dict(),
+        })
     ambient = "(P1 x P1)" if surface.action.ambient == "P1xP1" else "P2"
     lines = [
         f"surface {model.surface_id} = {ambient}/Z_{l}, "
         f"action weights {surface.action.weights}",
         "",
-        f"  volume (K^2):        {_rat(model.volume)}",
+        f"  volume (K^2):        {model.volume!s}",
         f"  qdef dimension:      {model.qdef_dim}",
         f"  aut dimension:       {model.aut_dim}",
         f"  stack dimension:     {model.stack_dim}",
         f"  coarse dimension:    {model.coarse_dim}",
         f"  kernel rank:         {model.kernel_rank}",
         f"  isolated:            {str(model.isolated).lower()}",
-        f"  min discrepancy:     {_rat(model.min_discrepancy)}",
+        f"  min discrepancy:     {model.min_discrepancy!s}",
         f"  gorenstein index:    {model.gorenstein_index}",
         f"  b2 of smoothing:     {model.b2_generic}",
         "",
         "singular locus:",
     ]
-    block_sizes = {rec.point_label: len(chars) for rec, chars in qdef.blocks}
-    for rec in surface.singular_locus:
+    for rec, chars in qdef.blocks:
         lines.append(
             f"  {rec.point_label:<16} {rec.singularity.display():<10} "
             f"chart weights {rec.local_cyclic_weights}  "
             f"torus chars {rec.local_torus_weights[0]},{rec.local_torus_weights[1]}  "
-            f"qdef {block_sizes[rec.point_label]}"
+            f"qdef {len(chars)}"
         )
     lines.append("")
     lines.append("torus weights on the deformation space:")
@@ -248,10 +236,10 @@ def cmd_git(
     support = None
     if support_text is not None:
         support = parse_support(support_text, ws.n_coords)
-        verdict = is_polystable(ws, support)
-        entry: dict = {"support": support.to_json_dict(), "polystable": verdict}
-        if not verdict:
-            lam, limit = destabilizing_limit(ws, support)
+        dest = destabilizing_limit(ws, support)
+        entry: dict = {"support": support.to_json_dict(), "polystable": dest is None}
+        if dest is not None:
+            lam, limit = dest
             entry["destabilizer"] = {
                 "lambda": list(lam),
                 "limit_support": limit.to_json_dict(),
@@ -306,8 +294,8 @@ _TABLE_COLUMNS = (
     ("coarse", lambda m: str(m.coarse_dim)),
     ("kernel", lambda m: str(m.kernel_rank)),
     ("isolated", lambda m: str(m.isolated).lower()),
-    ("volume", lambda m: _rat(m.volume)),
-    ("min_disc", lambda m: _rat(m.min_discrepancy)),
+    ("volume", lambda m: str(m.volume)),
+    ("min_disc", lambda m: str(m.min_discrepancy)),
     ("index", lambda m: str(m.gorenstein_index)),
     ("b2", lambda m: str(m.b2_generic)),
 )
@@ -353,8 +341,7 @@ def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
 def cmd_witness(family: str, target_dim: int, fmt: str) -> str:
     """Smallest order whose moduli dimension reaches the target."""
     model = witness_model(family, target_dim)
-    kind = "coarse" if family == "X" else "stack"
-    achieved = model.coarse_dim if family == "X" else model.stack_dim
+    kind, achieved = witness_dim(model)
     data = {
         "family": family,
         "target_dim": target_dim,
@@ -399,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sing)
 
     surface = sub.add_parser("surface", help="local moduli model of one surface")
-    surface.add_argument("--family", type=str.upper, choices=("X", "Y"), required=True)
+    surface.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     surface.add_argument(
         "--l", type=int, required=True,
         help=f"order of the cyclic group, at most {MAX_SURFACE_ORDER}",
@@ -424,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(git)
 
     tab = sub.add_parser("table", help="moduli models across a range of orders")
-    tab.add_argument("--family", type=str.upper, choices=("X", "Y"), required=True)
+    tab.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     tab.add_argument("--l-min", type=int, required=True)
     tab.add_argument("--l-max", type=int, required=True)
     add_common(tab)
 
     wit = sub.add_parser("witness", help="smallest order reaching a moduli dimension")
-    wit.add_argument("--family", type=str.upper, choices=("X", "Y"), required=True)
+    wit.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     wit.add_argument("--target-dim", type=int, required=True)
     add_common(wit)
 

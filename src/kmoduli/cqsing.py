@@ -29,6 +29,7 @@ fractions.Fraction); no floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -175,13 +176,9 @@ def _check_singular(nf: NormalForm) -> None:
 def hirzebruch_jung(nf: NormalForm) -> HJResolution:
     """The Hirzebruch-Jung continued-fraction expansion of n/q."""
     _check_singular(nf)
-    n, q = nf.order, nf.q
-    coeffs = []
-    while q > 0:
-        b = -(-n // q)
-        coeffs.append(b)
-        n, q = q, b * q - n
-    return HJResolution(tuple(coeffs))
+    runs = _log_discrepancy_runs(nf.order, nf.q)
+    curves = (itertools.repeat(b, length) for _, _, length, b in runs)
+    return HJResolution(tuple(itertools.chain.from_iterable(curves)))
 
 
 class DiscrepancyVector(NamedTuple):
@@ -196,22 +193,23 @@ class DiscrepancyVector(NamedTuple):
 
 
 def _log_discrepancy_runs(n: int, q: int):
-    """Yield the chain of 1/n(1,q) as runs (first, step, length): the
-    j-th curve of a run, j = 0..length-1, has alpha + beta = first +
-    j * step, n times its log discrepancy. Each maximal run of 2s is one
-    run; every other curve is a run of length 1 and step 0."""
+    """Yield the chain of 1/n(1,q) as runs (first, step, length, b): the
+    j-th curve of a run, j = 0..length-1, has coefficient b and alpha +
+    beta = first + j * step, n times its log discrepancy. Each maximal
+    run of 2s is one run; every other curve is a run of length 1 and
+    step 0."""
     alpha_prev, alpha, beta_prev, beta = n, q, 0, 1
     while alpha > 0:
         d = alpha_prev - alpha
         if d <= alpha:
             e = beta - beta_prev
             length = alpha // d
-            yield alpha + beta, e - d, length
+            yield alpha + beta, e - d, length, 2
             alpha_prev, alpha = alpha - (length - 1) * d, alpha - length * d
             beta_prev, beta = beta + (length - 1) * e, beta + length * e
         else:
             b = -(-alpha_prev // alpha)
-            yield alpha + beta, 0, 1
+            yield alpha + beta, 0, 1, b
             alpha_prev, alpha = alpha, b * alpha - alpha_prev
             beta_prev, beta = beta, b * beta - beta_prev
 
@@ -229,7 +227,7 @@ def discrepancies(hj: HJResolution) -> DiscrepancyVector:
     return DiscrepancyVector(
         tuple(
             Fraction(first + j * step - n, n)
-            for first, step, length in _log_discrepancy_runs(n, q)
+            for first, step, length, _ in _log_discrepancy_runs(n, q)
             for j in range(length)
         )
     )
@@ -242,7 +240,7 @@ def min_discrepancy(nf: NormalForm) -> Fraction:
     n = nf.order
     low = min(
         min(first, first + (length - 1) * step)
-        for first, step, length in _log_discrepancy_runs(n, nf.q)
+        for first, step, length, _ in _log_discrepancy_runs(n, nf.q)
     )
     return Fraction(low - n, n)
 
@@ -250,7 +248,7 @@ def min_discrepancy(nf: NormalForm) -> Fraction:
 def chain_length(nf: NormalForm) -> int:
     """len(hirzebruch_jung(nf)), the number of exceptional curves, in O(log n)."""
     _check_singular(nf)
-    return sum(length for _, _, length in _log_discrepancy_runs(nf.order, nf.q))
+    return sum(length for _, _, length, _ in _log_discrepancy_runs(nf.order, nf.q))
 
 
 def gorenstein_index(nf: NormalForm) -> int:

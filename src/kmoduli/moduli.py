@@ -167,23 +167,26 @@ def _smallest_y_order(target: int) -> int:
     return l if l % 2 == 1 else l + 1
 
 
+def witness_dim(model: LocalModuliModel) -> tuple[str, int]:
+    """The kind and value of the dimension an order witness reaches:
+    coarse_dim for the X family, stack_dim for the Y family."""
+    if model.family == "X":
+        return "coarse", model.coarse_dim
+    return "stack", model.stack_dim
+
+
 def witness_model(family: str, target_dim: int) -> LocalModuliModel:
     """The model at the smallest valid order whose dimension reaches target_dim.
 
-    Dimension means coarse_dim for the X family and stack_dim for the Y
-    family. The closed formulas invert the dimension sequences; the
-    model at the returned order is built by the engine and checked.
+    Dimension means witness_dim. The closed formulas invert the
+    dimension sequences; the model at the returned order is built by
+    the engine and checked.
     """
     if target_dim < 0:
         raise ValueError(f"target_dim must be nonnegative, got {target_dim}")
-    if family == "X":
-        model = local_model("X", _smallest_x_order(target_dim))
-        achieved = model.coarse_dim
-    elif family == "Y":
-        model = local_model("Y", _smallest_y_order(target_dim))
-        achieved = model.stack_dim
-    else:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    smallest = _smallest_x_order if family == "X" else _smallest_y_order
+    model = local_model(family, smallest(target_dim))
+    _, achieved = witness_dim(model)
     if achieved < target_dim:
         raise RuntimeError(
             f"witness formula for {family} returned l = {model.l} with dimension "

@@ -6,18 +6,25 @@ singularities by stabilizer analysis, and assembles the direct sum of
 the local Q-Gorenstein deformation spaces together with the residual
 2-torus weight matrix on it.
 
-Chart conventions, fixed once per ambient so every torus character in
-the package is comparable:
+Both ambients are toric surfaces, and everything is read off their
+torus-fixed points (Cox-Little-Schenck 3.1, 10.2). One table per
+ambient (_AMBIENTS) holds its anticanonical degree, b2, the cocharacter
+rule below, and each fixed point's label with the torus characters of
+its two chart coordinates:
 
   * P1 x P1: the torus (t1, t2) acts by [z0:z1] -> [t1 z0 : z1] on the
     first factor and [w0:w1] -> [t2 w0 : w1] on the second. The chart
     coordinate at [0:1] on factor f carries character e_f, the one at
-    [1:0] carries -e_f. The cyclic group acts with weight w_f on the
-    first homogeneous coordinate of factor f.
+    [1:0] carries -e_f.
   * P2: the torus acts by [z0:z1:z2] -> [t1 z0 : t2 z1 : z2], so the
     homogeneous coordinates carry characters (1,0), (0,1), (0,0) and
     the chart coordinate z_j/z_i at the fixed point e_i carries the
-    difference. The cyclic group acts with weight w_j on z_j.
+    difference.
+
+Z_l acts through a cocharacter u of that torus: u = (w1, w2) on P1 x P1,
+with w_f the weight on the first homogeneous coordinate of factor f,
+and u = (w0 - w2, w1 - w2) on P2, with w_j the weight on z_j. So a chart
+coordinate of character chi has cyclic weight <u, chi> mod l.
 
 Every accepted action has isolated fixed points, which forces the full
 group Z_l to stabilize each coordinate point and to act faithfully on
@@ -30,6 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .cqsing import (
@@ -210,57 +218,22 @@ def _check_isolated(action: CyclicAction) -> None:
                     )
 
 
-def _p1xp1_records(action: CyclicAction) -> list[FixedPointRecord]:
-    l = action.order
-    w1, w2 = action.weights
-    factor_labels = ("[0:1]", "[1:0]")
-    records = []
-    for p1 in (0, 1):
-        for p2 in (0, 1):
-            a = w1 if p1 == 0 else -w1
-            b = w2 if p2 == 0 else -w2
-            alpha = (1 if p1 == 0 else -1, 0)
-            beta = (0, 1 if p2 == 0 else -1)
-            nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
-            records.append(
-                FixedPointRecord(
-                    point_label=f"({factor_labels[p1]},{factor_labels[p2]})",
-                    stabilizer_order=l,
-                    local_cyclic_weights=(a % l, b % l),
-                    local_torus_weights=(alpha, beta),
-                    singularity=nf,
-                    classification=classify(nf),
-                )
-            )
-    return records
-
-
-_P2_CHARACTERS = ((1, 0), (0, 1), (0, 0))
-
-
-def _p2_records(action: CyclicAction) -> list[FixedPointRecord]:
-    l = action.order
-    records = []
-    for i in range(3):
-        js = [j for j in range(3) if j != i]
-        a, b = ((action.weights[j] - action.weights[i]) % l for j in js)
-        chars = tuple(
-            tuple(x - y for x, y in zip(_P2_CHARACTERS[j], _P2_CHARACTERS[i]))
-            for j in js
-        )
-        label = "[" + ":".join("1" if j == i else "0" for j in range(3)) + "]"
-        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
-        records.append(
-            FixedPointRecord(
-                point_label=label,
-                stabilizer_order=l,
-                local_cyclic_weights=(a, b),
-                local_torus_weights=chars,
-                singularity=nf,
-                classification=classify(nf),
-            )
-        )
-    return records
+# per ambient: anticanonical degree, b2, the rows that take the action
+# weights to the cocharacter u, and each torus-fixed point's label and
+# the characters of its two chart coordinates
+_AMBIENTS = {
+    P1XP1: (8, 2, ((1, 0), (0, 1)), (
+        ("([0:1],[0:1])", (1, 0), (0, 1)),
+        ("([0:1],[1:0])", (1, 0), (0, -1)),
+        ("([1:0],[0:1])", (-1, 0), (0, 1)),
+        ("([1:0],[1:0])", (-1, 0), (0, -1)),
+    )),
+    P2: (9, 1, ((1, 0, -1), (0, 1, -1)), (
+        ("[1:0:0]", (-1, 1), (-1, 0)),
+        ("[0:1:0]", (1, -1), (0, -1)),
+        ("[0:0:1]", (1, 0), (0, 1)),
+    )),
+}
 
 
 def build_surface(action: CyclicAction) -> SurfaceModel:
@@ -272,22 +245,18 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     map is unramified away from finitely many points.
     """
     _check_isolated(action)
-    if action.ambient == P1XP1:
-        records = _p1xp1_records(action)
-        degree = 8
-        b2_base = 2
-    else:
-        records = _p2_records(action)
-        degree = 9
-        b2_base = 1
+    degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
+    l = action.order
+    u0, u1 = (sum(map(mul, row, action.weights)) for row in cocharacter)
+    records = []
+    for label, alpha, beta in points:
+        a, b = ((u0 * x + u1 * y) % l for x, y in (alpha, beta))
+        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+        records.append(
+            FixedPointRecord(label, l, (a, b), (alpha, beta), nf, classify(nf))
+        )
     aut0 = 2 if (action.is_x_preset or action.is_y_preset) else None
-    return SurfaceModel(
-        action=action,
-        singular_locus=tuple(records),
-        volume=Fraction(degree, action.order),
-        aut0_dim=aut0,
-        b2_base=b2_base,
-    )
+    return SurfaceModel(action, tuple(records), Fraction(degree, l), aut0, b2_base)
 
 
 def _classify_point(record: FixedPointRecord) -> SingularityClassification:

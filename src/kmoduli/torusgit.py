@@ -540,7 +540,9 @@ def open_half_space_certificate(
 
     Such a certificate exists iff only the origin is polystable (every
     nonempty support is destabilized to a strictly smaller one), which
-    is the isolated-point criterion for the local moduli space.
+    is the isolated-point criterion for the local moduli space; so the
+    answer is None iff the largest polystable support is nonempty
+    (Gordan: some nonzero x >= 0 has W x = 0).
 
     The functional returned is the point of {lambda : <lambda, w_i> >= 1}
     picked coordinate by coordinate: with lambda_0..lambda_{j-1} fixed,
@@ -549,11 +551,10 @@ def open_half_space_certificate(
     optimum of the LP dual over the tails w_i[j:], with the integer cost
     D - <w_i, prefix numerators> for the prefix over one denominator D.
     """
+    if largest_polystable_support(ws).support:
+        return None
     cols = ws.columns
     k = ws.rank
-    # Gordan: the region is empty iff some x >= 0, sum x = 1, has W x = 0
-    if _simplex([col + (1,) for col in cols], (0,) * k + (1,))[0]:
-        return None
     # the fixed prefix is lambda_t = nums[t] / den, gcd(den, *nums) = 1
     nums, den = [], 1
     for j in range(k):

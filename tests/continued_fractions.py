@@ -11,3 +11,14 @@ def continued_fraction_value(coefficients: tuple[int, ...]) -> Fraction:
     for b in reversed(coefficients[:-1]):
         value = b - 1 / value
     return value
+
+
+def hj_coefficients(n: int, q: int) -> tuple[int, ...]:
+    """The Hirzebruch-Jung chain of n/q, curve by curve: b = ceil(n/q),
+    then continue with q / (b q - n)."""
+    coefficients = []
+    while q > 0:
+        b = -(-n // q)
+        coefficients.append(b)
+        n, q = q, b * q - n
+    return tuple(coefficients)

@@ -12,6 +12,7 @@ from capped import SRC, run_capped
 
 from kmoduli import cli
 from kmoduli.cli import main
+from kmoduli.moduli import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,22 @@ def test_surface_lowercase_family(capsys):
     code, out, _ = run_cli(capsys, "surface", "--family", "y", "--l", "5")
     assert code == 0
     assert "surface Y_5" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--l", "5"],
+        ["table", "--l-min", "2", "--l-max", "3"],
+        ["witness", "--target-dim", "3"],
+    ],
+)
+def test_family_choices_are_the_moduli_families(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--family", "Z"])
+    assert exc.value.code == 2
+    choices = ", ".join(map(repr, FAMILIES))
+    assert f"invalid choice: 'Z' (choose from {choices})" in capsys.readouterr().err
 
 
 def test_surface_json_is_byte_stable(capsys):

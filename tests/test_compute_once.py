@@ -108,3 +108,23 @@ def test_x_local_model_ranks_once(monkeypatch, l):
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
     moduli.local_model("X", l)
     assert len(ranks) == 1
+
+
+@pytest.mark.parametrize("rows", [[[1, -1]], [[1, 0, -1], [0, 1, 0]], [[1, 2, 0]]])
+def test_certificate_reads_the_warm_support_cut(monkeypatch, rows):
+    # a nonempty polystable support answers "no certificate"; with the
+    # cut warm, no linear program runs
+    ws = torusgit.WeightSystem.from_rows(rows)
+    assert torusgit.largest_polystable_support(ws).support
+    lps = count_calls(monkeypatch, torusgit._simplex)
+    assert torusgit.open_half_space_certificate(ws) is None
+    assert lps == []
+
+
+@pytest.mark.parametrize("fmt,rationals", [("table", 0), ("json", 6)])
+def test_sing_builds_json_rationals_only_for_json(monkeypatch, capsys, fmt, rationals):
+    chains = count_calls(monkeypatch, cqsing.hirzebruch_jung)
+    built = count_calls(monkeypatch, quotsurf.rational_json)
+    assert main(["sing", "1/25(1,14)", "--format", fmt]) == 0
+    assert len(chains) == 1
+    assert len(built) == rationals

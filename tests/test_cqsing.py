@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from continued_fractions import continued_fraction_value
+from continued_fractions import continued_fraction_value, hj_coefficients
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -184,6 +184,19 @@ def test_hj_roundtrip_exhaustive():
         for q in valid_q(n):
             hj = hirzebruch_jung(NormalForm(n, q))
             assert continued_fraction_value(hj.coefficients) == Fraction(n, q)
+
+
+def test_hj_chain_matches_the_per_curve_walk():
+    for n in range(2, 300):
+        for q in valid_q(n):
+            assert hirzebruch_jung(NormalForm(n, q)).coefficients == hj_coefficients(n, q)
+    rng = random.Random(9002)
+    for _ in range(2000):
+        n = rng.randint(2, 10**6)
+        q = rng.randrange(1, n)
+        while gcd(n, q) != 1:
+            q = rng.randrange(1, n)
+        assert hirzebruch_jung(NormalForm(n, q)).coefficients == hj_coefficients(n, q)
 
 
 def test_all_twos_iff_a_chain():

@@ -18,6 +18,8 @@ from kmoduli.moduli import (
     local_model,
     table,
     unboundedness_witness,
+    witness_dim,
+    witness_model,
 )
 from kmoduli.quotsurf import CyclicAction, assemble_qdef, build_surface
 from kmoduli.torusgit import (
@@ -306,6 +308,16 @@ def test_witness_minimality_y():
         assert l % 2 == 1
         assert dims[l] >= t
         assert all(dims[k] < t for k in dims if k < l)
+
+
+def test_witness_dim_is_coarse_for_x_and_stack_for_y():
+    x = local_model("X", 9)
+    y = local_model("Y", 9)
+    assert witness_dim(x) == ("coarse", x.coarse_dim)
+    assert witness_dim(y) == ("stack", y.stack_dim)
+    for family, target in (("X", 100), ("Y", 10)):
+        _, achieved = witness_dim(witness_model(family, target))
+        assert achieved >= target
 
 
 def test_witness_validation():

@@ -8,9 +8,16 @@ from math import gcd
 import pytest
 from weight_systems import qdef_weight_system
 
-from kmoduli.cqsing import NonIsolatedError, UnknownDeformationError, classify
+from kmoduli.cqsing import (
+    CyclicQuotientSingularity,
+    NonIsolatedError,
+    UnknownDeformationError,
+    classify,
+    normalize,
+)
 from kmoduli.quotsurf import (
     CyclicAction,
+    FixedPointRecord,
     assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
@@ -32,6 +39,62 @@ def brute_force_isolated(action: CyclicAction) -> bool:
     return all(
         len({(j * w) % l for w in action.weights}) == 3 for j in range(1, l)
     )
+
+
+def reference_p1xp1_records(action: CyclicAction) -> list[FixedPointRecord]:
+    """The fixed points of P1 x P1 written out by hand: the chart at [0:1]
+    on factor f has character e_f and cyclic weight w_f, the one at
+    [1:0] the negatives."""
+    l = action.order
+    w1, w2 = action.weights
+    factor_labels = ("[0:1]", "[1:0]")
+    records = []
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            a = w1 if p1 == 0 else -w1
+            b = w2 if p2 == 0 else -w2
+            alpha = (1 if p1 == 0 else -1, 0)
+            beta = (0, 1 if p2 == 0 else -1)
+            nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+            records.append(
+                FixedPointRecord(
+                    point_label=f"({factor_labels[p1]},{factor_labels[p2]})",
+                    stabilizer_order=l,
+                    local_cyclic_weights=(a % l, b % l),
+                    local_torus_weights=(alpha, beta),
+                    singularity=nf,
+                    classification=classify(nf),
+                )
+            )
+    return records
+
+
+def reference_p2_records(action: CyclicAction) -> list[FixedPointRecord]:
+    """The fixed points of P2 written out by hand: the chart coordinate
+    z_j/z_i at e_i has cyclic weight w_j - w_i and the difference of the
+    characters (1,0), (0,1), (0,0) of z_j and z_i."""
+    characters = ((1, 0), (0, 1), (0, 0))
+    l = action.order
+    records = []
+    for i in range(3):
+        js = [j for j in range(3) if j != i]
+        a, b = ((action.weights[j] - action.weights[i]) % l for j in js)
+        chars = tuple(
+            tuple(x - y for x, y in zip(characters[j], characters[i])) for j in js
+        )
+        label = "[" + ":".join("1" if j == i else "0" for j in range(3)) + "]"
+        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+        records.append(
+            FixedPointRecord(
+                point_label=label,
+                stabilizer_order=l,
+                local_cyclic_weights=(a, b),
+                local_torus_weights=chars,
+                singularity=nf,
+                classification=classify(nf),
+            )
+        )
+    return records
 
 
 def qdef_columns(q):
@@ -117,6 +180,24 @@ def test_isolation_check_matches_brute_force():
 
 
 # ---------------------------------------------------------- singular loci
+
+
+def test_records_match_the_hand_written_fixed_points():
+    """The table-driven build against the per-ambient reference, record
+    for record, on every isolated action of order at most 12."""
+    checked = 0
+    for l in range(2, 13):
+        for w1 in range(l):
+            for w2 in range(l):
+                for action, reference in (
+                    (CyclicAction("P1xP1", l, (w1, w2)), reference_p1xp1_records),
+                    (CyclicAction("P2", l, (w1, w2, 0)), reference_p2_records),
+                ):
+                    if brute_force_isolated(action):
+                        records = build_surface(action).singular_locus
+                        assert list(records) == reference(action), action
+                        checked += 1
+    assert checked == 401
 
 
 def test_x7_singular_locus():
