@@ -12,37 +12,26 @@ Each subcommand takes --format table|json. Table mode renders rationals
 as "p/q", never as decimals; JSON mode emits {"num", "den"} pairs and
 is byte-stable across runs. Exit status is 0 on success, 1 on a domain
 error (diagnostic on stderr) or a closed stdout, 2 on a usage error.
+
+Each request is a fresh process, so its start-up counts: the library
+layers and json are imported inside the subcommands that use them, and
+`sing` loads only cqsing, `git` only torusgit. JSON reports are written
+by _dumps, byte for byte what json.dumps(indent=2) writes, with long
+arrays of ints, of int rows and of rationals joined from one template
+each instead of passing every element through the pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import os
 import sys
+from fractions import Fraction
 
-from .cqsing import (
-    chain_length,
-    classify,
-    discrepancies,
-    gorenstein_index,
-    hirzebruch_jung,
-    normalize,
-    parse_singularity,
-)
-from .moduli import FAMILIES, action_for, evaluate_model, witness_dim, witness_model
-from .moduli import table as moduli_table
-from .quotsurf import assemble_qdef, build_surface, rational_json
-from .torusgit import (
-    DEFAULT_ENUMERATION_BUDGET,
-    SupportPoint,
-    WeightSystem,
-    analyze,
-    destabilizing_limit,
-    integer_matrix_rank,
-    invariant_monomials,
-)
-
+# The family names of moduli.FAMILIES, held here so that building the
+# parser loads no layer.
+FAMILIES = ("X", "Y")
 
 # The sing report prints every curve of the chain, and the surface report
 # one weight column per deformation parameter (about 2l); both refuse
@@ -52,8 +41,52 @@ MAX_CHAIN_CURVES = 100_000
 MAX_SURFACE_ORDER = 100_000
 
 
-def _dumps(data: dict) -> str:
-    return json.dumps(data, indent=2)
+def _dumps(data) -> str:
+    """json.dumps(data, indent=2), byte for byte, except that a Fraction
+    is written as its {"num", "den"} object. Keys may be str, int,
+    float, bool or None, as for json.dumps; scalars and keys go through
+    the C encoder."""
+    from json import JSONEncoder
+
+    encode = JSONEncoder().encode
+
+    def items(seq, nl: str):
+        types = set(map(type, seq))
+        if types == {int}:
+            return map(int.__repr__, seq)
+        inner = nl + "  "
+        if types == {Fraction}:
+            template = f'{{{inner}"num": %d,{inner}"den": %d{nl}}}'
+            return map(template.__mod__, map(Fraction.as_integer_ratio, seq))
+        if (
+            types <= {list, tuple}
+            and len(widths := set(map(len, seq))) == 1
+            and set(map(type, itertools.chain.from_iterable(seq))) == {int}
+        ):
+            template = f"[{inner}{f',{inner}'.join(['%d'] * widths.pop())}{nl}]"
+            return map(template.__mod__, map(tuple, seq))
+        return (render(x, nl) for x in seq)
+
+    def render(o, nl: str) -> str:
+        if isinstance(o, Fraction):
+            o = {"num": o.numerator, "den": o.denominator}
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = nl + "  "
+            body = f",{inner}".join(
+                f"{encode(k if isinstance(k, str) else encode(k))}: {render(v, inner)}"
+                for k, v in o.items()
+            )
+            return f"{{{inner}{body}{nl}}}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = nl + "  "
+            return f"[{inner}{f',{inner}'.join(items(o, inner))}{nl}]"
+        return encode(o)
+
+    return render(data, "\n")
 
 
 # ------------------------------------------------------------------ sing
@@ -62,6 +95,16 @@ def _dumps(data: dict) -> str:
 def cmd_sing(germ_text: str, fmt: str) -> str:
     """Report normal form, resolution, discrepancies (both conventions),
     Gorenstein index, and deformation classification of one germ."""
+    from .cqsing import (
+        chain_length,
+        classify,
+        discrepancies,
+        gorenstein_index,
+        hirzebruch_jung,
+        normalize,
+        parse_singularity,
+    )
+
     germ = parse_singularity(germ_text)
     nf = normalize(germ)
     if not nf.is_smooth and (curves := chain_length(nf)) > MAX_CHAIN_CURVES:
@@ -84,10 +127,10 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
             "normal_form": nf.to_json_dict(),
             "canonical_form": canonical.to_json_dict(),
             "display": canonical.display(),
-            "resolution_chain": list(chain),
-            "self_intersections": list(self_ints),
-            "discrepancies": [rational_json(a) for a in discs],
-            "log_discrepancies": [rational_json(a) for a in logs],
+            "resolution_chain": chain,
+            "self_intersections": self_ints,
+            "discrepancies": discs,
+            "log_discrepancies": logs,
             "gorenstein_index": gorenstein_index(nf),
             "classification": cls.to_json_dict(),
         })
@@ -132,6 +175,9 @@ def cmd_surface(family: str, l: int, fmt: str) -> str:
             f"l = {l} is above the surface limit of {MAX_SURFACE_ORDER}; "
             "table and witness have no such limit"
         )
+    from .moduli import action_for, evaluate_model
+    from .quotsurf import assemble_qdef, build_surface
+
     surface = build_surface(action_for(family, l))
     qdef = assemble_qdef(surface)
     model = evaluate_model(family, surface)
@@ -182,11 +228,15 @@ def cmd_surface(family: str, l: int, fmt: str) -> str:
 # ------------------------------------------------------------------- git
 
 
-def parse_weight_matrix(text: str) -> WeightSystem:
+def parse_weight_matrix(text: str):
     """Accept "1,2;3,4" (rows split by ";") or JSON "[[1,2],[3,4]]"."""
+    from .torusgit import WeightSystem
+
     text = text.strip()
     try:
         if text.startswith("["):
+            import json
+
             data = json.loads(text)
             rows = [data] if data and isinstance(data[0], int) else data
         else:
@@ -195,14 +245,16 @@ def parse_weight_matrix(text: str) -> WeightSystem:
                 for row in text.split(";")
             ]
         return WeightSystem.from_rows(rows)
-    except (ValueError, TypeError, json.JSONDecodeError) as e:
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise ValueError(
             f"cannot parse weight matrix {text!r}: {e}; "
             'expected rows like "1,2;3,4" or JSON like "[[1,2],[3,4]]"'
         ) from None
 
 
-def parse_support(text: str, n_coords: int) -> SupportPoint:
+def parse_support(text: str, n_coords: int):
+    from .torusgit import SupportPoint
+
     try:
         indices = [int(x) for x in text.split(",")]
     except ValueError:
@@ -221,11 +273,22 @@ def cmd_git(
     support_text: str | None,
     fmt: str,
     oracle_cap: int | None,
-    budget: int,
+    budget: int | None,
 ) -> str:
     """Quotient dimension and kernel of a diagonal torus action; with a
     support, its polystability verdict and destabilizing data; with an
-    oracle cap, the invariant monomials up to that degree."""
+    oracle cap, the invariant monomials up to that degree, enumerated
+    within the budget (None: the library's default)."""
+    from .torusgit import (
+        DEFAULT_ENUMERATION_BUDGET,
+        analyze,
+        destabilizing_limit,
+        integer_matrix_rank,
+        invariant_monomials,
+    )
+
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
     ws = parse_weight_matrix(weights_text)
     git = analyze(ws)
     data = {
@@ -303,7 +366,9 @@ _TABLE_COLUMNS = (
 
 def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
     """One moduli model row per valid order in the range."""
-    rows = moduli_table(family, l_min, l_max)
+    from .moduli import table
+
+    rows = table(family, l_min, l_max)
     if fmt == "json":
         return _dumps(
             {
@@ -340,6 +405,8 @@ def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
 
 def cmd_witness(family: str, target_dim: int, fmt: str) -> str:
     """Smallest order whose moduli dimension reaches the target."""
+    from .moduli import witness_dim, witness_model
+
     model = witness_model(family, target_dim)
     kind, achieved = witness_dim(model)
     data = {
@@ -405,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also enumerate invariant monomials up to this degree",
     )
     git.add_argument(
-        "--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+        "--budget", type=int,
         help="enumeration cap for --oracle-cap",
     )
     add_common(git)
@@ -427,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "git" and args.budget < 0:
+    if args.command == "git" and args.budget is not None and args.budget < 0:
         parser.error(f"argument --budget: must be nonnegative, got {args.budget}")
     fmt = args.format
     try:

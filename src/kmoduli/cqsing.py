@@ -188,8 +188,16 @@ class DiscrepancyVector(NamedTuple):
 
     @property
     def log_values(self) -> tuple[Fraction, ...]:
-        """The same data in the shifted convention 1 + a_i."""
-        return tuple(1 + a for a in self.values)
+        """The same data in the shifted convention 1 + a_i, as (p + q)/q
+        from each p/q; a Fraction that discrepancies shares along a run of
+        equal values (a whole A_n chain) is shifted once for the run."""
+        logs, last, shifted = [], None, None
+        for a in self.values:
+            if a is not last:
+                p, q = a.as_integer_ratio()
+                last, shifted = a, Fraction(p + q, q)
+            logs.append(shifted)
+        return tuple(logs)
 
 
 def _log_discrepancy_runs(n: int, q: int):
@@ -224,13 +232,13 @@ def discrepancies(hj: HJResolution) -> DiscrepancyVector:
     n, q = 1, 0
     for b in reversed(hj.coefficients):
         n, q = b * n - q, n
-    return DiscrepancyVector(
-        tuple(
-            Fraction(first + j * step - n, n)
-            for first, step, length, _ in _log_discrepancy_runs(n, q)
-            for j in range(length)
-        )
-    )
+    values = []
+    for first, step, length, _ in _log_discrepancy_runs(n, q):
+        if step:
+            values.extend(Fraction(first + j * step - n, n) for j in range(length))
+        else:  # the run's curves share one value, so they share one Fraction
+            values.extend(itertools.repeat(Fraction(first - n, n), length))
+    return DiscrepancyVector(tuple(values))
 
 
 def min_discrepancy(nf: NormalForm) -> Fraction:
@@ -357,7 +365,14 @@ def versal_weights(
     Output length equals qdef_dim; every character is a nonzero multiple
     of alpha + beta.
     """
-    cls = classify(nf)
+    return _versal_characters(classify(nf), local_weights)
+
+
+def _versal_characters(
+    cls: SingularityClassification, local_weights: tuple[Character, Character]
+) -> list[Character]:
+    """versal_weights from a classification already held."""
+    nf = cls.normal_form
     if cls.qdef_dim is None:
         raise UnknownDeformationError(
             f"{nf.display()}: no Q-Gorenstein deformation formula implemented"

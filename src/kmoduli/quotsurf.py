@@ -47,9 +47,9 @@ from .cqsing import (
     NormalForm,
     SingularityClassification,
     UnknownDeformationError,
+    _versal_characters,
     classify,
     normalize,
-    versal_weights,
 )
 
 P1XP1 = "P1xP1"
@@ -306,10 +306,11 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     blocks = []
     columns: list[Character] = []
     for record in surface.singular_locus:
-        if _classify_point(record).qdef_dim == 0:
+        cls = _classify_point(record)
+        if cls.qdef_dim == 0:
             blocks.append((record, ()))
             continue
-        chars = tuple(versal_weights(record.singularity, record.local_torus_weights))
+        chars = tuple(_versal_characters(cls, record.local_torus_weights))
         blocks.append((record, chars))
         columns.extend(chars)
     matrix = (

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from capped import SRC, run_capped
 
-from kmoduli import cli
+from kmoduli import cli, torusgit
 from kmoduli.cli import main
 from kmoduli.moduli import FAMILIES
 
@@ -174,6 +174,11 @@ def test_family_choices_are_the_moduli_families(capsys, argv):
     assert f"invalid choice: 'Z' (choose from {choices})" in capsys.readouterr().err
 
 
+def test_parser_families_are_the_moduli_families():
+    # the parser holds its own copy, so that building it loads no layer
+    assert cli.FAMILIES == FAMILIES
+
+
 def test_surface_json_is_byte_stable(capsys):
     code, first, _ = run_cli(
         capsys, "surface", "--family", "Y", "--l", "9", "--format", "json"
@@ -270,6 +275,20 @@ def test_git_budget_exhaustion(capsys):
     )
     assert code == 1
     assert "budget" in err
+
+
+def test_git_budget_defaults_to_the_library_budget(monkeypatch, capsys):
+    budgets = []
+    enumerate_ = torusgit.invariant_monomials
+
+    def recording(ws, cap, budget):
+        budgets.append(budget)
+        return enumerate_(ws, cap, budget=budget)
+
+    monkeypatch.setattr(torusgit, "invariant_monomials", recording)
+    assert run_cli(capsys, "git", "--weights", "1,-1", "--oracle-cap", "2")[0] == 0
+    assert run_cli(capsys, "git", "--weights", "1,-1", "--oracle-cap", "2", "--budget", "7")[0] == 0
+    assert budgets == [torusgit.DEFAULT_ENUMERATION_BUDGET, 7]
 
 
 def test_git_negative_budget_is_a_usage_error(capsys):

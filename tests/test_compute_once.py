@@ -1,6 +1,8 @@
 """Each request computes every surface, deformation space, model and GIT
 invariant once: call counts taken by wrapping the library's functions."""
 
+from fractions import Fraction
+
 import pytest
 
 from kmoduli import cli, cqsing, moduli, quotsurf, torusgit
@@ -95,7 +97,7 @@ def test_local_model_classifies_each_point_once(monkeypatch, family, l):
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_builds_no_characters(monkeypatch, family, l):
     qdefs = count_calls(monkeypatch, quotsurf.assemble_qdef)
-    characters = count_calls(monkeypatch, cqsing.versal_weights)
+    characters = count_calls(monkeypatch, cqsing._versal_characters)
     moduli.local_model(family, l)
     assert qdefs == []
     assert characters == []
@@ -121,10 +123,33 @@ def test_certificate_reads_the_warm_support_cut(monkeypatch, rows):
     assert lps == []
 
 
+def leaves(data):
+    if isinstance(data, dict):
+        data = data.values()
+    elif not isinstance(data, (list, tuple)):
+        yield data
+        return
+    for item in data:
+        yield from leaves(item)
+
+
 @pytest.mark.parametrize("fmt,rationals", [("table", 0), ("json", 6)])
 def test_sing_builds_json_rationals_only_for_json(monkeypatch, capsys, fmt, rationals):
+    # the JSON writer renders every Fraction it is given as a rational;
+    # table mode calls no writer
     chains = count_calls(monkeypatch, cqsing.hirzebruch_jung)
-    built = count_calls(monkeypatch, quotsurf.rational_json)
+    payloads = count_calls(monkeypatch, cli._dumps)
     assert main(["sing", "1/25(1,14)", "--format", fmt]) == 0
     assert len(chains) == 1
-    assert len(built) == rationals
+    rendered = [x for args in payloads for x in leaves(args) if isinstance(x, Fraction)]
+    assert len(rendered) == rationals
+
+
+@pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_surface_request_classifies_each_point_once(monkeypatch, capsys, family, l, fmt):
+    # the deformation characters read the classification each record holds
+    points = quotsurf.build_surface(moduli.action_for(family, l)).singular_locus
+    classified = count_calls(monkeypatch, cqsing.classify)
+    assert main(["surface", "--family", family, "--l", str(l), "--format", fmt]) == 0
+    assert len(classified) == len(points)

@@ -216,6 +216,18 @@ def test_discrepancy_single_curve():
         assert d.log_values == (Fraction(2, l),)
 
 
+@pytest.mark.parametrize("forms", [
+    [NormalForm(n, q) for n in range(2, 200) for q in valid_q(n)],
+    [NormalForm(3000, 2999)],
+], ids=["n<200", "A_2999"])
+def test_log_values_shift_each_discrepancy_by_one(forms):
+    for nf in forms:
+        d = discrepancies(hirzebruch_jung(nf))
+        logs = d.log_values
+        assert logs == tuple(1 + a for a in d.values)
+        assert all(type(x) is Fraction for x in logs)
+
+
 def test_discrepancy_du_val_zero():
     for n in range(2, 30):
         d = discrepancies(hirzebruch_jung(NormalForm(n, n - 1)))

@@ -1,11 +1,16 @@
 """The package imports nothing outside the standard library, and its
-command line starts without the heavier parts of it."""
+command line starts without the heavier parts of it: importing the
+package loads no layer, and each subcommand loads only the layers it
+runs."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from capped import run_capped
 
 import kmoduli
 
@@ -49,3 +54,72 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def loaded_layers(probe: str) -> list[str]:
+    """The kmoduli modules a fresh interpreter holds after running probe."""
+    proc = run_capped(
+        ["-c", f"import sys\n{probe}\nprint(sorted(m for m in sys.modules if 'kmoduli' in m))"],
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_import_loads_no_layer():
+    assert loaded_layers("import kmoduli") == ["kmoduli"]
+
+
+def test_every_public_name_resolves():
+    probe = """
+import kmoduli
+missing = [n for n in kmoduli.__all__ if not getattr(kmoduli, n).__module__.startswith('kmoduli.')]
+names = {}
+exec('from kmoduli import *', names)
+assert not missing, missing
+assert set(kmoduli.__all__) <= set(names), set(kmoduli.__all__) - set(names)
+assert set(kmoduli.__all__) <= set(dir(kmoduli))
+assert kmoduli.moduli.local_model is kmoduli.local_model
+"""
+    assert loaded_layers(probe) == [
+        "kmoduli", "kmoduli.cqsing", "kmoduli.moduli", "kmoduli.quotsurf", "kmoduli.torusgit"
+    ]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    probe = """
+import kmoduli
+try:
+    kmoduli.no_such_name
+except AttributeError as e:
+    assert "no_such_name" in str(e)
+else:
+    raise AssertionError("no AttributeError")
+assert not hasattr(kmoduli, "cli")
+"""
+    assert loaded_layers(probe) == ["kmoduli"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["sing", "1/25(1,14)"], ["kmoduli.cqsing"]),
+    (["sing", "1/25(1,14)", "--format", "json"], ["kmoduli.cqsing"]),
+    (["git", "--weights=1,-1,2;0,1,-1", "--support", "1,2"], ["kmoduli.torusgit"]),
+    (["git", "--weights", "[[1,-1,2]]", "--format", "json"], ["kmoduli.torusgit"]),
+    (["surface", "--family", "X", "--l", "5"],
+     ["kmoduli.cqsing", "kmoduli.moduli", "kmoduli.quotsurf", "kmoduli.torusgit"]),
+    (["--help"], []),
+])
+def test_cli_request_loads_only_its_layers(argv, layers):
+    # -X importtime lists every module imported while the request runs;
+    # a RuntimeWarning (kmoduli.cli imported before -m runs it) is an error
+    proc = run_capped(
+        ["-W", "error::RuntimeWarning", "-X", "importtime", "-m", "kmoduli.cli", *argv],
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert sorted(m for m in imported if "kmoduli" in m) == ["kmoduli", *layers]
