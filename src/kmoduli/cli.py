@@ -277,8 +277,9 @@ def cmd_git(
 ) -> str:
     """Quotient dimension and kernel of a diagonal torus action; with a
     support, its polystability verdict and destabilizing data; with an
-    oracle cap, the invariant monomials up to that degree, enumerated
-    within the budget (None: the library's default)."""
+    oracle cap, the invariant monomials up to that degree. The budget
+    (None: the library's default) caps both the destabilizer search and
+    the enumeration."""
     from .torusgit import (
         DEFAULT_ENUMERATION_BUDGET,
         analyze,
@@ -299,7 +300,7 @@ def cmd_git(
     support = None
     if support_text is not None:
         support = parse_support(support_text, ws.n_coords)
-        dest = destabilizing_limit(ws, support)
+        dest = destabilizing_limit(ws, support, budget=budget)
         entry: dict = {"support": support.to_json_dict(), "polystable": dest is None}
         if dest is not None:
             lam, limit = dest
@@ -473,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     git.add_argument(
         "--budget", type=int,
-        help="enumeration cap for --oracle-cap",
+        help="cap on the monomials --oracle-cap enumerates and on the nodes "
+        "the destabilizer search of --support visits (default 10**6)",
     )
     add_common(git)
 

@@ -26,6 +26,15 @@ feasible point, an integer Farkas certificate or an integer optimum):
   * a nonempty polystable S has x > 0 with W_S x = 0, so rank(W_S) < |S|:
     only the origin is polystable iff the quotient dimension is 0.
 
+The destabilizer of a support is the lex-min integer lambda in the
+smallest box [-B, B]^k that holds one. A depth-first search fixes
+lambda_0, lambda_1, ... in turn and narrows each to the interval that
+every weight still allows given the prefix and the box. Boxes 1 and 2
+are searched first, then the boxes from the ceiling of a real LP lower
+bound on max |lambda_i| upwards.
+The search visits at most a budget of nodes (DEFAULT_ENUMERATION_BUDGET
+unless the caller passes one) and raises EnumerationBudgetError past it.
+
 Polystability, ranks and destabilizing limits of a support depend only
 on the set of primitive directions of its nonzero weights; they are
 computed and cached on that set, which keeps exhaustive sweeps cheap.
@@ -41,7 +50,6 @@ the directions of a weight matrix and calls it.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -53,7 +61,8 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The requested monomial enumeration exceeds the configured budget."""
+    """An enumeration (of invariant monomials, or of the nodes of the
+    destabilizer search) exceeds the configured budget."""
 
 
 def _weight(x) -> int:
@@ -310,47 +319,106 @@ def _destabilizer_witness(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]
     return None if feasible else tuple(-v for v in y)
 
 
-def _shell(dim: int, box: int):
-    """The points of [-box, box]^dim with max |lambda_i| = box, in
-    lexicographic order."""
-    if dim == 1:
-        yield (-box,)
-        yield (box,)
-        return
-    full = range(-box, box + 1)
-    for x in full:
-        if abs(x) == box:
-            tails = itertools.product(full, repeat=dim - 1)
-        else:
-            tails = _shell(dim - 1, box)
-        for tail in tails:
-            yield (x, *tail)
+def _start_box(dim: int, dirs: frozenset) -> int:
+    """A lower bound on max |lambda_i| over the integer destabilizers.
+
+    An integer destabilizer has <lambda, s> >= 1 for s = sum(dirs), so
+    max |lambda_i| >= 1 / M, the minimum of max |lambda_i| over the real
+    cone {<lambda, d> >= 0, <lambda, s> >= 1}; M is the maximum of
+    <lambda, s> over {<lambda, d> >= 0} cut by the unit box. M is the
+    optimum of the dual LP, min sum_i (u_i + v_i) over sum_d y_d (-d) +
+    sum_i (u_i - v_i) e_i = s with y, u, v >= 0, and M > 0 whenever a
+    destabilizer exists.
+    """
+    units = [[int(t == i) for t in range(dim)] for i in range(dim)]
+    columns = (
+        [[-x for x in d] for d in dirs] + units + [[-x for x in u] for u in units]
+    )
+    cost = [0] * len(dirs) + [-1] * (2 * dim)
+    _, (p, d) = _simplex(columns, [sum(col) for col in zip(*dirs)], cost)
+    return -(d // p)  # the ceiling of 1 / M = d / -p
 
 
 @lru_cache(maxsize=None)
-def _lex_destabilizer(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
+def _lex_destabilizer(
+    dim: int, dirs: frozenset, budget: int
+) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest integer destabilizer in the smallest
     symmetric box [-B, B]^dim that contains one, or None if none exists.
 
-    Box B - 1 holds none, so only the shell max |lambda_i| = B of box B
-    is scanned, and its first hit is the lex-min of the whole box. The
-    integer witness is itself a destabilizer on the shell of box
-    max |witness_i|, so the scan returns by that box.
+    The integer witness decides whether a destabilizer exists, and a
+    depth-first search finds the lex-min of a box: it fixes lambda_0,
+    lambda_1, ... in increasing order, and with the prefix fixed narrows
+    lambda_t to the integers every d still allows when the later
+    coordinates range over the box,
+    <prefix, d[:t]> + lambda_t d_t + B sum_{s > t} |d_s| >= 0. At the
+    last coordinate that interval is exact, so the first leaf is read
+    off in closed form. Where every d_t is 0 all values of lambda_t are
+    alike, and only the least is tried.
+
+    Boxes 1 and 2 are searched first, which answers most queries with no
+    LP past the witness. If they hold none, the search jumps to the box
+    of the lower bound of _start_box, at least 3, and grows by one from
+    there; the boxes below the first that holds a destabilizer are
+    empty, so its lex-min is the answer. The witness is itself a
+    destabilizer in box max |witness_i|, so the search ends by that box.
+    Each prefix visited over all boxes is a node, and past `budget` of
+    them EnumerationBudgetError is raised.
     """
-    witness = _destabilizer_witness(dim, dirs)
-    if witness is None:
+    if _destabilizer_witness(dim, dirs) is None:
         return None
-    for box in range(1, max(map(abs, witness)) + 1):
-        for lam in _shell(dim, box):
-            positive = False
-            for d in dirs:
-                v = sum(map(mul, lam, d))
-                if v < 0:
-                    break
-                positive = positive or v > 0
-            else:
-                if positive:
-                    return lam
+    cols = list(zip(*dirs))
+    dead = [not any(col) for col in cols]
+    norms = [sum(map(abs, d)) for d in dirs]
+    last = dim - 1
+    nodes = budget
+
+    def search(box: int, t: int, heads: list[int]) -> Optional[tuple[int, ...]]:
+        # heads[i] = <prefix, d[:t]> + box * sum_{s >= t} |d_s|, the most
+        # that d can still reach; lambda_t = x leaves heads[i] - box |d_t|
+        # + x d_t for the next level, and the pairing itself at the last
+        nonlocal nodes
+        nodes -= 1
+        if nodes < 0:
+            raise EnumerationBudgetError
+        col = cols[t]
+        lo, hi = -box, box
+        for a, h in zip(col, heads):
+            if a > 0:
+                b = box - h // a
+                if b > lo:
+                    lo = b
+            elif a < 0:
+                b = h // -a - box
+                if b < hi:
+                    hi = b
+            elif h < 0:
+                return None
+        if lo > hi:
+            return None
+        if dead[t]:
+            hi = lo
+        if t == last:
+            # every pairing is >= 0 on [lo, hi]; if all vanish at lo,
+            # each is d_t at lo + 1, and no d_t is < 0 when lo < hi
+            for a, h in zip(col, heads):
+                if h + lo * a - box * abs(a):
+                    return (lo,)
+            return (lo + 1,) if lo < hi else None
+        heads = [h + lo * a - box * abs(a) for a, h in zip(col, heads)]
+        for x in range(lo, hi + 1):
+            tail = search(box, t + 1, heads)
+            if tail is not None:
+                return (x, *tail)
+            heads = [h + a for a, h in zip(col, heads)]
+        return None
+
+    lam = search(1, 0, norms) or search(2, 0, [2 * n for n in norms])
+    if lam is None:
+        box = max(3, _start_box(dim, dirs))
+        while (lam := search(box, 0, [box * n for n in norms])) is None:
+            box += 1
+    return lam
 
 
 def _support_indices(ws: WeightSystem, p: SupportPoint) -> frozenset[int]:
@@ -413,7 +481,7 @@ def _polystable_directions(rank: int, dirs: frozenset) -> frozenset:
 
 
 def destabilizing_limit(
-    ws: WeightSystem, p: SupportPoint
+    ws: WeightSystem, p: SupportPoint, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Optional[tuple[tuple[int, ...], SupportPoint]]:
     """A destabilizing one-parameter subgroup and the support of its limit.
 
@@ -423,10 +491,21 @@ def destabilizing_limit(
     somewhere, and limit = {i in S : <lambda, w_i> = 0}, a strictly
     smaller support. Returns None on closed orbits. Iterating reaches a
     polystable support in at most N steps.
+
+    lambda is found by a depth-first search in lex order over boxes 1
+    and 2, then over the boxes from a linear-programming lower bound upwards
+    (_lex_destabilizer). It visits at most `budget` prefixes, and past
+    that raises EnumerationBudgetError naming the support.
     """
     indices = _support_indices(ws, p)
     dirs = _direction_set(ws, indices)
-    lam = _lex_destabilizer(ws.rank, dirs)
+    try:
+        lam = _lex_destabilizer(ws.rank, dirs, budget)
+    except EnumerationBudgetError:
+        raise EnumerationBudgetError(
+            f"searching for a destabilizer of support {sorted(indices)} "
+            f"visits more than the budget of {budget} search nodes"
+        ) from None
     if lam is None:
         return None
     kept = frozenset(d for d in dirs if not sum(map(mul, lam, d)))

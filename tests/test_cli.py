@@ -348,6 +348,54 @@ def test_git_thin_cone_destabilizer_within_five_seconds(capsys):
     assert elapsed < 5.0
 
 
+# lex-min destabilizers in boxes of millions of points: scanning them
+# took 2.2 s (k4_125) and 13 s (the 5 x 10 system), and grew as N^2 on
+# the thin cone
+DESTABILIZER_REPROS = [
+    (
+        "-3,3,-4,-5,4,2,-5;1,-3,2,-4,0,-4,5;4,3,-3,-2,1,2,-3;-2,5,-2,-2,2,3,-2",
+        "1,3,4,5,6,7",
+        [-10, 2, 2, 19],
+    ),
+    (
+        "-4,4,0,-3,1,-5,-3,-4,-1,4;3,4,4,-3,1,-2,0,4,-4,5;"
+        "0,-4,-5,2,-3,3,-4,0,-2,2;5,1,-2,4,2,-4,-5,-2,5,-3;"
+        "-4,-4,0,-3,0,4,-4,4,2,0",
+        ",".join(map(str, range(1, 11))),
+        [-10, 13, -3, 6, 3],
+    ),
+    ("1,-1;100000,-99999", "1,2", [-99999, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "weights,support,lam", DESTABILIZER_REPROS, ids=["k4_125", "5x10", "thin_cone"]
+)
+def test_git_destabilizer_repros_within_two_seconds(weights, support, lam):
+    proc = run_capped(
+        ["-m", "kmoduli.cli", "git", f"--weights={weights}", "--support", support,
+         "--format", "json"],
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["support_analysis"]["destabilizer"]["lambda"] == lam
+
+
+def test_git_destabilizer_search_past_the_budget_exits_1_within_two_seconds():
+    # rank 4, lex-min (29, 79, 33, 14): interval bounds alone visit far
+    # more than 100,000 nodes on the way to box 79
+    weights = "-6,4,-5,6,2,3,6;-1,-1,5,-1,3,1,3;6,1,-5,-5,-2,1,5;4,-5,-6,5,5,-2,4"
+    proc = run_capped(
+        ["-m", "kmoduli.cli", "git", f"--weights={weights}", "--support",
+         "1,2,3,4,5,6,7", "--budget", "100000"],
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ")
+    assert "support [1, 2, 3, 4, 5, 6, 7]" in proc.stderr
+    assert "budget of 100000" in proc.stderr
+
+
 @pytest.mark.parametrize("command", [
     ["sing", "1/5(1,2)"],
     ["surface", "--family", "X", "--l", "3"],

@@ -8,6 +8,7 @@ the x variables), while the library decides supports on the dual side
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,6 +19,7 @@ from weight_systems import column, negated
 from kmoduli.torusgit import (
     _destabilizer_witness,
     _simplex,
+    _start_box,
     EnumerationBudgetError,
     GITResult,
     SupportPoint,
@@ -473,15 +475,21 @@ def test_destabilizing_limit_mixed_support():
     assert limit == SupportPoint.origin()
 
 
-def lex_box_destabilizer(ws, S):
+def lex_box_destabilizer(ws, S, max_box=None):
     """The lex-min destabilizer of S in the smallest box [-B, B]^k holding
-    one, by scanning whole boxes."""
+    one, by scanning whole boxes; None if none lies within max_box."""
     cols = [column(ws, i) for i in sorted(S.support)]
-    for box in itertools.count(1):
+    for box in itertools.count(1) if max_box is None else range(1, max_box + 1):
         for lam in itertools.product(range(-box, box + 1), repeat=ws.rank):
             dots = [sum(a * b for a, b in zip(lam, c)) for c in cols]
             if all(v >= 0 for v in dots) and any(v > 0 for v in dots):
                 return lam
+    return None
+
+
+def support_directions(ws, S):
+    cols = [column(ws, i) for i in S.support]
+    return frozenset(tuple(x // gcd(*c) for x in c) for c in cols if any(c))
 
 
 def test_polystable_iff_no_destabilizer():
@@ -501,11 +509,61 @@ def test_polystable_iff_no_destabilizer():
                 assert all(v >= 0 for v in dots) and any(v > 0 for v in dots)
                 assert limit.support < S.support
                 assert lam == lex_box_destabilizer(ws, S)
-                # the scan ends by the box of the kernel's integer witness
-                cols = [column(ws, i) for i in S.support]
-                dirs = frozenset(tuple(x // gcd(*c) for x in c) for c in cols if any(c))
-                witness = _destabilizer_witness(ws.rank, dirs)
+                # the search ends by the box of the kernel's integer witness
+                witness = _destabilizer_witness(ws.rank, support_directions(ws, S))
                 assert max(map(abs, lam)) <= max(map(abs, witness))
+
+
+def test_destabilizer_is_the_whole_box_lex_min_in_rank_3_and_4():
+    rng = random.Random(31)
+    boxes = Counter()
+    for _ in range(300):
+        ws = random_system(rng, rng.randint(3, 4), rng.randint(4, 8))
+        S = SupportPoint.of(i + 1 for i in range(ws.n_coords) if rng.random() < 0.9)
+        res = destabilizing_limit(ws, S)
+        if res is None:
+            continue
+        lam = res[0]
+        box = max(map(abs, lam))
+        # the LP start never passes the box of the answer
+        assert _start_box(ws.rank, support_directions(ws, S)) <= box
+        # the whole-box oracle up to box 3: equal there, and empty below
+        # an answer past it
+        oracle = lex_box_destabilizer(ws, S, max_box=3)
+        assert oracle == (lam if box <= 3 else None), ws.matrix
+        boxes[min(box, 4)] += 1
+    assert boxes[2] + boxes[3] > 20 and boxes[4] > 0
+
+
+def test_destabilizer_search_is_capped_by_the_budget():
+    # rank 4, lex-min (-10, 2, 2, 19): boxes 2 to 19 hold tens of
+    # thousands of search nodes
+    ws = WeightSystem.from_rows([
+        [-3, 3, -4, -5, 4, 2, -5],
+        [1, -3, 2, -4, 0, -4, 5],
+        [4, 3, -3, -2, 1, 2, -3],
+        [-2, 5, -2, -2, 2, 3, -2],
+    ])
+    S = SupportPoint.of([1, 3, 4, 5, 6, 7])
+    with pytest.raises(EnumerationBudgetError, match=r"support \[1, 3, 4, 5, 6, 7\]"):
+        destabilizing_limit(ws, S, budget=1000)
+    assert destabilizing_limit(ws, S)[0] == (-10, 2, 2, 19)
+    # box 1 in rank 2 visits at most 1 + 3 prefixes
+    assert destabilizing_limit(y_matrix(5), SupportPoint.full(4), budget=4)[0] == (0, 1)
+
+
+def test_destabilizer_skips_coordinates_no_weight_sees():
+    # rank 20 with every weight on the first coordinate: lambda_0 = 1
+    # and every other coordinate takes its least value, with no search
+    # over the 3^19 completions of lambda_0 = 0
+    rows = [[1, 2, 0]] + [[0, 0, 0]] * 19
+    lam, limit = destabilizing_limit(WeightSystem.from_rows(rows), SupportPoint.full(3))
+    assert lam == (1,) + (-1,) * 19
+    assert limit == SupportPoint.of([3])
+    rows = [[0, 0]] * 3 + [[1, -1]] + [[0, 0]] * 2
+    assert destabilizing_limit(WeightSystem.from_rows(rows), SupportPoint.of([2]))[0] == (
+        -1, -1, -1, -1, -1, -1,
+    )
 
 
 def test_iterated_destabilization_reaches_polystable():
@@ -664,6 +722,13 @@ def test_open_half_space_certificate():
     assert open_half_space_certificate(x_matrix(5)) is None
     # a zero column can never be strictly positive
     assert open_half_space_certificate(WeightSystem.from_rows([[1, 0], [1, 0]])) is None
+
+
+def test_open_half_space_certificate_takes_zero_below_a_positive_sup():
+    # lambda_0 = 1/2; then lambda_1 <= 3 lambda_0 - 1 = 1/2 is unbounded
+    # below with sup 1/2 > 0, so lambda_1 = min(sup, 0) = 0
+    cert = open_half_space_certificate(WeightSystem.from_rows([[3, 2], [-1, 0]]))
+    assert cert == (Fraction(1, 2), Fraction(0))
 
 
 # invariant monomials
