@@ -29,7 +29,7 @@ feasible point, an integer Farkas certificate or an integer optimum):
 The destabilizer of a support is the lex-min integer lambda in the
 smallest box [-B, B]^k that holds one. A depth-first search fixes
 lambda_0, lambda_1, ... in turn and narrows each to the interval that
-every weight still allows given the prefix and the box. Boxes 1 and 2
+every weight still allows given the prefix and the box. Boxes 1 to 3
 are searched first, then the boxes from the ceiling of a real LP lower
 bound on max |lambda_i| upwards.
 The search visits at most a budget of nodes (DEFAULT_ENUMERATION_BUDGET
@@ -248,7 +248,13 @@ def _simplex(
     Returns (False, y) when the system is infeasible, with y an integer
     Farkas vector: y . c <= 0 for every column and y . rhs > 0. When it
     is feasible, returns (True, None) without a cost row, and otherwise
-    (True, (p, d)) for the maximum p / d, d > 0, or (True, None) if unbounded.
+    (True, (p, d, point)) for the maximum p / d, d > 0, or (True, None)
+    if unbounded. point is None unless every basic variable of the
+    optimal basis is structural and positive; then it holds the integer
+    numerators over d of the dual optimum, the unique minimiser of
+    y . rhs over {y : y . columns[j] >= cost[j] for every j}
+    (complementary slackness at a nondegenerate basis; Schrijver,
+    Theory of Linear and Integer Programming, 1986, sec. 7.9).
     """
     m, n = len(rhs), len(columns)
     signs = [-1 if b < 0 else 1 for b in rhs]
@@ -291,7 +297,13 @@ def _simplex(
     while True:
         c = next((j for j in range(n) if z[j] < 0), None)
         if c is None:
-            return True, (z[-1], d)
+            # an artificial still basic sits at level 0, so a positive
+            # basis is structural; the reduced cost of artificial t is d
+            # times the multiplier of row t, whose sign s_t was flipped
+            point = None
+            if all(row[-1] > 0 for row in rows[:m]):
+                point = [s * z[n + t] for t, s in enumerate(signs)]
+            return True, (z[-1], d, point)
         r = _leaving_row(rows, basis, m, c)
         if r is None:
             return True, None
@@ -335,7 +347,7 @@ def _start_box(dim: int, dirs: frozenset) -> int:
         [[-x for x in d] for d in dirs] + units + [[-x for x in u] for u in units]
     )
     cost = [0] * len(dirs) + [-1] * (2 * dim)
-    _, (p, d) = _simplex(columns, [sum(col) for col in zip(*dirs)], cost)
+    _, (p, d, _) = _simplex(columns, [sum(col) for col in zip(*dirs)], cost)
     return -(d // p)  # the ceiling of 1 / M = d / -p
 
 
@@ -356,9 +368,9 @@ def _lex_destabilizer(
     off in closed form. Where every d_t is 0 all values of lambda_t are
     alike, and only the least is tried.
 
-    Boxes 1 and 2 are searched first, which answers most queries with no
+    Boxes 1 to 3 are searched first, which answers most queries with no
     LP past the witness. If they hold none, the search jumps to the box
-    of the lower bound of _start_box, at least 3, and grows by one from
+    of the lower bound of _start_box, at least 4, and grows by one from
     there; the boxes below the first that holds a destabilizer are
     empty, so its lex-min is the answer. The witness is itself a
     destabilizer in box max |witness_i|, so the search ends by that box.
@@ -413,11 +425,12 @@ def _lex_destabilizer(
             heads = [h + a for a, h in zip(col, heads)]
         return None
 
-    lam = search(1, 0, norms) or search(2, 0, [2 * n for n in norms])
-    if lam is None:
-        box = max(3, _start_box(dim, dirs))
-        while (lam := search(box, 0, [box * n for n in norms])) is None:
-            box += 1
+    for box in (1, 2, 3):
+        if lam := search(box, 0, [box * n for n in norms]):
+            return lam
+    box = max(4, _start_box(dim, dirs))
+    while (lam := search(box, 0, [box * n for n in norms])) is None:
+        box += 1
     return lam
 
 
@@ -493,7 +506,7 @@ def destabilizing_limit(
     polystable support in at most N steps.
 
     lambda is found by a depth-first search in lex order over boxes 1
-    and 2, then over the boxes from a linear-programming lower bound upwards
+    to 3, then over the boxes from a linear-programming lower bound upwards
     (_lex_destabilizer). It visits at most `budget` prefixes, and past
     that raises EnumerationBudgetError naming the support.
     """
@@ -628,27 +641,51 @@ def open_half_space_certificate(
     lambda_j is the minimum of its range if that is bounded below, else
     min(sup, 0) if bounded above, else 0. Each end of the range is the
     optimum of the LP dual over the tails w_i[j:], with the integer cost
-    D - <w_i, prefix numerators> for the prefix over one denominator D.
+    D - <w_i, prefix numerators> for the prefix over one denominator D;
+    the minimum is only sought if some w_i[j] > 0, the sup only if some
+    w_i[j] < 0. When the end taken comes from a nondegenerate optimal
+    basis, the rest of the point is the LP's unique dual optimum and no
+    further LP runs. The last coordinate is read off in closed form.
     """
     if largest_polystable_support(ws).support:
         return None
     cols = ws.columns
-    k = ws.rank
+    last = ws.rank - 1
     # the fixed prefix is lambda_t = nums[t] / den, gcd(den, *nums) = 1
     nums, den = [], 1
-    for j in range(k):
+    for j in range(last + 1):
         cost = [den - sum(map(mul, col, nums)) for col in cols]
-        tails = [col[j:] for col in cols]
-        unit = [1] + [0] * (k - j - 1)
-        bounded, low = _simplex(tails, unit, cost)
-        if bounded:
-            num, d = low
+        heads = [col[j] for col in cols]
+        point = None
+        if j == last:
+            # lambda_j w_i[j] >= cost_i: the range is [max of the ratios
+            # over w_i[j] > 0, min of those over w_i[j] < 0]
+            low = high = None
+            for c, a in zip(cost, heads):
+                if a > 0:
+                    if low is None or c * low[1] > low[0] * a:
+                        low = (c, a)
+                elif a < 0 and (high is None or c * high[1] > high[0] * a):
+                    high = (-c, -a)
+            num, d = low or (high if high and high[0] < 0 else (0, 1))
         else:
-            bounded, high = _simplex(tails, [-x for x in unit], cost)
-            num, d = (-high[0], high[1]) if bounded and high[0] > 0 else (0, 1)
-        nums, den = [x * d for x in nums] + [num], den * d
+            tails = [col[j:] for col in cols]
+            unit = [1] + [0] * (last - j)
+            num, d = 0, 1
+            bounded = any(a > 0 for a in heads)
+            if bounded:
+                bounded, low = _simplex(tails, unit, cost)
+            if bounded:
+                num, d, point = low
+            elif any(a < 0 for a in heads):
+                bounded, high = _simplex(tails, [-x for x in unit], cost)
+                if bounded and high[0] > 0:
+                    num, d, point = -high[0], high[1], high[2]
+        nums, den = [x * d for x in nums] + (point or [num]), den * d
         g = gcd(den, *nums)
         nums, den = [x // g for x in nums], den // g
+        if point:
+            break  # the LP's unique optimum fixed the later coordinates
     return tuple(Fraction(x, den) for x in nums)
 
 

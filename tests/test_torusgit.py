@@ -7,6 +7,7 @@ the x variables), while the library decides supports on the dual side
 """
 
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -672,16 +673,25 @@ def test_open_half_space_certificate_is_the_fourier_motzkin_point():
 
 def test_simplex_returns_the_optimum_as_integers():
     # max cost . x over sum_j x_j columns[j] = rhs, x >= 0, as the pair
-    # (numerator, tableau denominator), not reduced
-    assert _simplex([(1,), (2,)], [4], [3, 5]) == (True, (12, 1))
-    assert _simplex([(2,), (3,)], [1], [-1, -1]) == (True, (-1, 3))
-    assert _simplex([(3, 1), (1, 3)], [1, 1], [1, 1]) == (True, (4, 8))
+    # (numerator, tableau denominator), not reduced, and the dual optimum
+    # y over the same denominator where the optimal basis is structural
+    # and nondegenerate
+    assert _simplex([(1,), (2,)], [4], [3, 5]) == (True, (12, 1, [3]))
+    assert _simplex([(2,), (3,)], [1], [-1, -1]) == (True, (-1, 3, [-1]))
+    assert _simplex([(3, 1), (1, 3)], [1, 1], [1, 1]) == (True, (4, 8, [2, 2]))
     # unbounded: x_1 = x_2 grows without end
     assert _simplex([(1,), (-1,)], [0], [1, 0]) == (True, None)
-    # degenerate: the second row starts and stays at level 0
-    assert _simplex([(1, 1), (1, -1), (2, 0)], [2, 0], [1, 2, 1]) == (True, (6, 2))
+    # the second row starts at level 0, but the optimal basis is positive
+    assert _simplex([(1, 1), (1, -1), (2, 0)], [2, 0], [1, 2, 1]) == (
+        True, (6, 2, [3, -1]),
+    )
     # a redundant row keeps its artificial in the basis at level 0
-    assert _simplex([(1, 1), (1, 1)], [1, 1], [1, 2]) == (True, (2, 1))
+    assert _simplex([(1, 1), (1, 1)], [1, 1], [1, 2]) == (True, (2, 1, None))
+    # degenerate: the optimal basis is structural, but a basic x is 0,
+    # and every y with y_0 = 1, -1 <= y_1 <= 1 is optimal
+    assert _simplex([(1, 0), (2, 1), (2, -1)], [1, 0], [1, 1, 1]) == (
+        True, (1, 1, None),
+    )
     # infeasible: the Farkas vector, whatever the cost row
     assert _simplex([(1, 0), (0, 1)], [-1, 1], [1, 1]) == (False, (-1, 0))
 
@@ -729,6 +739,76 @@ def test_open_half_space_certificate_takes_zero_below_a_positive_sup():
     # below with sup 1/2 > 0, so lambda_1 = min(sup, 0) = 0
     cert = open_half_space_certificate(WeightSystem.from_rows([[3, 2], [-1, 0]]))
     assert cert == (Fraction(1, 2), Fraction(0))
+
+
+def test_open_half_space_certificate_last_coordinate_in_closed_form():
+    # rank 1: the least of the ratios 1 / w_i if some w_i > 0, else the
+    # greatest of them, which is then negative
+    assert open_half_space_certificate(WeightSystem.from_rows([[2, 3]])) == (
+        Fraction(1, 2),
+    )
+    assert open_half_space_certificate(WeightSystem.from_rows([[-2, -3]])) == (
+        Fraction(-1, 2),
+    )
+    # a redundant second row: the first LP's artificial stays basic, so
+    # lambda_1 takes the rule's 0 on its unconstrained range
+    assert open_half_space_certificate(WeightSystem.from_rows([[1, 1], [0, 0]])) == (
+        Fraction(1), Fraction(0),
+    )
+
+
+def test_open_half_space_certificate_goes_on_past_a_degenerate_optimum():
+    # min lambda_0 = 1 comes from a basis with x_2 = 0, and its dual
+    # point (1, 1) is one of many optima: lambda_1 <= 1 is unbounded
+    # below, so the rule takes min(sup, 0) = 0
+    cert = open_half_space_certificate(WeightSystem.from_rows([[1, 2], [0, -1]]))
+    assert cert == (Fraction(1), Fraction(0))
+
+
+def per_level_certificate(ws):
+    """The certificate's per-level rule with up to two LPs at every level,
+    the last included, and no shortcut: the oracle for
+    open_half_space_certificate."""
+    if largest_polystable_support(ws).support:
+        return None
+    cols = ws.columns
+    k = ws.rank
+    nums, den = [], 1
+    for j in range(k):
+        cost = [den - sum(map(operator.mul, col, nums)) for col in cols]
+        tails = [col[j:] for col in cols]
+        unit = [1] + [0] * (k - j - 1)
+        bounded, low = _simplex(tails, unit, cost)
+        if bounded:
+            num, d = low[:2]
+        else:
+            bounded, high = _simplex(tails, [-x for x in unit], cost)
+            num, d = (-high[0], high[1]) if bounded and high[0] > 0 else (0, 1)
+        nums, den = [x * d for x in nums] + [num], den * d
+        g = gcd(den, *nums)
+        nums, den = [x // g for x in nums], den // g
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def test_open_half_space_certificate_is_the_per_level_point():
+    # the unique-optimum, closed-form and sign shortcuts pick the point of
+    # the per-level rule, Fraction for Fraction
+    rng = random.Random(53)
+    certified = 0
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        cols = random_vectors(rng, k, rng.randint(1, 11), bound=rng.randint(1, 6))
+        if rng.random() < 0.8:
+            f = random_vectors(rng, k, 1)[0]
+            cols = [
+                c if sum(map(operator.mul, f, c)) > 0 else tuple(-x for x in c)
+                for c in cols
+            ]
+        ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
+        cert = open_half_space_certificate(ws)
+        assert cert == per_level_certificate(ws), ws.matrix
+        certified += cert is not None
+    assert certified > 1000
 
 
 # invariant monomials
