@@ -347,7 +347,7 @@ def classify(nf: NormalForm) -> SingularityClassification:
 
 
 def versal_weights(
-    nf: NormalForm, local_weights: tuple[Character, Character]
+    cls: SingularityClassification, local_weights: tuple[Character, Character]
 ) -> list[Character]:
     """Torus characters of the versal Q-Gorenstein deformation parameters.
 
@@ -362,16 +362,9 @@ def versal_weights(
       * A_{n-1}: d = n, nT = 1, j = 0..n-2, characters (n, n-1, ..., 2)*(alpha+beta);
       * T with r >= 2: d = m, nT = r, j = 0..m-1, characters (m*r, ..., r)*(alpha+beta).
 
-    Output length equals qdef_dim; every character is a nonzero multiple
-    of alpha + beta.
+    cls is the classification of the point's normal form. Output length
+    equals qdef_dim; every character is a nonzero multiple of alpha + beta.
     """
-    return _versal_characters(classify(nf), local_weights)
-
-
-def _versal_characters(
-    cls: SingularityClassification, local_weights: tuple[Character, Character]
-) -> list[Character]:
-    """versal_weights from a classification already held."""
     nf = cls.normal_form
     if cls.qdef_dim is None:
         raise UnknownDeformationError(

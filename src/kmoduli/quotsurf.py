@@ -9,8 +9,8 @@ the local Q-Gorenstein deformation spaces together with the residual
 Both ambients are toric surfaces, and everything is read off their
 torus-fixed points (Cox-Little-Schenck 3.1, 10.2). One table per
 ambient (_AMBIENTS) holds its anticanonical degree, b2, the cocharacter
-rule below, and each fixed point's label with the torus characters of
-its two chart coordinates:
+rule below (whose width is the action's weight count), and each fixed
+point's label with the torus characters of its two chart coordinates:
 
   * P1 x P1: the torus (t1, t2) acts by [z0:z1] -> [t1 z0 : z1] on the
     first factor and [w0:w1] -> [t2 w0 : w1] on the second. The chart
@@ -25,6 +25,16 @@ Z_l acts through a cocharacter u of that torus: u = (w1, w2) on P1 x P1,
 with w_f the weight on the first homogeneous coordinate of factor f,
 and u = (w0 - w2, w1 - w2) on P2, with w_j the weight on z_j. So a chart
 coordinate of character chi has cyclic weight <u, chi> mod l.
+
+The fixed points are isolated iff every chart weight <u, chi> is a unit
+mod l, so CyclicQuotientSingularity's own gcd check is the isolation
+test, and the table names the torus-invariant curve each chart
+coordinate runs along for the error. Proof: if a weight has gcd g > 1
+with l, the order-g subgroup acts trivially on that curve. Conversely,
+each component of the fixed locus of an element of Z_l is torus-stable,
+so it holds a torus-fixed point, where its tangent space is the
+eigenvalue-1 part of the chart action, which is zero when both chart
+weights are units.
 
 Every accepted action has isolated fixed points, which forces the full
 group Z_l to stabilize each coordinate point and to act faithfully on
@@ -47,9 +57,9 @@ from .cqsing import (
     NormalForm,
     SingularityClassification,
     UnknownDeformationError,
-    _versal_characters,
     classify,
     normalize,
+    versal_weights,
 )
 
 P1XP1 = "P1xP1"
@@ -60,6 +70,26 @@ def rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+# per ambient: anticanonical degree, b2, the rows that take the action
+# weights to the cocharacter u, and each torus-fixed point's label, the
+# characters of its two chart coordinates, and the torus-invariant curve
+# each coordinate runs along
+_FACTORS = ("a copy of factor 1", "a copy of factor 2")
+_AMBIENTS = {
+    P1XP1: (8, 2, ((1, 0), (0, 1)), (
+        ("([0:1],[0:1])", (1, 0), (0, 1), _FACTORS),
+        ("([0:1],[1:0])", (1, 0), (0, -1), _FACTORS),
+        ("([1:0],[0:1])", (-1, 0), (0, 1), _FACTORS),
+        ("([1:0],[1:0])", (-1, 0), (0, -1), _FACTORS),
+    )),
+    P2: (9, 1, ((1, 0, -1), (0, 1, -1)), (
+        ("[1:0:0]", (-1, 1), (-1, 0), ("the line z2 = 0", "the line z1 = 0")),
+        ("[0:1:0]", (1, -1), (0, -1), ("the line z2 = 0", "the line z0 = 0")),
+        ("[0:0:1]", (1, 0), (0, 1), ("the line z1 = 0", "the line z0 = 0")),
+    )),
+}
+
+
 class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
     """A diagonal action of Z_l on P1 x P1 (one weight per factor, on the
     first homogeneous coordinate) or on P2 (one weight per coordinate)."""
@@ -67,11 +97,11 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
     __slots__ = ()
 
     def __new__(cls, ambient: str, order: int, weights: tuple[int, ...]):
-        if ambient not in (P1XP1, P2):
+        if ambient not in tuple(_AMBIENTS):
             raise ValueError(f"ambient must be {P1XP1!r} or {P2!r}: {ambient!r}")
         if order < 2:
             raise ValueError(f"group order must be at least 2, got {order}")
-        expected = 2 if ambient == P1XP1 else 3
+        expected = len(_AMBIENTS[ambient][2][0])
         if len(weights) != expected:
             raise ValueError(f"{ambient} takes {expected} weights, got {len(weights)}")
         weights = tuple(w % order for w in weights)
@@ -98,15 +128,11 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
 
     @property
     def is_x_preset(self) -> bool:
-        return self.ambient == P1XP1 and self.weights == (1 % self.order, -1 % self.order)
+        return self == CyclicAction.x_family(self.order)
 
     @property
     def is_y_preset(self) -> bool:
-        return (
-            self.ambient == P2
-            and self.order % 2 == 1
-            and self.weights == (1, self.order - 1, 0)
-        )
+        return self.order % 2 == 1 and self == CyclicAction.y_family(self.order)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,64 +220,32 @@ class QDefModel(NamedTuple):
         }
 
 
-def _check_isolated(action: CyclicAction) -> None:
-    l = action.order
-    if action.ambient == P1XP1:
-        for f, w in enumerate(action.weights, start=1):
-            g = gcd(w, l)
-            if g != 1:
-                raise NonIsolatedError(
-                    f"factor {f} weight {w} has gcd {g} with l = {l}: the "
-                    f"order-{g} subgroup fixes that factor pointwise, so the "
-                    "fixed locus contains curves"
-                )
-    else:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                g = gcd(action.weights[i] - action.weights[j], l)
-                if g != 1:
-                    k = 3 - i - j
-                    raise NonIsolatedError(
-                        f"weights on z{i} and z{j} agree under the order-{g} "
-                        f"subgroup, which acts trivially on the line z{k} = 0, "
-                        "fixing it pointwise"
-                    )
-
-
-# per ambient: anticanonical degree, b2, the rows that take the action
-# weights to the cocharacter u, and each torus-fixed point's label and
-# the characters of its two chart coordinates
-_AMBIENTS = {
-    P1XP1: (8, 2, ((1, 0), (0, 1)), (
-        ("([0:1],[0:1])", (1, 0), (0, 1)),
-        ("([0:1],[1:0])", (1, 0), (0, -1)),
-        ("([1:0],[0:1])", (-1, 0), (0, 1)),
-        ("([1:0],[1:0])", (-1, 0), (0, -1)),
-    )),
-    P2: (9, 1, ((1, 0, -1), (0, 1, -1)), (
-        ("[1:0:0]", (-1, 1), (-1, 0)),
-        ("[0:1:0]", (1, -1), (0, -1)),
-        ("[0:0:1]", (1, 0), (0, 1)),
-    )),
-}
-
-
 def build_surface(action: CyclicAction) -> SurfaceModel:
     """Quotient the ambient by the action and record the singular locus.
 
-    Rejects actions whose fixed locus is not isolated (for the Y family
-    with even l: the order-2 subgroup fixes the line z2 = 0 pointwise).
-    The volume is (ambient anticanonical degree)/l since the quotient
-    map is unramified away from finitely many points.
+    Rejects actions whose fixed locus is not isolated, naming the point,
+    the chart weight that is not a unit mod l, and the curve that weight's
+    subgroup fixes pointwise (for the Y family with even l: the line
+    z2 = 0). The volume is (ambient anticanonical degree)/l since the
+    quotient map is unramified away from finitely many points.
     """
-    _check_isolated(action)
     degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = (sum(map(mul, row, action.weights)) for row in cocharacter)
     records = []
-    for label, alpha, beta in points:
+    for label, alpha, beta, curves in points:
         a, b = ((u0 * x + u1 * y) % l for x, y in (alpha, beta))
-        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+        try:
+            sing = CyclicQuotientSingularity(l, a, b)
+        except NonIsolatedError:
+            w, curve = (a, curves[0]) if gcd(a, l) != 1 else (b, curves[1])
+            g = gcd(w, l)
+            raise NonIsolatedError(
+                f"point {label}: chart weight {w} has gcd {g} with l = {l}, so "
+                f"the order-{g} subgroup fixes {curve} pointwise and the "
+                "fixed locus contains curves"
+            ) from None
+        nf = normalize(sing).canonical()
         records.append(
             FixedPointRecord(label, l, (a, b), (alpha, beta), nf, classify(nf))
         )
@@ -310,7 +304,7 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
         if cls.qdef_dim == 0:
             blocks.append((record, ()))
             continue
-        chars = tuple(_versal_characters(cls, record.local_torus_weights))
+        chars = tuple(versal_weights(cls, record.local_torus_weights))
         blocks.append((record, chars))
         columns.extend(chars)
     matrix = (

@@ -388,7 +388,9 @@ def _lex_destabilizer(
     def search(box: int, t: int, heads: list[int]) -> Optional[tuple[int, ...]]:
         # heads[i] = <prefix, d[:t]> + box * sum_{s >= t} |d_s|, the most
         # that d can still reach; lambda_t = x leaves heads[i] - box |d_t|
-        # + x d_t for the next level, and the pairing itself at the last
+        # + x d_t for the next level, and the pairing itself at the last.
+        # Every head is >= 0: the root heads are box |d|_1, and any x in
+        # [lo, hi] leaves each new head >= 0, so d_t = 0 bounds nothing
         nonlocal nodes
         nodes -= 1
         if nodes < 0:
@@ -404,8 +406,6 @@ def _lex_destabilizer(
                 b = h // -a - box
                 if b < hi:
                     hi = b
-            elif h < 0:
-                return None
         if lo > hi:
             return None
         if dead[t]:
@@ -425,12 +425,9 @@ def _lex_destabilizer(
             heads = [h + a for a, h in zip(col, heads)]
         return None
 
-    for box in (1, 2, 3):
-        if lam := search(box, 0, [box * n for n in norms]):
-            return lam
-    box = max(4, _start_box(dim, dirs))
+    box = 1
     while (lam := search(box, 0, [box * n for n in norms])) is None:
-        box += 1
+        box = max(4, _start_box(dim, dirs)) if box == 3 else box + 1
     return lam
 
 
@@ -620,9 +617,14 @@ def in_rational_cone(
     """Whether the vector lies in the rational cone spanned by the generators.
 
     One phase-one simplex call: is sum x_g g = vector solvable with x >= 0?
+    The vector and the generators must hold ints (bools are refused, as
+    in WeightSystem) and have one length; otherwise ValueError is raised.
     """
-    v = [int(x) for x in vector]
-    return _simplex([[int(x) for x in g] for g in generators], v)[0]
+    gens = list(generators)
+    for g in (vector, *gens):
+        if len(g) != len(vector) or not all(type(x) is int for x in g):
+            raise ValueError(f"expected int vectors of length {len(vector)}: {g}")
+    return _simplex(gens, vector)[0]
 
 
 def open_half_space_certificate(

@@ -444,6 +444,9 @@ def test_git_support_out_of_range(capsys):
     )
     assert code == 1
     assert "1..2" in err
+    code, _, err = run_cli(capsys, "git", "--weights", "1,-1", "--support", "a,b")
+    assert code == 1
+    assert "cannot parse support 'a,b'" in err
 
 
 # ----------------------------------------------------------------- table

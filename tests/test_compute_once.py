@@ -99,7 +99,7 @@ def test_local_model_classifies_each_point_once(monkeypatch, family, l):
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_builds_no_characters(monkeypatch, family, l):
     qdefs = count_calls(monkeypatch, quotsurf.assemble_qdef)
-    characters = count_calls(monkeypatch, cqsing._versal_characters)
+    characters = count_calls(monkeypatch, cqsing.versal_weights)
     moduli.local_model(family, l)
     assert qdefs == []
     assert characters == []

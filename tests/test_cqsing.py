@@ -439,23 +439,23 @@ def test_classify_equivalence_invariant():
 
 def test_versal_weights_a_chain():
     for l in (2, 3, 5, 8):
-        ws = versal_weights(NormalForm(l, l - 1), ((1, 0), (0, 1)))
+        ws = versal_weights(classify(NormalForm(l, l - 1)), ((1, 0), (0, 1)))
         assert ws == [(c, c) for c in range(l, 1, -1)]
 
 
 def test_versal_weights_a_chain_opposite_point():
-    ws = versal_weights(NormalForm(5, 4), ((-1, 0), (0, -1)))
+    ws = versal_weights(classify(NormalForm(5, 4)), ((-1, 0), (0, -1)))
     assert ws == [(-c, -c) for c in range(5, 1, -1)]
 
 
 def test_versal_weights_4_1():
-    assert versal_weights(NormalForm(4, 1), ((1, 0), (0, 1))) == [(2, 2)]
-    assert versal_weights(NormalForm(4, 1), ((1, 0), (0, -1))) == [(2, -2)]
+    assert versal_weights(classify(NormalForm(4, 1)), ((1, 0), (0, 1))) == [(2, 2)]
+    assert versal_weights(classify(NormalForm(4, 1)), ((1, 0), (0, -1))) == [(2, -2)]
 
 
 def test_versal_weights_9_2():
     # m = 1, r = 3: single character 3 * (alpha + beta)
-    assert versal_weights(NormalForm(9, 2), ((-1, 1), (-1, 0))) == [(-6, 3)]
+    assert versal_weights(classify(NormalForm(9, 2)), ((-1, 1), (-1, 0))) == [(-6, 3)]
 
 
 def test_versal_weights_length_and_multiples():
@@ -464,15 +464,15 @@ def test_versal_weights_length_and_multiples():
             c = classify(NormalForm(n, q))
             if not c.qdef_dim:
                 continue
-            ws = versal_weights(NormalForm(n, q), ((1, 0), (0, 1)))
+            ws = versal_weights(classify(NormalForm(n, q)), ((1, 0), (0, 1)))
             assert len(ws) == c.qdef_dim
             assert all(x == y and x > 0 for x, y in ws)
 
 
 def test_versal_weights_rejects_rigid_and_unknown():
     with pytest.raises(ValueError):
-        versal_weights(NormalForm(5, 2), ((1, 0), (0, 1)))
+        versal_weights(classify(NormalForm(5, 2)), ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
-        versal_weights(NormalForm(1, None), ((1, 0), (0, 1)))
+        versal_weights(classify(NormalForm(1, None)), ((1, 0), (0, 1)))
     with pytest.raises(UnknownDeformationError):
-        versal_weights(NormalForm(12, 7), ((1, 0), (0, 1)))
+        versal_weights(classify(NormalForm(12, 7)), ((1, 0), (0, 1)))

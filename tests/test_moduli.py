@@ -320,11 +320,15 @@ def test_witness_dim_is_coarse_for_x_and_stack_for_y():
         assert achieved >= target
 
 
-def test_witness_validation():
+def test_witness_validation(monkeypatch):
     with pytest.raises(ValueError):
         unboundedness_witness("X", -1)
     with pytest.raises(ValueError):
         unboundedness_witness("Z", 5)
+    # a closed formula that undershoots is caught by the engine's check
+    monkeypatch.setattr(kmoduli.moduli, "_smallest_x_order", lambda target: 2)
+    with pytest.raises(RuntimeError, match="returned l = 2 with dimension"):
+        witness_model("X", 100)
 
 
 # ------------------------------------------------------- errors and json
@@ -444,6 +448,7 @@ REFUSED = {
         (dict(order=5, q=0), ValueError, "must satisfy 1 <= q < 5"),
         (dict(order=1, q=2), ValueError, "q = None"),
         (dict(order=5, q=None), ValueError, "needs q"),
+        (dict(order=0, q=None), ValueError, "order must be a positive"),
     ],
     "HJResolution": [
         (dict(coefficients=()), ValueError, "at least one curve"),
@@ -451,12 +456,15 @@ REFUSED = {
     ],
     "CyclicAction": [
         (dict(ambient="P3", order=5, weights=(1, 2)), ValueError, "ambient must be"),
+        (dict(ambient=["P2"], order=5, weights=(1, 2, 0)), ValueError, "ambient must be"),
         (dict(ambient="P2", order=1, weights=(1, 2, 0)), ValueError, "at least 2"),
         (dict(ambient="P2", order=5, weights=(1, 2)), ValueError, "takes 3 weights"),
     ],
     "WeightSystem": [
         (dict(rank=1, n_coords=2, matrix=((1, 2), (3, 4))), ValueError, "expected 1 rows"),
         (dict(rank=1, n_coords=2, matrix=((1, 2.0),)), ValueError, "must be integers"),
+        (dict(rank=0, n_coords=2, matrix=()), ValueError, "rank must be positive"),
+        (dict(rank=1, n_coords=0, matrix=((),)), ValueError, "at least one coordinate"),
     ],
     "SupportPoint": [(dict(support=[0, 1]), ValueError, "1-based")],
 }

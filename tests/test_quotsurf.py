@@ -1,6 +1,7 @@
 """Tests for quotient surface construction and deformation assembly."""
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -154,6 +155,28 @@ def test_y_family_even_order_rejected():
 def test_non_isolated_p1xp1_rejected():
     with pytest.raises(NonIsolatedError, match="factor 2"):
         build_surface(CyclicAction("P1xP1", 4, (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "ambient,l,weights,point,weight,g,curve",
+    [
+        ("P1xP1", 4, (1, 2), "([0:1],[0:1])", 2, 2, "a copy of factor 2"),
+        ("P1xP1", 6, (3, 1), "([0:1],[0:1])", 3, 3, "a copy of factor 1"),
+        ("P1xP1", 5, (1, 0), "([0:1],[0:1])", 0, 5, "a copy of factor 2"),
+        ("P2", 4, (1, 3, 0), "[1:0:0]", 2, 2, "the line z2 = 0"),
+        ("P2", 4, (1, 0, 3), "[1:0:0]", 2, 2, "the line z1 = 0"),
+        ("P2", 4, (0, 1, 3), "[0:1:0]", 2, 2, "the line z0 = 0"),
+    ],
+)
+def test_non_isolated_error_names_point_weight_and_curve(
+    ambient, l, weights, point, weight, g, curve
+):
+    message = (
+        f"point {point}: chart weight {weight} has gcd {g} with l = {l}, so the "
+        f"order-{g} subgroup fixes {curve} pointwise"
+    )
+    with pytest.raises(NonIsolatedError, match=re.escape(message)):
+        build_surface(CyclicAction(ambient, l, weights))
 
 
 def test_isolation_check_matches_brute_force():

@@ -9,6 +9,7 @@ the x variables), while the library decides supports on the dual side
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -706,6 +707,17 @@ def test_in_rational_cone_basics():
     assert not in_rational_cone((-1, 0), gens)
     assert in_rational_cone((-2, 3), [(1, 1), (-1, 1)])
     assert not in_rational_cone((1, 2), [])
+    # floats, bools and unequal lengths are refused, not truncated or padded
+    for vector, generators, bad in (
+        ([1], [[0.9]], "[0.9]"),
+        ([0.5], [[1]], "[0.5]"),
+        ([1], [[True]], "[True]"),
+        ([1], [[1, 5]], "[1, 5]"),
+        ([1, 1], [[1]], "[1]"),
+    ):
+        message = f"expected int vectors of length {len(vector)}: {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            in_rational_cone(vector, generators)
 
 
 def test_polystable_matches_cone_criterion():
