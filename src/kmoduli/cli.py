@@ -34,11 +34,13 @@ from fractions import Fraction
 FAMILIES = ("X", "Y")
 
 # The sing report prints every curve of the chain, and the surface report
-# one weight column per deformation parameter (about 2l); both refuse
-# larger requests before building anything. table and witness cost
-# O(log l) per model and have no limit.
+# one weight column per deformation parameter (about 2l); table builds
+# one model per order of its range, counted from 2 (5,000 X orders take
+# about 1 s as JSON). Each refuses larger requests before building anything.
+# A model costs O(log l), so witness has no limit.
 MAX_CHAIN_CURVES = 100_000
 MAX_SURFACE_ORDER = 100_000
+MAX_TABLE_SPAN = 5_000
 
 
 def _dumps(data) -> str:
@@ -367,6 +369,12 @@ _TABLE_COLUMNS = (
 
 def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
     """One moduli model row per valid order in the range."""
+    if (span := l_max - max(l_min, 2) + 1) > MAX_TABLE_SPAN:
+        raise ValueError(
+            f"range too wide: table builds one model per order, and "
+            f"{l_min}..{l_max} spans {span} orders, above the table limit "
+            f"of {MAX_TABLE_SPAN}"
+        )
     from .moduli import table
 
     rows = table(family, l_min, l_max)
@@ -482,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table", help="moduli models across a range of orders")
     tab.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     tab.add_argument("--l-min", type=int, required=True)
-    tab.add_argument("--l-max", type=int, required=True)
+    tab.add_argument(
+        "--l-max", type=int, required=True,
+        help=f"the range from max(l-min, 2) to l-max may span at most "
+        f"{MAX_TABLE_SPAN} orders",
+    )
     add_common(tab)
 
     wit = sub.add_parser("witness", help="smallest order reaching a moduli dimension")

@@ -60,8 +60,10 @@ class CyclicQuotientSingularity(
     __slots__ = ()
 
     def __new__(cls, order: int, weight_a: int, weight_b: int):
-        if order < 1:
-            raise ValueError(f"order must be a positive integer, got {order}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be a positive integer, got {order!r}")
+        if type(weight_a) is not int or type(weight_b) is not int:
+            raise ValueError(f"weights must be integers: ({weight_a!r}, {weight_b!r})")
         weight_a %= order
         weight_b %= order
         for name, w in (("a", weight_a), ("b", weight_b)):
@@ -99,14 +101,16 @@ class NormalForm(namedtuple("NormalForm", "order q")):
     __slots__ = ()
 
     def __new__(cls, order: int, q: int | None):
-        if order < 1:
-            raise ValueError(f"order must be a positive integer, got {order}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be a positive integer, got {order!r}")
         if order == 1:
             if q is not None:
                 raise ValueError("smooth normal form must have q = None")
         else:
             if q is None:
                 raise ValueError(f"normal form of order {order} needs q")
+            if type(q) is not int:
+                raise ValueError(f"q must be an integer, got {q!r}")
             if not 1 <= q < order or gcd(order, q) != 1:
                 raise ValueError(f"q = {q} must satisfy 1 <= q < {order} and gcd = 1")
         return super().__new__(cls, order, q)

@@ -79,6 +79,10 @@ class LocalModuliModel(NamedTuple):
 
 
 def action_for(family: str, l: int) -> CyclicAction:
+    """The family's action of order l; l must be an int (bools are
+    refused, as in WeightSystem)."""
+    if type(l) is not int:
+        raise ValueError(f"l must be an integer, got {l!r}")
     if family == "X":
         return CyclicAction.x_family(l)
     if family == "Y":

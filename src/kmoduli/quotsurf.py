@@ -99,9 +99,13 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
     def __new__(cls, ambient: str, order: int, weights: tuple[int, ...]):
         if ambient not in tuple(_AMBIENTS):
             raise ValueError(f"ambient must be {P1XP1!r} or {P2!r}: {ambient!r}")
-        if order < 2:
-            raise ValueError(f"group order must be at least 2, got {order}")
+        if type(order) is not int or order < 2:
+            raise ValueError(f"group order must be an int of at least 2, got {order!r}")
         expected = len(_AMBIENTS[ambient][2][0])
+        if type(weights) not in (tuple, list) or not all(
+            type(w) is int for w in weights
+        ):
+            raise ValueError(f"{ambient} takes a tuple of integer weights: {weights!r}")
         if len(weights) != expected:
             raise ValueError(f"{ambient} takes {expected} weights, got {len(weights)}")
         weights = tuple(w % order for w in weights)
@@ -126,13 +130,16 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
             )
         return cls(P2, l, (1, -1, 0))
 
+    # the preset tests compare the fields with those of x_family(l) and
+    # y_family(l), weights reduced mod l, and build no record
     @property
     def is_x_preset(self) -> bool:
-        return self == CyclicAction.x_family(self.order)
+        return self == (P1XP1, self.order, (1, self.order - 1))
 
     @property
     def is_y_preset(self) -> bool:
-        return self.order % 2 == 1 and self == CyclicAction.y_family(self.order)
+        l = self.order
+        return l % 2 == 1 and self == (P2, l, (1, l - 1, 0))
 
     def to_json_dict(self) -> dict:
         return {

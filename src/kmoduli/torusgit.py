@@ -26,6 +26,14 @@ feasible point, an integer Farkas certificate or an integer optimum):
   * a nonempty polystable S has x > 0 with W_S x = 0, so rank(W_S) < |S|:
     only the origin is polystable iff the quotient dimension is 0.
 
+The half-space certificate of an isolated point fixes one coordinate
+at a time from the ends of its range, LP optima over the tails of the
+weights. A ray of the recession cone of those tails, which does not
+depend on the coordinates already fixed, shows an end infinite without
+an LP: the cut's witness is one, each infeasible LP's Farkas vector
+gives another, and those with a first entry of 0, or a positive
+combination that makes it 0, pass their tails to the next coordinate.
+
 The destabilizer of a support is the lex-min integer lambda in the
 smallest box [-B, B]^k that holds one. A depth-first search fixes
 lambda_0, lambda_1, ... in turn and narrows each to the interval that
@@ -204,17 +212,26 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     The tableau is stored as integers over the common denominator d (the
     previous pivot). Every stored entry is a minor of the starting
     matrix, so (p * a - f * b) // d is an exact division. A negative
-    pivot negates every row, which keeps the denominator positive.
+    pivot negates every row, which keeps the denominator positive; that
+    is folded into the update by negating the pivot row and p first. A
+    row with f = 0 is only rescaled by p / d, and left as it is if p = d.
     """
     top = rows[r]
     p = top[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
     if p < 0:
-        rows[:] = [[-a for a in row] for row in rows]
-        return -p
+        p = -p
+        top = rows[r] = [-a for a in top]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            if d == 1:
+                rows[i] = [p * a - f * b for a, b in zip(row, top)]
+            else:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
     return p
 
 
@@ -257,20 +274,27 @@ def _simplex(
     Theory of Linear and Integer Programming, 1986, sec. 7.9).
     """
     m, n = len(rhs), len(columns)
-    signs = [-1 if b < 0 else 1 for b in rhs]
-    rows = [
-        [s * col[i] for col in columns] + [int(t == i) for t in range(m)] + [s * rhs[i]]
-        for i, s in enumerate(signs)
-    ]
+    # row i is flipped to a right-hand side >= 0 and gets artificial i;
+    # the phase-one objective, the sum of the artificials, is kept as
+    # reduced costs, minus the rows' sum, with minus its value last
+    signs, rows, w, total = [], [], [0] * n, 0
+    for i, b in enumerate(rhs):
+        if b < 0:
+            row = [-col[i] for col in columns]
+            signs.append(-1)
+            b = -b
+        else:
+            row = [col[i] for col in columns]
+            signs.append(1)
+        w = [x - y for x, y in zip(w, row)]
+        total -= b
+        row += [0] * m
+        row[n + i] = 1
+        row.append(b)
+        rows.append(row)
     if cost is not None:
         rows.append([-x for x in cost] + [0] * (m + 1))
-    # phase-one objective, the sum of the artificials, as reduced costs;
-    # its last entry is minus the objective value
-    rows.append(
-        [-sum(row[j] for row in rows[:m]) for j in range(n)]
-        + [0] * m
-        + [-sum(row[-1] for row in rows[:m])]
-    )
+    rows.append(w + [0] * m + [total])
     basis = list(range(n, n + m))
     d = 1
     while rows[-1][-1]:
@@ -648,6 +672,19 @@ def open_half_space_certificate(
     w_i[j] < 0. When the end taken comes from a nondegenerate optimal
     basis, the rest of the point is the LP's unique dual optimum and no
     further LP runs. The last coordinate is read off in closed form.
+
+    No LP runs for an end that a known ray shows to be infinite. A ray
+    of level j is an integer r with <r, w_i[j:]> >= 0 for every i, a
+    recession direction of the slice the prefix leaves. That slice is
+    nonempty, and with mu in it so is mu + t r for every t >= 0, so
+    lambda_j is unbounded below if r_0 < 0 and above if r_0 > 0: the
+    skipped LP would have been infeasible (Schrijver, Theory of Linear
+    and Integer Programming, 1986, chs. 7 and 8). The rays do not depend
+    on the prefix. Level 0 starts from the support cut's witness, and an
+    infeasible LP adds minus its Farkas vector, which has r_0 < 0 for
+    the minimum and r_0 > 0 for the sup. Level j + 1 keeps r[1:] of each
+    ray with r_0 = 0, and of p_0 n - n_0 p for one pair with
+    n_0 < 0 < p_0, a positive combination with r_0 = 0.
     """
     if largest_polystable_support(ws).support:
         return None
@@ -655,6 +692,9 @@ def open_half_space_certificate(
     last = ws.rank - 1
     # the fixed prefix is lambda_t = nums[t] / den, gcd(den, *nums) = 1
     nums, den = [], 1
+    # rays r with <r, w_i[j:]> >= 0 for every column at level j; no zero
+    # column is left, so the cut's witness is one at level 0
+    rays = [_destabilizer_witness(ws.rank, frozenset(ws._directions))]
     for j in range(last + 1):
         cost = [den - sum(map(mul, col, nums)) for col in cols]
         heads = [col[j] for col in cols]
@@ -674,15 +714,33 @@ def open_half_space_certificate(
             tails = [col[j:] for col in cols]
             unit = [1] + [0] * (last - j)
             num, d = 0, 1
-            bounded = any(a > 0 for a in heads)
+            # the minimum is -inf if no head is > 0 or a ray has r_0 < 0,
+            # the sup +inf if no head is < 0 or a ray has r_0 > 0; an
+            # infeasible LP's Farkas vector y gives the ray -y
+            bounded = any(a > 0 for a in heads) and all(r[0] >= 0 for r in rays)
             if bounded:
                 bounded, low = _simplex(tails, unit, cost)
-            if bounded:
-                num, d, point = low
-            elif any(a < 0 for a in heads):
+                if bounded:
+                    num, d, point = low
+                else:
+                    rays.append([-y for y in low])
+            if (
+                not bounded
+                and any(a < 0 for a in heads)
+                and all(r[0] <= 0 for r in rays)
+            ):
                 bounded, high = _simplex(tails, [-x for x in unit], cost)
-                if bounded and high[0] > 0:
+                if not bounded:
+                    rays.append([-y for y in high])
+                elif high[0] > 0:
                     num, d, point = -high[0], high[1], high[2]
+            # the rays of level j + 1: the tails of those with r_0 = 0,
+            # and of p_0 n - n_0 p for the first pair n_0 < 0 < p_0
+            n = next((r for r in rays if r[0] < 0), None)
+            p = next((r for r in rays if r[0] > 0), None)
+            rays = [r[1:] for r in rays if not r[0]]
+            if n and p:
+                rays.append([p[0] * x - n[0] * y for x, y in zip(n[1:], p[1:])])
         nums, den = [x * d for x in nums] + (point or [num]), den * d
         g = gcd(den, *nums)
         nums, den = [x // g for x in nums], den // g

@@ -68,6 +68,42 @@ def test_limits_are_inclusive(monkeypatch, capsys):
     assert err.startswith("error: order too large") and "limit of 7" in err
 
 
+def test_table_over_the_range_limit_is_refused():
+    # 40,000 orders took 5.75 s and 127 MB before the limit
+    proc = run_capped(
+        ["-m", "kmoduli.cli", "table", "--family", "X", "--l-min", "2",
+         "--l-max", "40001", "--format", "json"],
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: range too wide: table builds one model per order, and 2..40001 "
+        "spans 40000 orders, above the table limit of 5000\n"
+    )
+
+
+def test_table_range_limit_is_inclusive_and_counts_from_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_TABLE_SPAN", 7)
+
+    def table(family, l_min, l_max):
+        argv = ["table", "--family", family, "--l-min", l_min, "--l-max", l_max]
+        return run_cli(capsys, *argv)
+
+    assert table("X", "2", "8")[0] == 0
+    assert table("X", "-50", "8")[0] == 0
+    assert table("Y", "4", "10")[0] == 0
+    code, out, err = table("Y", "3", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: range too wide") and "limit of 7" in err
+
+
+def test_table_help_states_the_limit(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--help"])
+    assert info.value.code == 0
+    assert "span at most 5000 orders" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command", ["sing", "surface"])
 def test_help_states_the_limit(capsys, command):
     with pytest.raises(SystemExit) as info:

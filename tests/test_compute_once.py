@@ -127,26 +127,41 @@ def test_certificate_reads_the_warm_support_cut(monkeypatch, rows):
 
 def test_certificates_of_the_isolated_golden_systems_run_few_lps(monkeypatch):
     # with the cut warm, each level below the last runs at most one LP
-    # per end of its range, and the first unique optimum ends the loop:
-    # 162 LPs on these 75 systems, against 318 for two cold LPs a level
+    # per end of its range, an end a known ray shows unbounded runs
+    # none, and the first unique optimum ends the loop: 110 LPs on these
+    # 75 systems, against 162 without the rays and 318 for two cold LPs
+    # a level
     golden = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
     )
-    systems = [
-        torusgit.WeightSystem.from_rows(system["rows"])
+    systems = {
+        system["id"]: torusgit.WeightSystem.from_rows(system["rows"])
         for group in golden["git"].values()
         for system in group["entries"]
         if any(
             op["query"] == "open_half_space_certificate" and not op["known_failure"]
             for op in system["ops"]
         )
-    ]
-    isolated = [ws for ws in systems if not torusgit.largest_polystable_support(ws).support]
+    }
+    isolated = {
+        name: ws
+        for name, ws in systems.items()
+        if not torusgit.largest_polystable_support(ws).support
+    }
     assert len(isolated) == 75
     lps = count_calls(monkeypatch, torusgit._simplex)
-    for ws in isolated:
+    per_system = {}
+    for name, ws in isolated.items():
+        before = len(lps)
         assert torusgit.open_half_space_certificate(ws) is not None
-    assert len(lps) <= 170
+        per_system[name] = len(lps) - before
+    assert len(lps) <= 115
+    # k4_140 runs one infeasible LP a level: the witness, the ray of the
+    # first LP and their combination decide the other end of each range;
+    # k5_143's witness shows lambda_0 unbounded below and the
+    # combination lambda_1, so only the two maxima run
+    assert per_system["k4_140"] == 3
+    assert per_system["k5_143"] == 2
 
 
 def leaves(data):

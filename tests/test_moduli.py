@@ -334,6 +334,13 @@ def test_witness_validation(monkeypatch):
 # ------------------------------------------------------- errors and json
 
 
+@pytest.mark.parametrize("family,l", [("X", 5.0), ("X", True), ("Y", True), ("Y", 7.0)])
+def test_local_model_refuses_an_order_that_is_not_an_int(family, l):
+    # a bool is not read as l = 1, nor a float truncated
+    with pytest.raises(ValueError, match=re.escape(f"l must be an integer, got {l!r}")):
+        local_model(family, l)
+
+
 def test_errors_propagate():
     with pytest.raises(NonIsolatedError):
         local_model("Y", 4)
@@ -443,12 +450,16 @@ REFUSED = {
     "CyclicQuotientSingularity": [
         (dict(order=0, weight_a=1, weight_b=1), ValueError, "order must be a positive"),
         (dict(order=4, weight_a=2, weight_b=1), NonIsolatedError, "gcd"),
+        (dict(order=5, weight_a=1.0, weight_b=2), ValueError, "must be integers"),
+        (dict(order=True, weight_a=1, weight_b=1), ValueError, "got True"),
     ],
     "NormalForm": [
         (dict(order=5, q=0), ValueError, "must satisfy 1 <= q < 5"),
         (dict(order=1, q=2), ValueError, "q = None"),
         (dict(order=5, q=None), ValueError, "needs q"),
         (dict(order=0, q=None), ValueError, "order must be a positive"),
+        (dict(order=5.0, q=2), ValueError, "order must be a positive integer, got 5.0"),
+        (dict(order=5, q=2.0), ValueError, "q must be an integer, got 2.0"),
     ],
     "HJResolution": [
         (dict(coefficients=()), ValueError, "at least one curve"),
@@ -459,6 +470,9 @@ REFUSED = {
         (dict(ambient=["P2"], order=5, weights=(1, 2, 0)), ValueError, "ambient must be"),
         (dict(ambient="P2", order=1, weights=(1, 2, 0)), ValueError, "at least 2"),
         (dict(ambient="P2", order=5, weights=(1, 2)), ValueError, "takes 3 weights"),
+        (dict(ambient="P2", order=5.0, weights=(1, 4, 0)), ValueError, "got 5.0"),
+        (dict(ambient="P1xP1", order=5, weights=7), ValueError, "integer weights: 7"),
+        (dict(ambient="P1xP1", order=5, weights=(1, True)), ValueError, "(1, True)"),
     ],
     "WeightSystem": [
         (dict(rank=1, n_coords=2, matrix=((1, 2), (3, 4))), ValueError, "expected 1 rows"),

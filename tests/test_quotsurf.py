@@ -125,6 +125,32 @@ def test_y_family_preset():
     assert a.is_y_preset and not a.is_x_preset
 
 
+def test_presets_are_the_family_actions():
+    # the field comparisons agree with equality to x_family(l) and
+    # y_family(l) on every action with small weights, shifted by l too
+    small = range(-2, 3)
+    for l in range(2, 61):
+        x = CyclicAction.x_family(l)
+        y = CyclicAction.y_family(l) if l % 2 else None
+        actions = [
+            CyclicAction("P1xP1", l, (a + s, b))
+            for a in small for b in small for s in (0, l)
+        ] + [
+            CyclicAction("P2", l, (a, b + s, c))
+            for a in small for b in small for c in small for s in (0, l)
+        ]
+        for action in actions:
+            assert action.is_x_preset == (action == x), action
+            assert action.is_y_preset == (action == y), action
+        assert x.is_x_preset and (y is None or y.is_y_preset)
+    for action in (
+        CyclicAction("P1xP1", 5, (1, 2)),
+        CyclicAction("P2", 7, (1, 2, 0)),
+        CyclicAction("P2", 4, (1, 3, 0)),  # the Y weights at an even order
+    ):
+        assert not action.is_x_preset and not action.is_y_preset
+
+
 def test_weights_reduced_mod_order():
     a = CyclicAction("P1xP1", 5, (6, -1))
     assert a.weights == (1, 4)

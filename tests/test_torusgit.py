@@ -16,6 +16,7 @@ from math import gcd, lcm
 
 import pytest
 from fourier_motzkin import fm_witness
+from simplex_oracle import simplex as oracle_simplex
 from weight_systems import column, negated
 
 from kmoduli.torusgit import (
@@ -695,6 +696,32 @@ def test_simplex_returns_the_optimum_as_integers():
     )
     # infeasible: the Farkas vector, whatever the cost row
     assert _simplex([(1, 0), (0, 1)], [-1, 1], [1, 1]) == (False, (-1, 0))
+
+
+def test_simplex_returns_what_the_first_kernel_returned():
+    # the same pivots with less arithmetic: the same Farkas vectors and
+    # the same (p, d, point) as the kernel of simplex_oracle
+    rng = random.Random(59)
+    outcomes = Counter()
+    for _ in range(20000):
+        k = rng.randint(1, 6)
+        n = rng.randint(1, 11)
+        columns = random_vectors(rng, k, n, bound=6)
+        rhs = random_vectors(rng, k, 1, bound=6)[0]
+        cost = random_vectors(rng, n, 1, bound=6)[0] if rng.random() < 0.5 else None
+        result = _simplex(columns, rhs, cost)
+        assert result == oracle_simplex(columns, rhs, cost), (columns, rhs, cost)
+        feasible, answer = result
+        if not feasible:
+            outcomes["Farkas vector"] += 1
+        elif cost is None:
+            outcomes["feasible"] += 1
+        elif answer is None:
+            outcomes["unbounded"] += 1
+        else:
+            outcomes["optimum with a point" if answer[2] else "optimum"] += 1
+    # every kind of answer occurs often
+    assert len(outcomes) == 5 and min(outcomes.values()) > 50, outcomes
 
 
 # cones and certificates
