@@ -36,7 +36,8 @@ FAMILIES = ("X", "Y")
 # The sing report prints every curve of the chain, and the surface report
 # one weight column per deformation parameter (about 2l); table builds
 # one model per order of its range, counted from 2 (5,000 X orders take
-# about 1 s as JSON). Each refuses larger requests before building anything.
+# about 0.55 s as JSON, process start included, on one Xeon core under
+# Python 3.11). Each refuses larger requests before building anything.
 # A model costs O(log l), so witness has no limit.
 MAX_CHAIN_CURVES = 100_000
 MAX_SURFACE_ORDER = 100_000

@@ -78,11 +78,18 @@ class LocalModuliModel(NamedTuple):
         }
 
 
+def _require_ints(**values) -> None:
+    """Refuse a value whose type is not exactly int: a bool is not read
+    as 0 or 1, nor a float truncated."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def action_for(family: str, l: int) -> CyclicAction:
     """The family's action of order l; l must be an int (bools are
     refused, as in WeightSystem)."""
-    if type(l) is not int:
-        raise ValueError(f"l must be an integer, got {l!r}")
+    _require_ints(l=l)
     if family == "X":
         return CyclicAction.x_family(l)
     if family == "Y":
@@ -115,8 +122,9 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
         )
     qdef_dim, counts = qdef_directions(surface)
     git = analyze_directions(2, counts, 0)
-    min_disc = min(min_discrepancy(r.singularity) for r in surface.singular_locus)
-    index = lcm(*(gorenstein_index(r.singularity) for r in surface.singular_locus))
+    forms = {r.singularity for r in surface.singular_locus}
+    min_disc = min(map(min_discrepancy, forms))
+    index = lcm(*map(gorenstein_index, forms))
     return LocalModuliModel(
         family=family,
         l=surface.action.order,
@@ -137,8 +145,10 @@ def table(family: str, l_min: int, l_max: int) -> list[LocalModuliModel]:
     """One model per valid order in [l_min, l_max], in increasing order.
 
     The X family runs over every l >= 2 in the range, the Y family over
-    odd l >= 3 only. An empty range yields an empty list.
+    odd l >= 3 only. An empty range yields an empty list. Both bounds
+    must be ints.
     """
+    _require_ints(l_min=l_min, l_max=l_max)
     if family == "X":
         orders = range(max(l_min, 2), l_max + 1)
     elif family == "Y":
@@ -184,8 +194,9 @@ def witness_model(family: str, target_dim: int) -> LocalModuliModel:
 
     Dimension means witness_dim. The closed formulas invert the
     dimension sequences; the model at the returned order is built by
-    the engine and checked.
+    the engine and checked. target_dim must be an int.
     """
+    _require_ints(target_dim=target_dim)
     if target_dim < 0:
         raise ValueError(f"target_dim must be nonnegative, got {target_dim}")
     smallest = _smallest_x_order if family == "X" else _smallest_y_order

@@ -234,12 +234,15 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     the chart weight that is not a unit mod l, and the curve that weight's
     subgroup fixes pointwise (for the Y family with even l: the line
     z2 = 0). The volume is (ambient anticanonical degree)/l since the
-    quotient map is unramified away from finitely many points.
+    quotient map is unramified away from finitely many points. Each
+    distinct canonical normal form is classified once, and the records
+    that share it share its (normal form, classification) pair.
     """
     degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = (sum(map(mul, row, action.weights)) for row in cocharacter)
     records = []
+    forms: dict[NormalForm, tuple[NormalForm, SingularityClassification]] = {}
     for label, alpha, beta, curves in points:
         a, b = ((u0 * x + u1 * y) % l for x, y in (alpha, beta))
         try:
@@ -253,9 +256,9 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
                 "fixed locus contains curves"
             ) from None
         nf = normalize(sing).canonical()
-        records.append(
-            FixedPointRecord(label, l, (a, b), (alpha, beta), nf, classify(nf))
-        )
+        if nf not in forms:
+            forms[nf] = nf, classify(nf)
+        records.append(FixedPointRecord(label, l, (a, b), (alpha, beta), *forms[nf]))
     aut0 = 2 if (action.is_x_preset or action.is_y_preset) else None
     return SurfaceModel(action, tuple(records), Fraction(degree, l), aut0, b2_base)
 

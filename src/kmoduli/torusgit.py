@@ -50,10 +50,13 @@ The invariants of a whole action depend only on the multiset of those
 directions and the number of zero columns, so analyze_directions takes
 exactly that: with K the directions the support cut keeps,
 
-    quotient dim = sum of the counts of K + zeros - rank(K),
+    quotient dim = sum of the counts of K + zeros - rank(K).
 
-and its cost does not grow with the multiplicities. analyze(ws) counts
-the directions of a weight matrix and calls it.
+K, rank(K) and the effective rank are computed once per direction set
+and cached, so only the sum is computed per call, and its cost does not
+grow with the multiplicities. analyze(ws) counts the directions of a
+weight matrix and calls it. Every cache shared between calls is a
+module-level lru_cache.
 """
 
 from __future__ import annotations
@@ -583,17 +586,20 @@ def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
     return counts, counts.pop(None, 0)
 
 
-def _quotient_dim(
-    rank: int, counts: Mapping, zeros: int, full_rank: Optional[int] = None
-) -> int:
-    """full_rank, the rank of all the directions when the caller has it,
-    is reused when the support cut keeps every direction."""
+def _quotient_dim(rank: int, counts: Mapping, zeros: int) -> int:
     kept = _polystable_directions(rank, frozenset(counts))
-    if full_rank is not None and len(kept) == len(counts):
-        kept_rank = full_rank
-    else:
-        kept_rank = integer_matrix_rank(zip(*kept))
-    return sum(counts[d] for d in kept) + zeros - kept_rank
+    return sum(counts[d] for d in kept) + zeros - integer_matrix_rank(zip(*kept))
+
+
+@lru_cache(maxsize=None)
+def _cut_and_ranks(rank: int, dirs: frozenset) -> tuple[frozenset, int, int]:
+    """The directions the support cut keeps, their rank, and the rank
+    of all of dirs: one cut and one rank when it keeps all or none."""
+    eff = integer_matrix_rank(zip(*dirs))
+    kept = _polystable_directions(rank, dirs)
+    if len(kept) == len(dirs):
+        return kept, eff, eff
+    return kept, integer_matrix_rank(zip(*kept)) if kept else 0, eff
 
 
 def analyze_directions(
@@ -606,8 +612,9 @@ def analyze_directions(
     it; zeros counts the coordinates of weight 0. The effective rank is
     the rank of the distinct directions, and the quotient dimension is
     the sum of the counts of the directions the support cut keeps, plus
-    zeros, minus their rank. The cost depends on the distinct
-    directions only, not on their counts.
+    zeros, minus their rank. The cut and both ranks are computed once
+    per direction set and cached, so a call on a set seen before only
+    checks its input and sums the kept counts.
     """
     if rank < 1:
         raise ValueError(f"torus rank must be positive, got {rank}")
@@ -619,9 +626,9 @@ def analyze_directions(
                 f"need a positive count of a primitive direction of length {rank}: "
                 f"{d} -> {n}"
             )
-    eff = integer_matrix_rank(zip(*counts))
+    kept, kept_rank, eff = _cut_and_ranks(rank, frozenset(counts))
     return GITResult(
-        quotient_dim=_quotient_dim(rank, counts, zeros, eff),
+        quotient_dim=sum(counts[d] for d in kept) + zeros - kept_rank,
         kernel_rank=rank - eff,
         effective_rank=eff,
     )

@@ -29,6 +29,14 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+@pytest.fixture
+def cold_torusgit():
+    """Empty every lru_cache of torusgit, so that counts start cold."""
+    for obj in vars(torusgit).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
 @pytest.mark.parametrize("family,l", [("X", 7), ("Y", 9), ("Y", 11)])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_surface_request_builds_once(monkeypatch, capsys, family, l, fmt):
@@ -67,19 +75,30 @@ def test_weight_system_counter_sees_a_build(monkeypatch):
     assert systems == [ws]
 
 
+# an order of the same family whose deformation directions form the same
+# set, with other counts
+SAME_DIRECTIONS = {("X", 2): 4, ("X", 30): 32, ("Y", 3): 9, ("Y", 9): 3, ("Y", 31): 5}
+
+
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
-def test_local_model_runs_one_support_cut(monkeypatch, family, l):
+def test_local_model_runs_one_support_cut(monkeypatch, cold_torusgit, family, l):
+    # the cut keeps all or none of these directions, so one rank serves
+    # both the kept directions and all of them; a second order with the
+    # same direction set reads the cut and the ranks from the cache
     cuts = count_calls(monkeypatch, torusgit._polystable_directions)
+    ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
     analyses = count_calls(monkeypatch, torusgit.analyze_directions)
     systems = count_weight_systems(monkeypatch)
-    moduli.local_model(family, l)
-    assert len(cuts) == 1
-    assert len(analyses) == 1
+    first = moduli.local_model(family, l)
+    assert (len(cuts), len(ranks), len(analyses)) == (1, 1, 1)
+    second = moduli.local_model(family, SAME_DIRECTIONS[family, l])
+    assert (len(cuts), len(ranks), len(analyses)) == (1, 1, 2)
+    assert first.qdef_dim != second.qdef_dim
     assert systems == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--support", "1,3"], ["--oracle-cap", "3"]])
-def test_git_request_runs_one_support_cut(monkeypatch, capsys, extra):
+def test_git_request_runs_one_support_cut(monkeypatch, capsys, cold_torusgit, extra):
     cuts = count_calls(monkeypatch, torusgit._polystable_directions)
     analyses = count_calls(monkeypatch, torusgit.analyze_directions)
     argv = ["git", "--weights=1,-1,2,0;0,1,-1,1", *extra, "--format", "json"]
@@ -88,12 +107,20 @@ def test_git_request_runs_one_support_cut(monkeypatch, capsys, extra):
     assert len(analyses) == 1
 
 
+def singular_locus(family: str, l: int) -> tuple:
+    return quotsurf.build_surface(moduli.action_for(family, l)).singular_locus
+
+
 @pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
 def test_local_model_classifies_each_point_once(monkeypatch, family, l):
-    points = quotsurf.build_surface(moduli.action_for(family, l)).singular_locus
+    # no point is classified twice: the 4 points of X_30 and the 3 of
+    # Y_31 hold 2 distinct forms, and each form is classified once
+    points = singular_locus(family, l)
+    forms = {r.singularity for r in points}
     classified = count_calls(monkeypatch, cqsing.classify)
     moduli.local_model(family, l)
-    assert len(classified) == len(points)
+    assert len(classified) == len(forms) == 2 < len(points)
+    assert {args[0] for args in classified} == forms
 
 
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
@@ -106,12 +133,19 @@ def test_local_model_builds_no_characters(monkeypatch, family, l):
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 30, 401])
-def test_x_local_model_ranks_once(monkeypatch, l):
+def test_x_local_model_ranks_once(monkeypatch, cold_torusgit, l):
     # the support cut keeps every direction of X_l, so the rank of all
-    # the directions is the rank of the kept ones
+    # the directions is the rank of the kept ones, and the table up to l
+    # ranks and cuts once per distinct direction set of its orders
+    sets = set()
+    for k in range(2, l + 1):
+        surface = quotsurf.build_surface(moduli.action_for("X", k))
+        sets.add(frozenset(quotsurf.qdef_directions(surface)[1]))
+    assert len(sets) == (1 if l == 2 else 2)
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
-    moduli.local_model("X", l)
-    assert len(ranks) == 1
+    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
+    moduli.table("X", 2, l)
+    assert len(ranks) == len(cuts) == len(sets)
 
 
 @pytest.mark.parametrize("rows", [[[1, -1]], [[1, 0, -1], [0, 1, 0]], [[1, 2, 0]]])
@@ -189,8 +223,11 @@ def test_sing_builds_json_rationals_only_for_json(monkeypatch, capsys, fmt, rati
 @pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_surface_request_classifies_each_point_once(monkeypatch, capsys, family, l, fmt):
-    # the deformation characters read the classification each record holds
-    points = quotsurf.build_surface(moduli.action_for(family, l)).singular_locus
+    # the deformation characters read the classification each record
+    # holds, and the records of one form share one classification
+    points = singular_locus(family, l)
+    shared = {r.singularity: r.classification for r in points}
+    assert all(r.classification is shared[r.singularity] for r in points)
     classified = count_calls(monkeypatch, cqsing.classify)
     assert main(["surface", "--family", family, "--l", str(l), "--format", fmt]) == 0
-    assert len(classified) == len(points)
+    assert len(classified) == len(shared) == 2

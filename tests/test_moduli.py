@@ -341,6 +341,28 @@ def test_local_model_refuses_an_order_that_is_not_an_int(family, l):
         local_model(family, l)
 
 
+@pytest.mark.parametrize(
+    "call,args,name",
+    [
+        (table, ("X", 2.0, 5), "l_min"),
+        (table, ("Y", 3, 7.0), "l_max"),
+        (table, ("X", True, 3), "l_min"),
+        (table, ("Y", 3, False), "l_max"),
+        (witness_model, ("X", 5.0), "target_dim"),
+        (witness_model, ("X", True), "target_dim"),
+        (unboundedness_witness, ("Y", 10.0), "target_dim"),
+        (unboundedness_witness, ("Y", "10"), "target_dim"),
+    ],
+)
+def test_table_and_witness_refuse_a_bound_that_is_not_an_int(call, args, name):
+    # as local_model does: no raw TypeError, no bool read as 0 or 1, no
+    # float truncated
+    bad = next(a for a in args[1:] if type(a) is not int)
+    message = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
+
+
 def test_errors_propagate():
     with pytest.raises(NonIsolatedError):
         local_model("Y", 4)

@@ -6,6 +6,8 @@ the x variables), while the library decides supports on the dual side
 (one-parameter subgroups), so agreement is a genuine cross-check.
 """
 
+import ast
+import inspect
 import itertools
 import operator
 import random
@@ -19,7 +21,9 @@ from fourier_motzkin import fm_witness
 from simplex_oracle import simplex as oracle_simplex
 from weight_systems import column, negated
 
+from kmoduli import torusgit
 from kmoduli.torusgit import (
+    _cut_and_ranks,
     _destabilizer_witness,
     _simplex,
     _start_box,
@@ -314,6 +318,8 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
             k, zeros = 1, zeros or 1
         ws = expanded_system(rng, counts, zeros)
         res = analyze_directions(k, counts, zeros)
+        # analyze would read the cut cached just above
+        _cut_and_ranks.cache_clear()
         assert res == analyze(ws), ws.matrix
         assert res.quotient_dim == quotient_dim_via_supports(ws), ws.matrix
         kept = largest_polystable_support(ws)
@@ -323,6 +329,61 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
     assert {(k, 0, False) for k in (1, 2, 3, 4)} <= seen
     for k in (2, 3, 4):
         assert any(key[0] == k and key[1] > 0 and not key[2] for key in seen), k
+
+
+def test_analyze_directions_cuts_once_per_direction_set():
+    # (0, 1) destabilizes and the cut keeps the pair (1, 0), (-1, 0) of
+    # rank 1; other counts and zeros reuse the cut and its ranks, and a
+    # warm answer is the answer after cache_clear()
+    cases = [
+        (({(1, 0): 1, (-1, 0): 2, (0, 1): 1}, 0), GITResult(2, 0, 2)),
+        (({(1, 0): 5, (-1, 0): 1, (0, 1): 3}, 2), GITResult(7, 0, 2)),
+        (({(0, 1): 7, (-1, 0): 1, (1, 0): 1}, 1), GITResult(2, 0, 2)),
+    ]
+    _cut_and_ranks.cache_clear()
+    warm = [analyze_directions(2, *args) for args, _ in cases]
+    assert _cut_and_ranks.cache_info().misses == 1
+    for (args, expected), res in zip(cases, warm):
+        _cut_and_ranks.cache_clear()
+        assert res == analyze_directions(2, *args) == expected
+
+
+def test_analyze_directions_validates_a_cached_direction_set():
+    analyze_directions(1, {(1,): 5}, 0)
+    with pytest.raises(ValueError, match="positive count"):
+        analyze_directions(1, {(1,): 0}, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        analyze_directions(1, {(1,): 5}, -1)
+
+
+def test_every_torusgit_memo_is_a_module_level_lru_cache():
+    # a memo nested in a function, or a dict at module level, would escape
+    # the cache_clear loop that times the git queries cold
+    tree = ast.parse(inspect.getsource(torusgit))
+    memos = set()
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(dec, "id", getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                assert node in tree.body, node.name
+                memos.add(node.name)
+    clearable = {
+        name
+        for name, obj in vars(torusgit).items()
+        if callable(getattr(obj, "cache_clear", None))
+    }
+    assert "_cut_and_ranks" in memos
+    assert memos == clearable
+    assert not [
+        name
+        for name, obj in vars(torusgit).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set))
+    ]
+    analyze_directions(2, {(1, 1): 2}, 0)
+    for obj in vars(torusgit).values():  # as perfbench/ops.py clear_caches
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    assert _cut_and_ranks.cache_info().currsize == 0
 
 
 def test_analyze_directions_without_directions():
