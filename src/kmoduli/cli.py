@@ -47,9 +47,11 @@ MAX_TABLE_SPAN = 5_000
 def _dumps(data) -> str:
     """json.dumps(data, indent=2), byte for byte, except that a Fraction
     is written as its {"num", "den"} object. Keys may be str, int,
-    float, bool or None, as for json.dumps; scalars and keys go through
-    the C encoder."""
+    float, bool or None, as for json.dumps. Exact ints, strs, bools and
+    None are written here; every other scalar or key, subclasses of int
+    and str among them, goes through the C encoder."""
     from json import JSONEncoder
+    from json.encoder import encode_basestring_ascii as string
 
     encode = JSONEncoder().encode
 
@@ -70,7 +72,23 @@ def _dumps(data) -> str:
             return map(template.__mod__, map(tuple, seq))
         return (render(x, nl) for x in seq)
 
+    def key(k) -> str:
+        if type(k) is str:
+            return string(k)
+        return encode(k if isinstance(k, str) else encode(k))
+
     def render(o, nl: str) -> str:
+        t = type(o)
+        if t is int:
+            return int.__repr__(o)
+        if t is str:
+            return string(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
         if isinstance(o, Fraction):
             o = {"num": o.numerator, "den": o.denominator}
         if isinstance(o, dict):
@@ -78,8 +96,7 @@ def _dumps(data) -> str:
                 return "{}"
             inner = nl + "  "
             body = f",{inner}".join(
-                f"{encode(k if isinstance(k, str) else encode(k))}: {render(v, inner)}"
-                for k, v in o.items()
+                f"{key(k)}: {render(v, inner)}" for k, v in o.items()
             )
             return f"{{{inner}{body}{nl}}}"
         if isinstance(o, (list, tuple)):
@@ -232,7 +249,8 @@ def cmd_surface(family: str, l: int, fmt: str) -> str:
 
 
 def parse_weight_matrix(text: str):
-    """Accept "1,2;3,4" (rows split by ";") or JSON "[[1,2],[3,4]]"."""
+    """Accept "1,2;3,4" (rows split by ";") or JSON "[[1,2],[3,4]]"; a JSON
+    array whose first entry is not a list is one row."""
     from .torusgit import WeightSystem
 
     text = text.strip()
@@ -241,7 +259,7 @@ def parse_weight_matrix(text: str):
             import json
 
             data = json.loads(text)
-            rows = [data] if data and isinstance(data[0], int) else data
+            rows = [data] if data and not isinstance(data[0], list) else data
         else:
             rows = [
                 [int(x) for x in row.split(",")]

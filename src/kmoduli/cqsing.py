@@ -337,16 +337,7 @@ def classify(nf: NormalForm) -> SingularityClassification:
     else:
         qdef = None
     return SingularityClassification(
-        normal_form=nf,
-        w=w,
-        r=r,
-        m=m,
-        w0=w0,
-        is_du_val=is_du_val,
-        is_T=is_T,
-        is_primitive_T=is_T and m == 1,
-        is_qg_rigid=is_rigid,
-        qdef_dim=qdef,
+        nf, w, r, m, w0, is_du_val, is_T, is_T and m == 1, is_rigid, qdef
     )
 
 

@@ -126,18 +126,18 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
     min_disc = min(map(min_discrepancy, forms))
     index = lcm(*map(gorenstein_index, forms))
     return LocalModuliModel(
-        family=family,
-        l=surface.action.order,
-        qdef_dim=qdef_dim,
-        aut_dim=aut,
-        stack_dim=qdef_dim - aut,
-        coarse_dim=git.quotient_dim,
-        kernel_rank=git.kernel_rank,
-        isolated=git.quotient_dim == 0,
-        volume=surface.volume,
-        min_discrepancy=min_disc,
-        gorenstein_index=index,
-        b2_generic=betti_of_generic_smoothing(surface),
+        family,
+        surface.action.order,
+        qdef_dim,
+        aut,
+        qdef_dim - aut,
+        git.quotient_dim,
+        git.kernel_rank,
+        git.quotient_dim == 0,
+        surface.volume,
+        min_disc,
+        index,
+        betti_of_generic_smoothing(surface),
     )
 
 

@@ -27,14 +27,14 @@ and u = (w0 - w2, w1 - w2) on P2, with w_j the weight on z_j. So a chart
 coordinate of character chi has cyclic weight <u, chi> mod l.
 
 The fixed points are isolated iff every chart weight <u, chi> is a unit
-mod l, so CyclicQuotientSingularity's own gcd check is the isolation
-test, and the table names the torus-invariant curve each chart
-coordinate runs along for the error. Proof: if a weight has gcd g > 1
-with l, the order-g subgroup acts trivially on that curve. Conversely,
-each component of the fixed locus of an element of Z_l is torus-stable,
-so it holds a torus-fixed point, where its tangent space is the
-eigenvalue-1 part of the chart action, which is zero when both chart
-weights are units.
+mod l, so build_surface tests gcd(a, l) = gcd(b, l) = 1 for the chart
+weights a, b of each point, and the table names the torus-invariant
+curve each chart coordinate runs along for the error. Proof: if a weight
+has gcd g > 1 with l, the order-g subgroup acts trivially on that curve.
+Conversely, each component of the fixed locus of an element of Z_l is
+torus-stable, so it holds a torus-fixed point, where its tangent space
+is the eigenvalue-1 part of the chart action, which is zero when both
+chart weights are units.
 
 Every accepted action has isolated fixed points, which forces the full
 group Z_l to stabilize each coordinate point and to act faithfully on
@@ -52,13 +52,11 @@ from typing import NamedTuple, Optional
 
 from .cqsing import (
     Character,
-    CyclicQuotientSingularity,
     NonIsolatedError,
     NormalForm,
     SingularityClassification,
     UnknownDeformationError,
     classify,
-    normalize,
     versal_weights,
 )
 
@@ -156,7 +154,9 @@ class FixedPointRecord(NamedTuple):
     stabilizer order), local_torus_weights the characters of the
     residual 2-torus on the same two chart coordinates. The stored
     normal form is the canonical representative of its equivalence
-    class (smaller q of the two chart orderings), classified once.
+    class (smaller q of the two chart orderings); the records of one
+    surface that share a form share one normal form and one
+    classification object.
     """
 
     point_label: str
@@ -234,31 +234,43 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     the chart weight that is not a unit mod l, and the curve that weight's
     subgroup fixes pointwise (for the Y family with even l: the line
     z2 = 0). The volume is (ambient anticanonical degree)/l since the
-    quotient map is unramified away from finitely many points. Each
-    distinct canonical normal form is classified once, and the records
+    quotient map is unramified away from finitely many points.
+
+    Each point's work is integer arithmetic: the chart weights a, b,
+    their gcds with l, and q = a^(-1) b mod l, looked up in a dict local
+    to the call. Only a q not seen yet costs its canonical
+    c = min(q, q^(-1) mod l), and only a c not seen yet builds
+    NormalForm(l, c) and classifies it; the pair is filed under q and c,
+    so each distinct form is built and classified once and the records
     that share it share its (normal form, classification) pair.
     """
     degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = (sum(map(mul, row, action.weights)) for row in cocharacter)
     records = []
-    forms: dict[NormalForm, tuple[NormalForm, SingularityClassification]] = {}
+    # q of 1/l(1, q) -> the (normal form, classification) pair of its class
+    forms: dict[int, tuple[NormalForm, SingularityClassification]] = {}
     for label, alpha, beta, curves in points:
-        a, b = ((u0 * x + u1 * y) % l for x, y in (alpha, beta))
-        try:
-            sing = CyclicQuotientSingularity(l, a, b)
-        except NonIsolatedError:
+        a = (u0 * alpha[0] + u1 * alpha[1]) % l
+        b = (u0 * beta[0] + u1 * beta[1]) % l
+        if gcd(a, l) != 1 or gcd(b, l) != 1:
             w, curve = (a, curves[0]) if gcd(a, l) != 1 else (b, curves[1])
             g = gcd(w, l)
             raise NonIsolatedError(
                 f"point {label}: chart weight {w} has gcd {g} with l = {l}, so "
                 f"the order-{g} subgroup fixes {curve} pointwise and the "
                 "fixed locus contains curves"
-            ) from None
-        nf = normalize(sing).canonical()
-        if nf not in forms:
-            forms[nf] = nf, classify(nf)
-        records.append(FixedPointRecord(label, l, (a, b), (alpha, beta), *forms[nf]))
+            )
+        q = pow(a, -1, l) * b % l
+        pair = forms.get(q)
+        if pair is None:
+            c = min(q, pow(q, -1, l))
+            pair = forms.get(c)
+            if pair is None:
+                nf = NormalForm(l, c)
+                pair = nf, classify(nf)
+            forms[q] = forms[c] = pair
+        records.append(FixedPointRecord(label, l, (a, b), (alpha, beta), *pair))
     aut0 = 2 if (action.is_x_preset or action.is_y_preset) else None
     return SurfaceModel(action, tuple(records), Fraction(degree, l), aut0, b2_base)
 

@@ -474,6 +474,26 @@ def test_git_malformed_weights(capsys):
         assert "1,2;3,4" in err
 
 
+@pytest.mark.parametrize(
+    "weights,problem",
+    [
+        # a flat JSON array is one row, whatever its first entry: the
+        # message names the entry that is not an integer
+        ("[1.5,2]", "'float' object cannot be interpreted as an integer"),
+        ("[null]", "'NoneType' object cannot be interpreted as an integer"),
+        ('["a",1]', "'str' object cannot be interpreted as an integer"),
+        ("[true,1]", "weights must be integers, not booleans: True"),
+        ("[]", "weight matrix must be nonempty"),
+        ("[[1,2],3]", "'int' object is not iterable"),
+    ],
+)
+def test_git_json_weights_name_the_bad_entry(capsys, weights, problem):
+    code, out, err = run_cli(capsys, "git", f"--weights={weights}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot parse weight matrix {weights!r}: {problem}; ")
+
+
 def test_git_support_out_of_range(capsys):
     code, _, err = run_cli(
         capsys, "git", "--weights", "1,-1", "--support", "1,5"

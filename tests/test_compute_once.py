@@ -55,24 +55,53 @@ def test_witness_request_builds_one_model(monkeypatch, capsys, family, target):
     assert f"l = {models[0][1]} " in capsys.readouterr().out
 
 
-def count_weight_systems(monkeypatch) -> list:
-    """Count every WeightSystem built, through its __new__."""
+def count_built(monkeypatch, cls) -> list:
+    """Count every instance of cls built, through its __new__."""
     built = []
-    new = torusgit.WeightSystem.__new__
+    new = cls.__new__
 
-    def counted(cls, *args, **kwargs):
-        ws = new(cls, *args, **kwargs)
-        built.append(ws)
-        return ws
+    def counted(cls_, *args, **kwargs):
+        obj = new(cls_, *args, **kwargs)
+        built.append(obj)
+        return obj
 
-    monkeypatch.setattr(torusgit.WeightSystem, "__new__", counted)
+    monkeypatch.setattr(cls, "__new__", counted)
     return built
 
 
 def test_weight_system_counter_sees_a_build(monkeypatch):
-    systems = count_weight_systems(monkeypatch)
+    systems = count_built(monkeypatch, torusgit.WeightSystem)
     ws = torusgit.WeightSystem.from_rows([[1, -1]])
     assert systems == [ws]
+
+
+@pytest.mark.parametrize(
+    "action,n_forms",
+    [
+        *(
+            pytest.param(moduli.action_for(family, l), n, id=f"{family}_{l}")
+            for family, l, n in [("X", 2, 1), ("X", 30, 2), ("Y", 3, 1), ("Y", 9, 2), ("Y", 31, 2)]
+        ),
+        # q = 3, 2, 2, 3 at its four points: the first q is not the
+        # canonical one and the second is its inverse
+        pytest.param(quotsurf.CyclicAction("P1xP1", 5, (1, 3)), 1, id="P1xP1_5_(1,3)"),
+    ],
+)
+def test_build_surface_builds_each_distinct_form_once(monkeypatch, action, n_forms):
+    # the points are read in integers: one NormalForm per distinct
+    # canonical form and no CyclicQuotientSingularity, and the records of
+    # one form share its normal form and classification objects
+    forms = count_built(monkeypatch, cqsing.NormalForm)
+    germs = count_built(monkeypatch, cqsing.CyclicQuotientSingularity)
+    points = quotsurf.build_surface(action).singular_locus
+    distinct = {r.singularity for r in points}
+    assert len(forms) == len(distinct) == n_forms
+    assert set(forms) == distinct
+    assert germs == []
+    first = {}
+    for r in points:
+        s, c = first.setdefault(r.singularity, (r.singularity, r.classification))
+        assert r.singularity is s and r.classification is c
 
 
 # an order of the same family whose deformation directions form the same
@@ -88,7 +117,7 @@ def test_local_model_runs_one_support_cut(monkeypatch, cold_torusgit, family, l)
     cuts = count_calls(monkeypatch, torusgit._polystable_directions)
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
     analyses = count_calls(monkeypatch, torusgit.analyze_directions)
-    systems = count_weight_systems(monkeypatch)
+    systems = count_built(monkeypatch, torusgit.WeightSystem)
     first = moduli.local_model(family, l)
     assert (len(cuts), len(ranks), len(analyses)) == (1, 1, 1)
     second = moduli.local_model(family, SAME_DIRECTIONS[family, l])

@@ -1,6 +1,7 @@
 """The CLI's JSON writer writes exactly what json.dumps(indent=2) writes,
 with each Fraction in place of its {"num", "den"} object."""
 
+import enum
 import json
 import random
 from fractions import Fraction
@@ -25,6 +26,18 @@ STRINGS = [
 ]
 KEYS = [*STRINGS, 7, -3, 2.5, True, None]
 INTS = [0, 1, -1, 2**63, -(10**40), 10**100]
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    """A str subclass: the writer sends it to the C encoder, not its own
+    exact-str path."""
+
+    def __str__(self):
+        return "not this"
 
 
 def as_json(data):
@@ -87,6 +100,7 @@ def test_random_payloads_match_json_dumps():
 @pytest.mark.parametrize("payload", [
     [1, True], [True, False], [[1, 2], [True, 0]], [[], []], [[1], [2, 3]],
     {}, [], (), [{}], {"a": ()}, Fraction(-3, 4), [Fraction(5)], {1: 2, None: 3},
+    [Level.LOW, 2], Level.LOW, {Text("k\u00e9y"): 1}, {"a": Text("v\"al")}, [Text("x")],
 ])
 def test_edge_payloads_match_json_dumps(payload):
     assert _dumps(payload) == json.dumps(as_json(payload), indent=2)

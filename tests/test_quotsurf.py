@@ -17,6 +17,7 @@ from kmoduli.cqsing import (
     normalize,
 )
 from kmoduli.quotsurf import (
+    _AMBIENTS,
     CyclicAction,
     FixedPointRecord,
     assemble_qdef,
@@ -94,6 +95,33 @@ def reference_p2_records(action: CyclicAction) -> list[FixedPointRecord]:
                 singularity=nf,
                 classification=classify(nf),
             )
+        )
+    return records
+
+
+def oracle_records(action: CyclicAction) -> list[FixedPointRecord]:
+    """The fixed points through the germ, point by point: each chart pair
+    builds a CyclicQuotientSingularity, whose gcd check is the isolation
+    test, then normalize, canonical() and classify."""
+    _, _, cocharacter, points = _AMBIENTS[action.ambient]
+    l = action.order
+    u = [sum(x * w for x, w in zip(row, action.weights)) for row in cocharacter]
+    records = []
+    for label, alpha, beta, curves in points:
+        a, b = (sum(x * y for x, y in zip(u, chi)) % l for chi in (alpha, beta))
+        try:
+            germ = CyclicQuotientSingularity(l, a, b)
+        except NonIsolatedError:
+            w, curve = (a, curves[0]) if gcd(a, l) != 1 else (b, curves[1])
+            g = gcd(w, l)
+            raise NonIsolatedError(
+                f"point {label}: chart weight {w} has gcd {g} with l = {l}, so "
+                f"the order-{g} subgroup fixes {curve} pointwise and the "
+                "fixed locus contains curves"
+            ) from None
+        nf = normalize(germ).canonical()
+        records.append(
+            FixedPointRecord(label, l, (a, b), (alpha, beta), nf, classify(nf))
         )
     return records
 
@@ -247,6 +275,31 @@ def test_records_match_the_hand_written_fixed_points():
                         assert list(records) == reference(action), action
                         checked += 1
     assert checked == 401
+
+
+def test_records_match_the_per_point_oracle():
+    """Every diagonal action of order at most 30 on both ambients: an
+    isolated one gives the oracle's records, a non-isolated one raises
+    the oracle's NonIsolatedError, message and all."""
+    isolated = rejected = 0
+    for l in range(2, 31):
+        for w1 in range(l):
+            for w2 in range(l):
+                for action in (
+                    CyclicAction("P1xP1", l, (w1, w2)),
+                    CyclicAction("P2", l, (w1, w2, 0)),
+                ):
+                    try:
+                        expected = oracle_records(action)
+                    except NonIsolatedError as error:
+                        with pytest.raises(NonIsolatedError) as raised:
+                            build_surface(action)
+                        assert str(raised.value) == str(error), action
+                        rejected += 1
+                    else:
+                        assert list(build_surface(action).singular_locus) == expected
+                        isolated += 1
+    assert (isolated, rejected) == (6483, 12425)
 
 
 def test_x7_singular_locus():
