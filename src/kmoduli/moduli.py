@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .cqsing import gorenstein_index, min_discrepancy
+from .cqsing import min_discrepancy
 from .quotsurf import (
     CyclicAction,
     SurfaceModel,
@@ -122,9 +122,10 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
         )
     qdef_dim, counts = qdef_directions(surface)
     git = analyze_directions(2, counts, 0)
-    forms = {r.singularity for r in surface.singular_locus}
+    # classification.r is the Gorenstein index n / gcd(n, q + 1)
+    forms = {p.singularity: p.classification for p in surface.singular_locus}
     min_disc = min(map(min_discrepancy, forms))
-    index = lcm(*map(gorenstein_index, forms))
+    index = lcm(*(c.r for c in forms.values()))
     return LocalModuliModel(
         family,
         surface.action.order,

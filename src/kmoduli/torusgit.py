@@ -44,19 +44,23 @@ The search visits at most a budget of nodes (DEFAULT_ENUMERATION_BUDGET
 unless the caller passes one) and raises EnumerationBudgetError past it.
 
 Polystability, ranks and destabilizing limits of a support depend only
-on the set of primitive directions of its nonzero weights; they are
-computed and cached on that set, which keeps exhaustive sweeps cheap.
-The invariants of a whole action depend only on the multiset of those
-directions and the number of zero columns, so analyze_directions takes
-exactly that: with K the directions the support cut keeps,
+on the set of primitive directions of its nonzero weights. Each fact of
+such a set is one module-level lru_cache of the set alone: the witness
+(_destabilizer_witness), the support cut (_polystable_directions), the
+rank (_direction_rank) and the lex-min destabilizer (_lex_destabilizer,
+which also takes the rank and the budget). Equal sets share one entry,
+so a cut that keeps every direction costs one rank. The invariants of
+a whole action depend only on the multiset of the directions and the
+number of zero columns: with K the directions the support cut keeps,
 
-    quotient dim = sum of the counts of K + zeros - rank(K).
+    quotient dim = sum of the counts of K + zeros - rank(K),
+    kernel rank = k - rank(all the directions).
 
-K, rank(K) and the effective rank are computed once per direction set
-and cached, so only the sum is computed per call, and its cost does not
-grow with the multiplicities. analyze(ws) counts the directions of a
-weight matrix and calls it. Every cache shared between calls is a
-module-level lru_cache.
+quotient_dim reads the cut and rank(K), kernel_rank only the rank of
+all the directions and never the cut, and analyze_directions both, so
+per call only the sum is computed, and its cost does not grow with the
+multiplicities. analyze(ws) counts the directions of a weight matrix
+and calls analyze_directions.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
 
     def __new__(cls, support: Iterable[int]):
         support = frozenset(support)
-        if not all(isinstance(i, int) and i >= 1 for i in support):
+        if not all(type(i) is int and i >= 1 for i in support):
             raise ValueError(f"support must hold 1-based indices: {sorted(support)}")
         return super().__new__(cls, support)
 
@@ -342,7 +346,7 @@ def _simplex(
 # polystability
 
 @lru_cache(maxsize=None)
-def _destabilizer_witness(dim: int, dirs: frozenset) -> Optional[tuple[int, ...]]:
+def _destabilizer_witness(dirs: frozenset) -> Optional[tuple[int, ...]]:
     """An integer lambda with <lambda, d> >= 0 on dirs, > 0 somewhere, or None.
 
     dirs is a set of primitive integer directions; the answer decides
@@ -404,7 +408,7 @@ def _lex_destabilizer(
     Each prefix visited over all boxes is a node, and past `budget` of
     them EnumerationBudgetError is raised.
     """
-    if _destabilizer_witness(dim, dirs) is None:
+    if _destabilizer_witness(dirs) is None:
         return None
     cols = list(zip(*dirs))
     dead = [not any(col) for col in cols]
@@ -488,7 +492,7 @@ def is_polystable(ws: WeightSystem, p: SupportPoint) -> bool:
     on S solves W_S x = 0.
     """
     indices = _support_indices(ws, p)
-    return _destabilizer_witness(ws.rank, _direction_set(ws, indices)) is None
+    return _destabilizer_witness(_direction_set(ws, indices)) is None
 
 
 def largest_polystable_support(
@@ -505,14 +509,15 @@ def largest_polystable_support(
         support = range(1, ws.n_coords + 1)
     else:
         support = _support_indices(ws, within)
-    kept = _polystable_directions(ws.rank, _direction_set(ws, support))
+    kept = _polystable_directions(_direction_set(ws, support))
     return SupportPoint(_indices_within(ws, support, kept))
 
 
-def _polystable_directions(rank: int, dirs: frozenset) -> frozenset:
+@lru_cache(maxsize=None)
+def _polystable_directions(dirs: frozenset) -> frozenset:
     """The directions of the largest polystable support within dirs: the
     support cut of largest_polystable_support, on directions alone."""
-    while (witness := _destabilizer_witness(rank, dirs)) is not None:
+    while (witness := _destabilizer_witness(dirs)) is not None:
         dirs = frozenset(d for d in dirs if not sum(map(mul, witness, d)))
     return dirs
 
@@ -551,14 +556,17 @@ def destabilizing_limit(
 
 # dimensions
 
-def effective_rank(ws: WeightSystem) -> int:
-    """Rank of the weight matrix over Q: the dimension of the acting torus image."""
-    return integer_matrix_rank(zip(*_direction_set(ws, range(1, ws.n_coords + 1))))
+@lru_cache(maxsize=None)
+def _direction_rank(dirs: frozenset) -> int:
+    """Rank over Q of a set of directions: rank(W_S) of every support S
+    whose nonzero weights have exactly these directions."""
+    return integer_matrix_rank(zip(*dirs))
 
 
 def kernel_rank(ws: WeightSystem) -> int:
-    """Dimension of the subtorus acting trivially: k - rank(W)."""
-    return ws.rank - effective_rank(ws)
+    """Dimension of the subtorus acting trivially: k - rank(W), with no
+    support cut."""
+    return ws.rank - _direction_rank(_direction_set(ws, range(1, ws.n_coords + 1)))
 
 
 def quotient_dim_via_supports(ws: WeightSystem) -> int:
@@ -577,7 +585,7 @@ def quotient_dim(ws: WeightSystem) -> int:
     """Dimension of the affine GIT quotient Spec of the invariant ring:
     |S| - rank(W_S) at the largest polystable support S, counted on the
     directions of W as in analyze_directions."""
-    return _quotient_dim(ws.rank, *_direction_counts(ws))
+    return _quotient_dim(*_direction_counts(ws))
 
 
 def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
@@ -586,20 +594,9 @@ def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
     return counts, counts.pop(None, 0)
 
 
-def _quotient_dim(rank: int, counts: Mapping, zeros: int) -> int:
-    kept = _polystable_directions(rank, frozenset(counts))
-    return sum(counts[d] for d in kept) + zeros - integer_matrix_rank(zip(*kept))
-
-
-@lru_cache(maxsize=None)
-def _cut_and_ranks(rank: int, dirs: frozenset) -> tuple[frozenset, int, int]:
-    """The directions the support cut keeps, their rank, and the rank
-    of all of dirs: one cut and one rank when it keeps all or none."""
-    eff = integer_matrix_rank(zip(*dirs))
-    kept = _polystable_directions(rank, dirs)
-    if len(kept) == len(dirs):
-        return kept, eff, eff
-    return kept, integer_matrix_rank(zip(*kept)) if kept else 0, eff
+def _quotient_dim(counts: Mapping, zeros: int) -> int:
+    kept = _polystable_directions(frozenset(counts))
+    return sum(counts[d] for d in kept) + zeros - _direction_rank(kept)
 
 
 def analyze_directions(
@@ -612,26 +609,27 @@ def analyze_directions(
     it; zeros counts the coordinates of weight 0. The effective rank is
     the rank of the distinct directions, and the quotient dimension is
     the sum of the counts of the directions the support cut keeps, plus
-    zeros, minus their rank. The cut and both ranks are computed once
-    per direction set and cached, so a call on a set seen before only
-    checks its input and sums the kept counts.
+    zeros, minus their rank. The cut (_polystable_directions) and the
+    rank of a direction set (_direction_rank) are each cached on the
+    set, and equal sets share one entry, so a cut that keeps every
+    direction costs one rank. A call on a set seen before only checks
+    its input and sums the kept counts. The rank, the zero count, every
+    count and every direction entry must be ints (bools are refused, as
+    in WeightSystem); otherwise ValueError is raised.
     """
-    if rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ValueError(f"torus rank must be positive, got {rank}")
-    if zeros < 0:
+    if type(zeros) is not int or zeros < 0:
         raise ValueError(f"zero count must be nonnegative, got {zeros}")
     for d, n in counts.items():
-        if len(d) != rank or gcd(*d) != 1 or n < 1:
+        ints = type(n) is int and all(type(x) is int for x in d)
+        if not ints or n < 1 or len(d) != rank or gcd(*d) != 1:
             raise ValueError(
                 f"need a positive count of a primitive direction of length {rank}: "
                 f"{d} -> {n}"
             )
-    kept, kept_rank, eff = _cut_and_ranks(rank, frozenset(counts))
-    return GITResult(
-        quotient_dim=sum(counts[d] for d in kept) + zeros - kept_rank,
-        kernel_rank=rank - eff,
-        effective_rank=eff,
-    )
+    eff = _direction_rank(frozenset(counts))
+    return GITResult(_quotient_dim(counts, zeros), rank - eff, eff)
 
 
 def analyze(ws: WeightSystem) -> GITResult:
@@ -701,7 +699,7 @@ def open_half_space_certificate(
     nums, den = [], 1
     # rays r with <r, w_i[j:]> >= 0 for every column at level j; no zero
     # column is left, so the cut's witness is one at level 0
-    rays = [_destabilizer_witness(ws.rank, frozenset(ws._directions))]
+    rays = [_destabilizer_witness(frozenset(ws._directions))]
     for j in range(last + 1):
         cost = [den - sum(map(mul, col, nums)) for col in cols]
         heads = [col[j] for col in cols]

@@ -1,7 +1,9 @@
 """Each request computes every surface, deformation space, model and GIT
 invariant once: call counts taken by wrapping the library's functions."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,12 +31,34 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-@pytest.fixture
-def cold_torusgit():
-    """Empty every lru_cache of torusgit, so that counts start cold."""
+def cut_misses() -> int:
+    """Support cuts run since the caches were cleared: one per direction set."""
+    return torusgit._polystable_directions.cache_info().misses
+
+
+def clear_torusgit() -> None:
     for obj in vars(torusgit).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
+
+
+@pytest.fixture
+def cold_torusgit():
+    """Empty every lru_cache of torusgit, so that counts start cold."""
+    clear_torusgit()
+
+
+def golden_entries() -> list:
+    """(id, weight system, ops) of each entry of the benchmark's git pool;
+    one id can head entries of several groups."""
+    golden = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+    )
+    return [
+        (system["id"], torusgit.WeightSystem.from_rows(system["rows"]), system["ops"])
+        for group in golden["git"].values()
+        for system in group["entries"]
+    ]
 
 
 @pytest.mark.parametrize("family,l", [("X", 7), ("Y", 9), ("Y", 11)])
@@ -107,32 +131,34 @@ def test_build_surface_builds_each_distinct_form_once(monkeypatch, action, n_for
 # an order of the same family whose deformation directions form the same
 # set, with other counts
 SAME_DIRECTIONS = {("X", 2): 4, ("X", 30): 32, ("Y", 3): 9, ("Y", 9): 3, ("Y", 31): 5}
+# the distinct direction sets a cold model ranks: the cut keeps every
+# direction of these orders but Y_31, one set to rank, and none of Y_31,
+# which ranks its one direction and the empty set
+RANKED = {("X", 2): 1, ("X", 30): 1, ("Y", 3): 1, ("Y", 9): 1, ("Y", 31): 2}
 
 
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_runs_one_support_cut(monkeypatch, cold_torusgit, family, l):
-    # the cut keeps all or none of these directions, so one rank serves
-    # both the kept directions and all of them; a second order with the
-    # same direction set reads the cut and the ranks from the cache
-    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
+    # one cut and one rank per distinct set; a second order with the same
+    # direction set reads the cut and the ranks from the cache
+    n_ranked = RANKED[family, l]
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
     analyses = count_calls(monkeypatch, torusgit.analyze_directions)
     systems = count_built(monkeypatch, torusgit.WeightSystem)
     first = moduli.local_model(family, l)
-    assert (len(cuts), len(ranks), len(analyses)) == (1, 1, 1)
+    assert (cut_misses(), len(ranks), len(analyses)) == (1, n_ranked, 1)
     second = moduli.local_model(family, SAME_DIRECTIONS[family, l])
-    assert (len(cuts), len(ranks), len(analyses)) == (1, 1, 2)
+    assert (cut_misses(), len(ranks), len(analyses)) == (1, n_ranked, 2)
     assert first.qdef_dim != second.qdef_dim
     assert systems == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--support", "1,3"], ["--oracle-cap", "3"]])
 def test_git_request_runs_one_support_cut(monkeypatch, capsys, cold_torusgit, extra):
-    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
     analyses = count_calls(monkeypatch, torusgit.analyze_directions)
     argv = ["git", "--weights=1,-1,2,0;0,1,-1,1", *extra, "--format", "json"]
     assert main(argv) == 0
-    assert len(cuts) == 1
+    assert cut_misses() == 1
     assert len(analyses) == 1
 
 
@@ -163,18 +189,17 @@ def test_local_model_builds_no_characters(monkeypatch, family, l):
 
 @pytest.mark.parametrize("l", [2, 3, 4, 30, 401])
 def test_x_local_model_ranks_once(monkeypatch, cold_torusgit, l):
-    # the support cut keeps every direction of X_l, so the rank of all
-    # the directions is the rank of the kept ones, and the table up to l
-    # ranks and cuts once per distinct direction set of its orders
+    # the support cut keeps every direction of X_l, so the kept set and
+    # the set of all the directions are one cache entry, and the table up
+    # to l ranks and cuts once per distinct direction set of its orders
     sets = set()
     for k in range(2, l + 1):
         surface = quotsurf.build_surface(moduli.action_for("X", k))
         sets.add(frozenset(quotsurf.qdef_directions(surface)[1]))
     assert len(sets) == (1 if l == 2 else 2)
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
-    cuts = count_calls(monkeypatch, torusgit._polystable_directions)
     moduli.table("X", 2, l)
-    assert len(ranks) == len(cuts) == len(sets)
+    assert len(ranks) == cut_misses() == len(sets)
 
 
 @pytest.mark.parametrize("rows", [[[1, -1]], [[1, 0, -1], [0, 1, 0]], [[1, 2, 0]]])
@@ -194,16 +219,12 @@ def test_certificates_of_the_isolated_golden_systems_run_few_lps(monkeypatch):
     # none, and the first unique optimum ends the loop: 110 LPs on these
     # 75 systems, against 162 without the rays and 318 for two cold LPs
     # a level
-    golden = json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
-    )
     systems = {
-        system["id"]: torusgit.WeightSystem.from_rows(system["rows"])
-        for group in golden["git"].values()
-        for system in group["entries"]
+        name: ws
+        for name, ws, ops in golden_entries()
         if any(
             op["query"] == "open_half_space_certificate" and not op["known_failure"]
-            for op in system["ops"]
+            for op in ops
         )
     }
     isolated = {
@@ -225,6 +246,62 @@ def test_certificates_of_the_isolated_golden_systems_run_few_lps(monkeypatch):
     # combination lambda_1, so only the two maxima run
     assert per_system["k4_140"] == 3
     assert per_system["k5_143"] == 2
+
+
+# the k5 systems of the git pool whose ops run kernel_rank and no
+# quotient_dim
+KERNEL_FIRST = ("k5_146", "k5_149", "k5_158", "k5_159", "k5_160")
+
+
+@pytest.fixture(scope="module")
+def kernel_first():
+    return {name: ws for name, ws, _ in golden_entries() if name in KERNEL_FIRST}
+
+
+@pytest.mark.parametrize("name", KERNEL_FIRST)
+def test_cold_kernel_rank_runs_no_lp(monkeypatch, cold_torusgit, kernel_first, name):
+    # kernel_rank reads the rank of all the directions and never the cut
+    lps = count_calls(monkeypatch, torusgit._simplex)
+    ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
+    assert torusgit.kernel_rank(kernel_first[name]) == 0
+    assert lps == [] and cut_misses() == 0
+    assert len(ranks) == 1
+
+
+@pytest.mark.parametrize("name", KERNEL_FIRST)
+def test_analyze_reads_what_quotient_dim_and_kernel_rank_cached(
+    monkeypatch, cold_torusgit, kernel_first, name
+):
+    ws = kernel_first[name]
+    qd, kr = torusgit.quotient_dim(ws), torusgit.kernel_rank(ws)
+    lps = count_calls(monkeypatch, torusgit._simplex)
+    ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
+    assert torusgit.analyze(ws)[:2] == (qd, kr)
+    assert lps == [] and ranks == []
+
+
+def test_git_answers_do_not_depend_on_the_call_order():
+    # each order of analyze, quotient_dim and kernel_rank, on caches
+    # cleared first, gives the answers each query gives alone and cold
+    queries = {
+        "analyze": torusgit.analyze,
+        "quotient_dim": torusgit.quotient_dim,
+        "kernel_rank": torusgit.kernel_rank,
+    }
+    rng = random.Random(20261019)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        cols = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 6))]
+        cols += [[0] * k for _ in range(rng.choice((0, 0, 1)))]
+        ws = torusgit.WeightSystem.from_rows([list(row) for row in zip(*cols)])
+        cold = {}
+        for name, query in queries.items():
+            clear_torusgit()
+            cold[name] = query(ws)
+        assert cold["analyze"][:2] == (cold["quotient_dim"], cold["kernel_rank"])
+        for order in itertools.permutations(queries):
+            clear_torusgit()
+            assert {name: queries[name](ws) for name in order} == cold, ws.matrix
 
 
 def leaves(data):

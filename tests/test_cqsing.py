@@ -361,6 +361,13 @@ def test_gorenstein_index_invariant_under_equivalence():
             assert gorenstein_index(nf) == gorenstein_index(inverse_partner(nf))
 
 
+def test_classification_r_is_the_gorenstein_index():
+    # the local model takes the index of a surface from classification.r
+    forms = [NormalForm(1, None)]
+    forms += [NormalForm(n, q) for n in range(2, 300) for q in valid_q(n)]
+    assert [nf for nf in forms if classify(nf).r != gorenstein_index(nf)] == []
+
+
 # classification
 
 

@@ -23,8 +23,9 @@ from weight_systems import column, negated
 
 from kmoduli import torusgit
 from kmoduli.torusgit import (
-    _cut_and_ranks,
     _destabilizer_witness,
+    _direction_rank,
+    _polystable_directions,
     _simplex,
     _start_box,
     EnumerationBudgetError,
@@ -34,7 +35,6 @@ from kmoduli.torusgit import (
     analyze,
     analyze_directions,
     destabilizing_limit,
-    effective_rank,
     in_rational_cone,
     integer_matrix_rank,
     invariant_monomials,
@@ -128,6 +128,11 @@ def test_support_point_validation():
     assert SupportPoint.origin().support == frozenset()
     with pytest.raises(ValueError):
         is_polystable(WeightSystem.from_rows([[1, 2]]), SupportPoint.of([3]))
+    # bools are refused, as in WeightSystem
+    with pytest.raises(ValueError, match="1-based indices"):
+        SupportPoint([True, 2])
+    with pytest.raises(ValueError, match="1-based indices"):
+        SupportPoint.of([True])
 
 
 def test_integer_matrix_rank():
@@ -270,7 +275,7 @@ def test_zero_coordinate_monotonicity():
 def test_kernel_rank_x_family():
     for l in (3, 5, 8):
         assert kernel_rank(x_matrix(l)) == 1
-        assert effective_rank(x_matrix(l)) == 1
+        assert analyze(x_matrix(l)).effective_rank == 1
 
 
 def test_kernel_rank_zero_matrix():
@@ -281,6 +286,13 @@ def test_analyze_bundles():
     res = analyze(x_matrix(5))
     assert res == GITResult(quotient_dim=7, kernel_rank=1, effective_rank=1)
     assert analyze_directions(2, {(1, 1): 4, (-1, -1): 4}, 0) == res
+
+
+def clear_caches():
+    """Empty every lru_cache of torusgit, as perfbench/ops.py clear_caches."""
+    for obj in vars(torusgit).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
 
 
 def expanded_system(rng, counts, zeros):
@@ -318,8 +330,8 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
             k, zeros = 1, zeros or 1
         ws = expanded_system(rng, counts, zeros)
         res = analyze_directions(k, counts, zeros)
-        # analyze would read the cut cached just above
-        _cut_and_ranks.cache_clear()
+        # analyze would read the cut and the ranks cached just above
+        clear_caches()
         assert res == analyze(ws), ws.matrix
         assert res.quotient_dim == quotient_dim_via_supports(ws), ws.matrix
         kept = largest_polystable_support(ws)
@@ -333,18 +345,23 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
 
 def test_analyze_directions_cuts_once_per_direction_set():
     # (0, 1) destabilizes and the cut keeps the pair (1, 0), (-1, 0) of
-    # rank 1; other counts and zeros reuse the cut and its ranks, and a
-    # warm answer is the answer after cache_clear()
+    # rank 1: one cut, two witnesses (the set and the pair) and two
+    # ranks (the pair and all three); other counts and zeros reuse them,
+    # and a warm answer is the answer after cache_clear()
     cases = [
         (({(1, 0): 1, (-1, 0): 2, (0, 1): 1}, 0), GITResult(2, 0, 2)),
         (({(1, 0): 5, (-1, 0): 1, (0, 1): 3}, 2), GITResult(7, 0, 2)),
         (({(0, 1): 7, (-1, 0): 1, (1, 0): 1}, 1), GITResult(2, 0, 2)),
     ]
-    _cut_and_ranks.cache_clear()
+    clear_caches()
     warm = [analyze_directions(2, *args) for args, _ in cases]
-    assert _cut_and_ranks.cache_info().misses == 1
+    misses = [
+        fn.cache_info().misses
+        for fn in (_polystable_directions, _destabilizer_witness, _direction_rank)
+    ]
+    assert misses == [1, 2, 2]
     for (args, expected), res in zip(cases, warm):
-        _cut_and_ranks.cache_clear()
+        clear_caches()
         assert res == analyze_directions(2, *args) == expected
 
 
@@ -372,18 +389,22 @@ def test_every_torusgit_memo_is_a_module_level_lru_cache():
         for name, obj in vars(torusgit).items()
         if callable(getattr(obj, "cache_clear", None))
     }
-    assert "_cut_and_ranks" in memos
-    assert memos == clearable
+    assert memos == clearable == {
+        "_destabilizer_witness",
+        "_polystable_directions",
+        "_direction_rank",
+        "_lex_destabilizer",
+    }
     assert not [
         name
         for name, obj in vars(torusgit).items()
         if not name.startswith("__") and isinstance(obj, (dict, list, set))
     ]
     analyze_directions(2, {(1, 1): 2}, 0)
-    for obj in vars(torusgit).values():  # as perfbench/ops.py clear_caches
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
-    assert _cut_and_ranks.cache_info().currsize == 0
+    destabilizing_limit(WeightSystem.from_rows([[1, 1]]), SupportPoint.of([1]))
+    assert all(getattr(torusgit, name).cache_info().currsize for name in memos)
+    clear_caches()
+    assert not any(getattr(torusgit, name).cache_info().currsize for name in memos)
 
 
 def test_analyze_directions_without_directions():
@@ -401,6 +422,13 @@ def test_analyze_directions_without_directions():
         (2, {(0, 0): 1}, 0),
         (2, {(1,): 1}, 0),
         (1, {(1,): 0}, 0),
+        # only exact ints: a float count, zero count or rank, a float
+        # direction entry and a bool count
+        (2, {(1, 0): 1.5, (-1, 0): 1}, 0),
+        (2, {(1, 0): 1, (-1, 0): 1}, 0.5),
+        (2.0, {(1, 0): 1, (-1, 0): 1}, 0),
+        (2, {(1.0, 0): 1, (-1, 0): 1}, 0),
+        (2, {(1, 0): True, (-1, 0): 1}, 0),
     ],
 )
 def test_analyze_directions_validation(rank, counts, zeros):
@@ -481,7 +509,7 @@ def test_largest_polystable_support_matches_coordinatewise_cut():
                 coordinatewise_cut_oracle(ws, point)
             ), (ws.matrix, sorted(point.support))
         # the ranks over columns: rank W and |S| - rank W_S
-        assert effective_rank(ws) == integer_matrix_rank(ws.matrix), ws.matrix
+        assert analyze(ws).effective_rank == integer_matrix_rank(ws.matrix), ws.matrix
         smax = sorted(coordinatewise_cut_oracle(ws, SupportPoint.full(n)).support)
         sub = [[row[i - 1] for i in smax] for row in ws.matrix]
         assert quotient_dim_via_supports(ws) == (
@@ -574,7 +602,7 @@ def test_polystable_iff_no_destabilizer():
                 assert limit.support < S.support
                 assert lam == lex_box_destabilizer(ws, S)
                 # the search ends by the box of the kernel's integer witness
-                witness = _destabilizer_witness(ws.rank, support_directions(ws, S))
+                witness = _destabilizer_witness(support_directions(ws, S))
                 assert max(map(abs, lam)) <= max(map(abs, witness))
 
 
@@ -698,7 +726,7 @@ def test_destabilizer_witness_is_a_checked_farkas_vector():
                 dirs.add(tuple(x // g for x in v))
         dirs = frozenset(dirs)
         total = tuple(sum(c) for c in zip(*dirs)) if dirs else (0,) * dim
-        lam = _destabilizer_witness(dim, dirs)
+        lam = _destabilizer_witness(dirs)
         oracle = fm_witness([(d, 0) for d in dirs] + [(total, 1)], dim)
         assert (lam is None) == (oracle is None), sorted(dirs)
         if lam is not None:
