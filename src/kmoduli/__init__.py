@@ -26,7 +26,6 @@ _EXPORTS = {
         "UnknownDeformationError",
         "classify",
         "discrepancies",
-        "gorenstein_index",
         "hirzebruch_jung",
         "min_discrepancy",
         "normalize",

@@ -119,7 +119,6 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
         chain_length,
         classify,
         discrepancies,
-        gorenstein_index,
         hirzebruch_jung,
         normalize,
         parse_singularity,
@@ -137,7 +136,7 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
         chain = self_ints = discs = logs = ()
     else:
         hj = hirzebruch_jung(nf)
-        vec = discrepancies(hj)
+        vec = discrepancies(nf)
         chain, self_ints = hj.coefficients, hj.self_intersections
         discs, logs = vec.values, vec.log_values
     canonical = nf.canonical()
@@ -151,7 +150,7 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
             "self_intersections": self_ints,
             "discrepancies": discs,
             "log_discrepancies": logs,
-            "gorenstein_index": gorenstein_index(nf),
+            "gorenstein_index": cls.r,
             "classification": cls.to_json_dict(),
         })
     lines = [f"singularity {nf.display()}"]
@@ -165,7 +164,7 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
         lines.append(f"  discrepancies:       {', '.join(map(str, discs))}")
         lines.append(f"  log discrepancies:   {', '.join(map(str, logs))}")
         lines.append("  (log discrepancy = 1 + discrepancy; both conventions shown)")
-    lines.append(f"  gorenstein index:    {gorenstein_index(nf)}")
+    lines.append(f"  gorenstein index:    {cls.r}")
     lines.append(
         f"  classification:      w = {cls.w}, r = {cls.r}, m = {cls.m}, w0 = {cls.w0}"
     )

@@ -1,8 +1,8 @@
 """Cyclic quotient surface singularities.
 
-Normal forms 1/n(1,q), Hirzebruch-Jung resolutions, discrepancies,
-Gorenstein indices, and the arithmetic governing Q-Gorenstein
-deformations: rigid / T / Du Val classification and the torus
+Normal forms 1/n(1,q), Hirzebruch-Jung resolutions, discrepancies, and
+the arithmetic governing Q-Gorenstein deformations: rigid / T / Du Val
+classification, whose r is the Gorenstein index, and the torus
 characters of the versal deformation parameters.
 
 Discrepancies come from the toric integer formula (Cox-Little-Schenck
@@ -226,18 +226,18 @@ def _log_discrepancy_runs(n: int, q: int):
             beta_prev, beta = beta, b * beta - beta_prev
 
 
-def discrepancies(hj: HJResolution) -> DiscrepancyVector:
-    """The discrepancies a_i = (alpha_i + beta_i - n) / n of the resolution.
+def discrepancies(nf: NormalForm) -> DiscrepancyVector:
+    """The discrepancies a_i = (alpha_i + beta_i - n) / n of the minimal
+    resolution of 1/n(1,q), one per curve of hirzebruch_jung(nf).
 
     They solve the adjunction system a_{j-1} - b_j a_j + a_{j+1} = b_j - 2
     with a_0 = a_{k+1} = 0, lie in (-1, 0], and vanish exactly on all-2
-    chains (Du Val points). n/q is read back from the chain.
+    chains (Du Val points). A smooth point raises ValueError.
     """
-    n, q = 1, 0
-    for b in reversed(hj.coefficients):
-        n, q = b * n - q, n
+    _check_singular(nf)
+    n = nf.order
     values = []
-    for first, step, length, _ in _log_discrepancy_runs(n, q):
+    for first, step, length, _ in _log_discrepancy_runs(n, nf.q):
         if step:
             values.extend(Fraction(first + j * step - n, n) for j in range(length))
         else:  # the run's curves share one value, so they share one Fraction
@@ -246,8 +246,8 @@ def discrepancies(hj: HJResolution) -> DiscrepancyVector:
 
 
 def min_discrepancy(nf: NormalForm) -> Fraction:
-    """min(discrepancies(hirzebruch_jung(nf)).values), from the ends of
-    the runs of the chain, in O(log n)."""
+    """min(discrepancies(nf).values), from the ends of the runs of the
+    chain, in O(log n)."""
     _check_singular(nf)
     n = nf.order
     low = min(
@@ -263,13 +263,6 @@ def chain_length(nf: NormalForm) -> int:
     return sum(length for _, _, length, _ in _log_discrepancy_runs(nf.order, nf.q))
 
 
-def gorenstein_index(nf: NormalForm) -> int:
-    """The smallest r >= 1 such that r * K is Cartier at the point: n / gcd(n, q+1)."""
-    if nf.is_smooth:
-        return 1
-    return nf.order // gcd(nf.order, nf.q + 1)
-
-
 class SingularityClassification(NamedTuple):
     """Deformation-theoretic classification of 1/n(1,q).
 
@@ -280,6 +273,9 @@ class SingularityClassification(NamedTuple):
       * is_T         iff w0 = 0  iff n divides w^2,
       * is_du_val    iff r = 1   iff q = n - 1,
       * is_primitive_T iff T with m = 1.
+
+    r = n / gcd(n, q+1) is the Gorenstein index: the smallest r >= 1
+    such that r * K is Cartier at the point (1 at a smooth point).
 
     qdef_dim is the dimension of the space of Q-Gorenstein deformations:
     0 when smooth or rigid, n-1 for the Du Val point A_{n-1}, m for a

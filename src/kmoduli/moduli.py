@@ -28,7 +28,7 @@ from .quotsurf import (
     qdef_directions,
     rational_json,
 )
-from .torusgit import analyze_directions
+from .torusgit import _require_ints, analyze_directions
 
 FAMILIES = ("X", "Y")
 
@@ -76,14 +76,6 @@ class LocalModuliModel(NamedTuple):
             "gorenstein_index": self.gorenstein_index,
             "b2_generic": self.b2_generic,
         }
-
-
-def _require_ints(**values) -> None:
-    """Refuse a value whose type is not exactly int: a bool is not read
-    as 0 or 1, nor a float truncated."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def action_for(family: str, l: int) -> CyclicAction:

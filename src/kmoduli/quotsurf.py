@@ -219,11 +219,8 @@ class QDefModel(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             "total_dim": self.total_dim,
-            "blocks": [
-                [record.to_json_dict(), [list(c) for c in chars]]
-                for record, chars in self.blocks
-            ],
-            "weight_matrix": [list(row) for row in self.weight_matrix],
+            "blocks": [[record.to_json_dict(), chars] for record, chars in self.blocks],
+            "weight_matrix": self.weight_matrix,
         }
 
 

@@ -48,10 +48,11 @@ on the set of primitive directions of its nonzero weights. Each fact of
 such a set is one module-level lru_cache of the set alone: the witness
 (_destabilizer_witness), the support cut (_polystable_directions), the
 rank (_direction_rank) and the lex-min destabilizer (_lex_destabilizer,
-which also takes the rank and the budget). Equal sets share one entry,
-so a cut that keeps every direction costs one rank. The invariants of
-a whole action depend only on the multiset of the directions and the
-number of zero columns: with K the directions the support cut keeps,
+which also takes the budget); the rank k of the torus is the length of
+the directions. Equal sets share one entry, so a cut that keeps every
+direction costs one rank. The invariants of a whole action depend only
+on the multiset of the directions and the number of zero columns: with
+K the directions the support cut keeps,
 
     quotient dim = sum of the counts of K + zeros - rank(K),
     kernel rank = k - rank(all the directions).
@@ -78,6 +79,14 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 class EnumerationBudgetError(RuntimeError):
     """An enumeration (of invariant monomials, or of the nodes of the
     destabilizer search) exceeds the configured budget."""
+
+
+def _require_ints(**values) -> None:
+    """Refuse a value whose type is not exactly int: a bool is not read
+    as 0 or 1, nor a float truncated."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _weight(x) -> int:
@@ -362,7 +371,7 @@ def _destabilizer_witness(dirs: frozenset) -> Optional[tuple[int, ...]]:
     return None if feasible else tuple(-v for v in y)
 
 
-def _start_box(dim: int, dirs: frozenset) -> int:
+def _start_box(dirs: frozenset) -> int:
     """A lower bound on max |lambda_i| over the integer destabilizers.
 
     An integer destabilizer has <lambda, s> >= 1 for s = sum(dirs), so
@@ -373,6 +382,7 @@ def _start_box(dim: int, dirs: frozenset) -> int:
     sum_i (u_i - v_i) e_i = s with y, u, v >= 0, and M > 0 whenever a
     destabilizer exists.
     """
+    dim = len(next(iter(dirs)))
     units = [[int(t == i) for t in range(dim)] for i in range(dim)]
     columns = (
         [[-x for x in d] for d in dirs] + units + [[-x for x in u] for u in units]
@@ -383,11 +393,10 @@ def _start_box(dim: int, dirs: frozenset) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lex_destabilizer(
-    dim: int, dirs: frozenset, budget: int
-) -> Optional[tuple[int, ...]]:
+def _lex_destabilizer(dirs: frozenset, budget: int) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest integer destabilizer in the smallest
-    symmetric box [-B, B]^dim that contains one, or None if none exists.
+    symmetric box [-B, B]^k that contains one, or None if none exists;
+    k is the length of the directions.
 
     The integer witness decides whether a destabilizer exists, and a
     depth-first search finds the lex-min of a box: it fixes lambda_0,
@@ -413,7 +422,7 @@ def _lex_destabilizer(
     cols = list(zip(*dirs))
     dead = [not any(col) for col in cols]
     norms = [sum(map(abs, d)) for d in dirs]
-    last = dim - 1
+    last = len(cols) - 1
     nodes = budget
 
     def search(box: int, t: int, heads: list[int]) -> Optional[tuple[int, ...]]:
@@ -458,7 +467,7 @@ def _lex_destabilizer(
 
     box = 1
     while (lam := search(box, 0, [box * n for n in norms])) is None:
-        box = max(4, _start_box(dim, dirs)) if box == 3 else box + 1
+        box = max(4, _start_box(dirs)) if box == 3 else box + 1
     return lam
 
 
@@ -537,12 +546,14 @@ def destabilizing_limit(
     lambda is found by a depth-first search in lex order over boxes 1
     to 3, then over the boxes from a linear-programming lower bound upwards
     (_lex_destabilizer). It visits at most `budget` prefixes, and past
-    that raises EnumerationBudgetError naming the support.
+    that raises EnumerationBudgetError naming the support. A budget that
+    is not an int raises ValueError.
     """
+    _require_ints(budget=budget)
     indices = _support_indices(ws, p)
     dirs = _direction_set(ws, indices)
     try:
-        lam = _lex_destabilizer(ws.rank, dirs, budget)
+        lam = _lex_destabilizer(dirs, budget)
     except EnumerationBudgetError:
         raise EnumerationBudgetError(
             f"searching for a destabilizer of support {sorted(indices)} "
@@ -768,7 +779,9 @@ def invariant_monomials(
     C(N + cap, N) is checked against the budget first, and the output,
     N exponents per monomial, is kept within it as well. Output is in
     ascending lexicographic order and always contains the zero vector.
+    A cap or budget that is not an int raises ValueError.
     """
+    _require_ints(degree_cap=degree_cap, budget=budget)
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")
     n = ws.n_coords

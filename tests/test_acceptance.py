@@ -36,7 +36,6 @@ from kmoduli.cqsing import (
     NormalForm,
     classify,
     discrepancies,
-    gorenstein_index,
     hirzebruch_jung,
     normalize,
 )
@@ -126,9 +125,9 @@ def test_criterion_04_volume_discrepancy_index():
         assert build_surface(CyclicAction.y_family(l)).volume == Fraction(9, l)
     for l in range(2, 201):
         nf = NormalForm(l, 1)
-        vec = discrepancies(hirzebruch_jung(nf))
+        vec = discrepancies(nf)
         assert vec.values == (Fraction(2, l) - 1,), l
-        assert gorenstein_index(nf) == l // gcd(l, 2), l
+        assert classify(nf).r == l // gcd(l, 2), l
     _pass("4", 1.0, start, "volume 8/l and 9/l; 1/l(1,1) discrepancy 2/l-1, index l/gcd(l,2)")
 
 
@@ -510,7 +509,7 @@ def test_criterion_09_hj_discrepancy_suite():
             nf = NormalForm(n, q)
             hj = hirzebruch_jung(nf)
             assert continued_fraction_value(hj.coefficients) == Fraction(n, q), (n, q)
-            vec = discrepancies(hj)
+            vec = discrepancies(nf)
             assert all(-1 < a <= 0 for a in vec.values), (n, q)
             is_a_chain = all(b == 2 for b in hj.coefficients)
             assert is_a_chain == (q == n - 1), (n, q)

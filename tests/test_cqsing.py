@@ -20,7 +20,6 @@ from kmoduli.cqsing import (
     chain_length,
     classify,
     discrepancies,
-    gorenstein_index,
     hirzebruch_jung,
     min_discrepancy,
     normalize,
@@ -211,7 +210,7 @@ def test_all_twos_iff_a_chain():
 
 def test_discrepancy_single_curve():
     for l in range(2, 60):
-        d = discrepancies(hirzebruch_jung(NormalForm(l, 1)))
+        d = discrepancies(NormalForm(l, 1))
         assert d.values == (Fraction(2, l) - 1,)
         assert d.log_values == (Fraction(2, l),)
 
@@ -222,7 +221,7 @@ def test_discrepancy_single_curve():
 ], ids=["n<200", "A_2999"])
 def test_log_values_shift_each_discrepancy_by_one(forms):
     for nf in forms:
-        d = discrepancies(hirzebruch_jung(nf))
+        d = discrepancies(nf)
         logs = d.log_values
         assert logs == tuple(1 + a for a in d.values)
         assert all(type(x) is Fraction for x in logs)
@@ -230,27 +229,42 @@ def test_log_values_shift_each_discrepancy_by_one(forms):
 
 def test_discrepancy_du_val_zero():
     for n in range(2, 30):
-        d = discrepancies(hirzebruch_jung(NormalForm(n, n - 1)))
+        d = discrepancies(NormalForm(n, n - 1))
         assert all(a == 0 for a in d.values)
 
 
 def test_discrepancy_frozen_9_2():
     # hand solve of {-5 a1 + a2 = 3, a1 - 2 a2 = 0}
-    d = discrepancies(hirzebruch_jung(NormalForm(9, 2)))
+    d = discrepancies(NormalForm(9, 2))
     assert d.values == (Fraction(-2, 3), Fraction(-1, 3))
 
 
 def test_discrepancy_frozen_5_2():
     # hand solve of {-3 a1 + a2 = 1, a1 - 2 a2 = 0}
-    d = discrepancies(hirzebruch_jung(NormalForm(5, 2)))
+    d = discrepancies(NormalForm(5, 2))
     assert d.values == (Fraction(-2, 5), Fraction(-1, 5))
+
+
+def test_discrepancies_of_the_inverse_partner_are_reversed():
+    # swapping the chart coordinates reverses the resolution chain
+    for n in range(2, 200):
+        for q in valid_q(n):
+            nf = NormalForm(n, q)
+            values = discrepancies(nf).values
+            assert discrepancies(inverse_partner(nf)).values == values[::-1], (n, q)
+
+
+def test_discrepancies_reject_smooth():
+    with pytest.raises(ValueError, match="smooth point has no exceptional curves"):
+        discrepancies(NormalForm(1, None))
 
 
 def test_discrepancy_chain_system_and_range():
     for n in range(2, 80):
         for q in valid_q(n):
-            hj = hirzebruch_jung(NormalForm(n, q))
-            a = discrepancies(hj).values
+            nf = NormalForm(n, q)
+            hj = hirzebruch_jung(nf)
+            a = discrepancies(nf).values
             padded = (Fraction(0),) + a + (Fraction(0),)
             for j, b in enumerate(hj.coefficients, start=1):
                 assert padded[j - 1] - b * padded[j] + padded[j + 1] == b - 2
@@ -261,23 +275,25 @@ def test_discrepancy_chain_system_and_range():
 def test_discrepancy_matches_convergent_oracle():
     for n in range(2, 80):
         for q in valid_q(n):
-            hj = hirzebruch_jung(NormalForm(n, q))
-            assert discrepancies(hj).values == chain_discrepancy_oracle(hj.coefficients)
+            nf = NormalForm(n, q)
+            hj = hirzebruch_jung(nf)
+            assert discrepancies(nf).values == chain_discrepancy_oracle(hj.coefficients)
 
 
 def test_discrepancy_matches_elimination_oracle():
     for n in range(2, 200):
         for q in valid_q(n):
-            hj = hirzebruch_jung(NormalForm(n, q))
-            values = discrepancies(hj).values
+            nf = NormalForm(n, q)
+            hj = hirzebruch_jung(nf)
+            values = discrepancies(nf).values
             assert values == elimination_discrepancy_oracle(hj.coefficients), (n, q)
-            assert min_discrepancy(NormalForm(n, q)) == min(values), (n, q)
+            assert min_discrepancy(nf) == min(values), (n, q)
 
 
 def test_discrepancy_long_a_chain_matches_elimination_oracle():
     nf = NormalForm(3000, 2999)
     hj = hirzebruch_jung(nf)
-    values = discrepancies(hj).values
+    values = discrepancies(nf).values
     assert values == elimination_discrepancy_oracle(hj.coefficients)
     assert values == (Fraction(0),) * 2999
     assert min_discrepancy(nf) == min(values) == 0
@@ -287,7 +303,7 @@ def assert_runs_match_oracle(n, q):
     nf = NormalForm(n, q)
     hj = hirzebruch_jung(nf)
     numerators = log_discrepancy_numerators_oracle(n, q)
-    assert discrepancies(hj).values == tuple(Fraction(s - n, n) for s in numerators)
+    assert discrepancies(nf).values == tuple(Fraction(s - n, n) for s in numerators)
     assert min_discrepancy(nf) == Fraction(min(numerators) - n, n), (n, q)
     assert chain_length(nf) == len(hj) == len(numerators), (n, q)
 
@@ -334,22 +350,22 @@ def test_min_discrepancy_rejects_smooth():
 
 def test_gorenstein_index_du_val():
     for n in range(2, 30):
-        assert gorenstein_index(NormalForm(n, n - 1)) == 1
+        assert classify(NormalForm(n, n - 1)).r == 1
 
 
 def test_gorenstein_index_examples():
-    assert gorenstein_index(NormalForm(9, 2)) == 3
-    assert gorenstein_index(NormalForm(1, None)) == 1
+    assert classify(NormalForm(9, 2)).r == 3
+    assert classify(NormalForm(1, None)).r == 1
     for l in range(3, 40, 2):
-        assert gorenstein_index(NormalForm(l, 1)) == l
+        assert classify(NormalForm(l, 1)).r == l
     for l in range(2, 40, 2):
-        assert gorenstein_index(NormalForm(l, 1)) == l // 2
+        assert classify(NormalForm(l, 1)).r == l // 2
 
 
 def test_gorenstein_index_brute_force():
     for n in range(2, 60):
         for q in valid_q(n):
-            r = gorenstein_index(NormalForm(n, q))
+            r = classify(NormalForm(n, q)).r
             smallest = next(s for s in range(1, n + 1) if s * (1 + q) % n == 0)
             assert r == smallest
 
@@ -358,14 +374,17 @@ def test_gorenstein_index_invariant_under_equivalence():
     for n in range(2, 60):
         for q in valid_q(n):
             nf = NormalForm(n, q)
-            assert gorenstein_index(nf) == gorenstein_index(inverse_partner(nf))
+            assert classify(nf).r == classify(inverse_partner(nf)).r
 
 
 def test_classification_r_is_the_gorenstein_index():
-    # the local model takes the index of a surface from classification.r
-    forms = [NormalForm(1, None)]
-    forms += [NormalForm(n, q) for n in range(2, 300) for q in valid_q(n)]
-    assert [nf for nf in forms if classify(nf).r != gorenstein_index(nf)] == []
+    # the local model takes the index of a surface from classification.r,
+    # the smallest r with r * K Cartier: n / gcd(n, q + 1), and 1 when smooth
+    expected = {NormalForm(1, None): 1}
+    for n in range(2, 300):
+        for q in valid_q(n):
+            expected[NormalForm(n, q)] = n // gcd(n, q + 1)
+    assert [nf for nf, r in expected.items() if classify(nf).r != r] == []
 
 
 # classification

@@ -101,6 +101,7 @@ def test_random_payloads_match_json_dumps():
     [1, True], [True, False], [[1, 2], [True, 0]], [[], []], [[1], [2, 3]],
     {}, [], (), [{}], {"a": ()}, Fraction(-3, 4), [Fraction(5)], {1: 2, None: 3},
     [Level.LOW, 2], Level.LOW, {Text("k\u00e9y"): 1}, {"a": Text("v\"al")}, [Text("x")],
+    ((5, 4, 3), (-5, -4, -3)), [{"point": 1}, ()],
 ])
 def test_edge_payloads_match_json_dumps(payload):
     assert _dumps(payload) == json.dumps(as_json(payload), indent=2)

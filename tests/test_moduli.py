@@ -426,7 +426,7 @@ RECORDS = {
         ("coefficients",),
     ),
     "DiscrepancyVector": (
-        lambda: kmoduli.discrepancies(kmoduli.HJResolution((3, 2, 2))),
+        lambda: kmoduli.discrepancies(kmoduli.NormalForm(7, 3)),
         ("values",),
     ),
     "SingularityClassification": (

@@ -5,6 +5,7 @@ runs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +124,20 @@ def test_cli_request_loads_only_its_layers(argv, layers):
         if line.startswith("import time:")
     }
     assert sorted(m for m in imported if "kmoduli" in m) == ["kmoduli", *layers]
+
+
+def readme_public_api():
+    """The layer -> names lists of README's "Public API" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for item in section.split("\n* ")[1:]:
+        layer, names = item.split(":", 1)
+        listed[layer.strip("`").removeprefix("kmoduli.")] = re.findall(r"`(\w+)`", names)
+    return listed
+
+
+def test_readme_public_api_is_all():
+    listed = readme_public_api()
+    assert sorted(n for names in listed.values() for n in names) == kmoduli.__all__
+    assert listed == {layer: list(names) for layer, names in kmoduli._EXPORTS.items()}

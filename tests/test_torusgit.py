@@ -618,7 +618,7 @@ def test_destabilizer_is_the_whole_box_lex_min_in_rank_3_and_4():
         lam = res[0]
         box = max(map(abs, lam))
         # the LP start never passes the box of the answer
-        assert _start_box(ws.rank, support_directions(ws, S)) <= box
+        assert _start_box(support_directions(ws, S)) <= box
         # the whole-box oracle up to box 3: equal there, and empty below
         # an answer past it
         oracle = lex_box_destabilizer(ws, S, max_box=3)
@@ -642,6 +642,8 @@ def test_destabilizer_search_is_capped_by_the_budget():
     assert destabilizing_limit(ws, S)[0] == (-10, 2, 2, 19)
     # box 1 in rank 2 visits at most 1 + 3 prefixes
     assert destabilizing_limit(y_matrix(5), SupportPoint.full(4), budget=4)[0] == (0, 1)
+    with pytest.raises(EnumerationBudgetError, match=r"support \[1, 3, 4, 5, 6, 7\]"):
+        destabilizing_limit(ws, S, budget=-1)
 
 
 def test_destabilizer_skips_coordinates_no_weight_sees():
@@ -997,8 +999,31 @@ def test_invariant_monomials_budget():
     assert len(invariant_monomials(zero, 3, budget=20)) == 10
     with pytest.raises(EnumerationBudgetError):
         invariant_monomials(zero, 3, budget=19)
+    with pytest.raises(EnumerationBudgetError):
+        invariant_monomials(ws, 2, budget=-1)
     with pytest.raises(ValueError):
         invariant_monomials(ws, 0)
+
+
+@pytest.mark.parametrize("kwargs, shown", [
+    (dict(degree_cap=2.5), "degree_cap must be an integer, got 2.5"),
+    (dict(degree_cap=True), "degree_cap must be an integer, got True"),
+    (dict(degree_cap=2, budget=1.5), "budget must be an integer, got 1.5"),
+    (dict(degree_cap=2, budget=True), "budget must be an integer, got True"),
+    (dict(degree_cap=2, budget="10"), "budget must be an integer, got '10'"),
+], ids=["float cap", "bool cap", "float budget", "bool budget", "str budget"])
+def test_invariant_monomials_refuse_a_count_that_is_not_an_int(kwargs, shown):
+    ws = WeightSystem.from_rows([[1, -1]])
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        invariant_monomials(ws, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [1.5, True, "10", None], ids=repr)
+def test_destabilizing_limit_refuses_a_budget_that_is_not_an_int(budget):
+    ws = WeightSystem.from_rows([[1, 1]])
+    shown = f"budget must be an integer, got {budget!r}"
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        destabilizing_limit(ws, SupportPoint.of([1]), budget=budget)
 
 
 def test_invariant_monomial_rank_approaches_quotient_dim():
