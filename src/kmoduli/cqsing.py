@@ -245,16 +245,24 @@ def discrepancies(nf: NormalForm) -> DiscrepancyVector:
     return DiscrepancyVector(tuple(values))
 
 
+def _min_log_numerator(n: int, q: int) -> int:
+    """The least alpha + beta over the chain of 1/n(1,q), n times its
+    least log discrepancy, read from the ends of the runs in O(log n)."""
+    low = n  # every log discrepancy is at most 1
+    for first, step, length, _ in _log_discrepancy_runs(n, q):
+        if step < 0:
+            first += (length - 1) * step
+        if first < low:
+            low = first
+    return low
+
+
 def min_discrepancy(nf: NormalForm) -> Fraction:
-    """min(discrepancies(nf).values), from the ends of the runs of the
-    chain, in O(log n)."""
+    """min(discrepancies(nf).values), from the least integer numerator
+    of the chain (_min_log_numerator), in O(log n)."""
     _check_singular(nf)
     n = nf.order
-    low = min(
-        min(first, first + (length - 1) * step)
-        for first, step, length, _ in _log_discrepancy_runs(n, nf.q)
-    )
-    return Fraction(low - n, n)
+    return Fraction(_min_log_numerator(n, nf.q) - n, n)
 
 
 def chain_length(nf: NormalForm) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .cqsing import min_discrepancy
+from .cqsing import _check_singular, _min_log_numerator
 from .quotsurf import (
     CyclicAction,
     SurfaceModel,
@@ -100,11 +100,15 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
     The dimension of the deformation space and the GIT input, the
     multiset of the primitive directions of its characters, come from
     one pass over the singular locus (qdef_directions); no character
-    and no weight matrix is built, so with the run form of the chain
-    walk (min_discrepancy) the cost grows as log l. aut_dim is the
-    dimension of the connected reductive automorphism group (the
-    residual torus; finite factors are ignored, and finite quotients do
-    not change any dimension reported here).
+    and no weight matrix is built. Each distinct form gives the least
+    integer numerator of its chain (_min_log_numerator, the run form of
+    the chain walk), so the cost grows as log l; the minimal discrepancy
+    is compared across the forms as integer pairs (numerator - n, n) by
+    cross-multiplication, exact also for points of different orders, and
+    one Fraction is built for the least. aut_dim is the dimension of the
+    connected reductive automorphism group (the residual torus; finite
+    factors are ignored, and finite quotients do not change any
+    dimension reported here).
     """
     aut = surface.aut0_dim
     if aut is None:
@@ -114,10 +118,19 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
         )
     qdef_dim, counts = qdef_directions(surface)
     git = analyze_directions(2, counts, 0)
-    # classification.r is the Gorenstein index n / gcd(n, q + 1)
+    # the search starts above every discrepancy, at 1 / 0; classification.r
+    # is the Gorenstein index n / gcd(n, q + 1)
     forms = {p.singularity: p.classification for p in surface.singular_locus}
-    min_disc = min(map(min_discrepancy, forms))
-    index = lcm(*(c.r for c in forms.values()))
+    num, den, index = 1, 0, 1
+    for nf, cls in forms.items():
+        _check_singular(nf)
+        n = nf.order
+        low = _min_log_numerator(n, nf.q) - n
+        if low * den < num * n:
+            num, den = low, n
+        index = lcm(index, cls.r)
+    if not den:
+        raise ValueError(f"the surface of {surface.action} has no singular point")
     return LocalModuliModel(
         family,
         surface.action.order,
@@ -128,7 +141,7 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
         git.kernel_rank,
         git.quotient_dim == 0,
         surface.volume,
-        min_disc,
+        Fraction(num, den),
         index,
         betti_of_generic_smoothing(surface),
     )

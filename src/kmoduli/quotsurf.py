@@ -95,7 +95,7 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
     __slots__ = ()
 
     def __new__(cls, ambient: str, order: int, weights: tuple[int, ...]):
-        if ambient not in tuple(_AMBIENTS):
+        if ambient not in (P1XP1, P2):
             raise ValueError(f"ambient must be {P1XP1!r} or {P2!r}: {ambient!r}")
         if type(order) is not int or order < 2:
             raise ValueError(f"group order must be an int of at least 2, got {order!r}")
@@ -243,7 +243,7 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     """
     degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
-    u0, u1 = (sum(map(mul, row, action.weights)) for row in cocharacter)
+    u0, u1 = [sum(map(mul, row, action.weights)) for row in cocharacter]
     records = []
     # q of 1/l(1, q) -> the (normal form, classification) pair of its class
     forms: dict[int, tuple[NormalForm, SingularityClassification]] = {}

@@ -67,11 +67,12 @@ and calls analyze_directions.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from operator import index, mul
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -209,9 +210,7 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
             if b == 0:
                 continue
             row = [a * x - b * y for x, y in zip(work[i], work[rank])]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
+            g = gcd(*row)
             work[i] = [x // g for x in row] if g else row
         rank += 1
         if rank == len(work):
@@ -596,7 +595,8 @@ def quotient_dim(ws: WeightSystem) -> int:
     """Dimension of the affine GIT quotient Spec of the invariant ring:
     |S| - rank(W_S) at the largest polystable support S, counted on the
     directions of W as in analyze_directions."""
-    return _quotient_dim(*_direction_counts(ws))
+    counts, zeros = _direction_counts(ws)
+    return _quotient_dim(counts, zeros, frozenset(counts))
 
 
 def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
@@ -605,8 +605,9 @@ def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
     return counts, counts.pop(None, 0)
 
 
-def _quotient_dim(counts: Mapping, zeros: int) -> int:
-    kept = _polystable_directions(frozenset(counts))
+def _quotient_dim(counts: Mapping, zeros: int, dirs: frozenset) -> int:
+    """The quotient dimension of the directions counted, given their set."""
+    kept = _polystable_directions(dirs)
     return sum(counts[d] for d in kept) + zeros - _direction_rank(kept)
 
 
@@ -623,8 +624,10 @@ def analyze_directions(
     zeros, minus their rank. The cut (_polystable_directions) and the
     rank of a direction set (_direction_rank) are each cached on the
     set, and equal sets share one entry, so a cut that keeps every
-    direction costs one rank. A call on a set seen before only checks
-    its input and sums the kept counts. The rank, the zero count, every
+    direction costs one rank. The set is built once per call, for the
+    rank and the cut, so a call on a set seen before only checks its
+    input, builds the set and sums the kept counts. counts must be a
+    mapping and each direction a tuple; the rank, the zero count, every
     count and every direction entry must be ints (bools are refused, as
     in WeightSystem); otherwise ValueError is raised.
     """
@@ -632,15 +635,18 @@ def analyze_directions(
         raise ValueError(f"torus rank must be positive, got {rank}")
     if type(zeros) is not int or zeros < 0:
         raise ValueError(f"zero count must be nonnegative, got {zeros}")
+    if not isinstance(counts, (dict, Mapping)):  # dict answers before the ABC
+        raise ValueError(f"counts must map directions to counts, got {counts!r}")
     for d, n in counts.items():
-        ints = type(n) is int and all(type(x) is int for x in d)
+        ints = type(d) is tuple and type(n) is int and all(type(x) is int for x in d)
         if not ints or n < 1 or len(d) != rank or gcd(*d) != 1:
             raise ValueError(
                 f"need a positive count of a primitive direction of length {rank}: "
                 f"{d} -> {n}"
             )
-    eff = _direction_rank(frozenset(counts))
-    return GITResult(_quotient_dim(counts, zeros), rank - eff, eff)
+    dirs = frozenset(counts)
+    eff = _direction_rank(dirs)
+    return GITResult(_quotient_dim(counts, zeros, dirs), rank - eff, eff)
 
 
 def analyze(ws: WeightSystem) -> GITResult:
@@ -657,12 +663,18 @@ def in_rational_cone(
     """Whether the vector lies in the rational cone spanned by the generators.
 
     One phase-one simplex call: is sum x_g g = vector solvable with x >= 0?
-    The vector and the generators must hold ints (bools are refused, as
-    in WeightSystem) and have one length; otherwise ValueError is raised.
+    The vector and the generators must be sequences of ints (bools are
+    refused, as in WeightSystem) of one length; otherwise ValueError is
+    raised.
     """
+    # tuple and list are named before the ABC: they answer an isinstance
+    # test several times faster than Sequence does
+    if not isinstance(vector, (tuple, list, Sequence)):
+        raise ValueError(f"expected an int vector, got {vector!r}")
     gens = list(generators)
     for g in (vector, *gens):
-        if len(g) != len(vector) or not all(type(x) is int for x in g):
+        ints = isinstance(g, (tuple, list, Sequence)) and all(type(x) is int for x in g)
+        if not ints or len(g) != len(vector):
             raise ValueError(f"expected int vectors of length {len(vector)}: {g}")
     return _simplex(gens, vector)[0]
 

@@ -178,6 +178,19 @@ def test_local_model_classifies_each_point_once(monkeypatch, family, l):
     assert {args[0] for args in classified} == forms
 
 
+@pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
+def test_local_model_walks_each_chain_once_in_integers(monkeypatch, family, l):
+    # one integer chain walk per distinct form, and no Fraction per form:
+    # min_discrepancy is not called
+    forms = {r.singularity for r in singular_locus(family, l)}
+    walks = count_calls(monkeypatch, cqsing._min_log_numerator)
+    fractions = count_calls(monkeypatch, cqsing.min_discrepancy)
+    moduli.local_model(family, l)
+    assert len(walks) == len(forms) == 2
+    assert {(n, q) for n, q in walks} == forms
+    assert fractions == []
+
+
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 9), ("Y", 31)])
 def test_local_model_builds_no_characters(monkeypatch, family, l):
     qdefs = count_calls(monkeypatch, quotsurf.assemble_qdef)

@@ -17,6 +17,7 @@ from kmoduli.cqsing import (
     NonIsolatedError,
     NormalForm,
     UnknownDeformationError,
+    _min_log_numerator,
     chain_length,
     classify,
     discrepancies,
@@ -305,6 +306,7 @@ def assert_runs_match_oracle(n, q):
     numerators = log_discrepancy_numerators_oracle(n, q)
     assert discrepancies(nf).values == tuple(Fraction(s - n, n) for s in numerators)
     assert min_discrepancy(nf) == Fraction(min(numerators) - n, n), (n, q)
+    assert _min_log_numerator(n, q) == min(numerators), (n, q)
     assert chain_length(nf) == len(hj) == len(numerators), (n, q)
 
 

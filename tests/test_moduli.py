@@ -11,9 +11,10 @@ from capped import run_capped
 from weight_systems import negated, qdef_weight_system
 
 import kmoduli
-from kmoduli.cqsing import NonIsolatedError
+from kmoduli.cqsing import NonIsolatedError, NormalForm, classify, min_discrepancy
 from kmoduli.moduli import (
     LocalModuliModel,
+    action_for,
     evaluate_model,
     local_model,
     table,
@@ -21,7 +22,13 @@ from kmoduli.moduli import (
     witness_dim,
     witness_model,
 )
-from kmoduli.quotsurf import CyclicAction, assemble_qdef, build_surface
+from kmoduli.quotsurf import (
+    CyclicAction,
+    FixedPointRecord,
+    SurfaceModel,
+    assemble_qdef,
+    build_surface,
+)
 from kmoduli.torusgit import (
     SupportPoint,
     is_polystable,
@@ -233,6 +240,46 @@ def test_min_discrepancy_formula_and_decrease():
     discs = [local_model("X", l).min_discrepancy for l in range(3, 30)]
     assert all(a > b for a, b in zip(discs, discs[1:]))
     assert all(-1 < d <= 0 for d in discs)
+
+
+def sweep_orders():
+    """The orders of the benchmark sweep: both tables and both witnesses
+    at target 10000."""
+    yield from (("X", l) for l in range(2, 401))
+    yield from (("Y", l) for l in range(3, 402, 2))
+    yield from (("X", witness_model("X", 10000).l), ("Y", witness_model("Y", 10000).l))
+
+
+def test_min_discrepancy_is_the_least_over_the_singular_locus():
+    for family, l in sweep_orders():
+        points = build_surface(action_for(family, l)).singular_locus
+        least = min(min_discrepancy(r.singularity) for r in points)
+        assert local_model(family, l).min_discrepancy == least, (family, l)
+
+
+def test_min_discrepancy_over_points_of_different_orders():
+    # a hand-built surface whose points have orders 9, 4 and 5, with
+    # discrepancies -4/9, -1/2 and 0: the least is neither the first nor
+    # the last, and its numerator is not the least one
+    torus = ((1, 0), (0, 1))
+    records = tuple(
+        FixedPointRecord(f"p{i}", nf.order, (1, nf.q), torus, nf, classify(nf))
+        for i, nf in enumerate((NormalForm(9, 4), NormalForm(4, 1), NormalForm(5, 4)))
+    )
+    action = CyclicAction("P1xP1", 5, (1, 4))
+    model = evaluate_model("X", SurfaceModel(action, records, Fraction(8, 5), 2, 2))
+    assert model.min_discrepancy == Fraction(-1, 2)
+    assert model.min_discrepancy == min(min_discrepancy(r.singularity) for r in records)
+    assert model.gorenstein_index == 18
+
+
+def test_evaluate_model_refuses_a_locus_without_singular_points():
+    action = CyclicAction.x_family(5)
+    smooth = NormalForm(1, None)
+    point = FixedPointRecord("p", 1, (0, 0), ((1, 0), (0, 1)), smooth, classify(smooth))
+    for locus, message in (((), "no singular point"), ((point,), "smooth point")):
+        with pytest.raises(ValueError, match=message):
+            evaluate_model("X", SurfaceModel(action, locus, Fraction(8, 5), 2, 2))
 
 
 def test_gorenstein_index():

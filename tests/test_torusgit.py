@@ -429,6 +429,9 @@ def test_analyze_directions_without_directions():
         (2.0, {(1, 0): 1, (-1, 0): 1}, 0),
         (2, {(1.0, 0): 1, (-1, 0): 1}, 0),
         (2, {(1, 0): True, (-1, 0): 1}, 0),
+        # a direction that is not a tuple, and counts that are not a mapping
+        (2, {5: 1}, 0),
+        (2, [((1, 0), 1)], 0),
     ],
 )
 def test_analyze_directions_validation(rank, counts, zeros):
@@ -825,15 +828,17 @@ def test_in_rational_cone_basics():
     assert not in_rational_cone((-1, 0), gens)
     assert in_rational_cone((-2, 3), [(1, 1), (-1, 1)])
     assert not in_rational_cone((1, 2), [])
-    # floats, bools and unequal lengths are refused, not truncated or padded
-    for vector, generators, bad in (
-        ([1], [[0.9]], "[0.9]"),
-        ([0.5], [[1]], "[0.5]"),
-        ([1], [[True]], "[True]"),
-        ([1], [[1, 5]], "[1, 5]"),
-        ([1, 1], [[1]], "[1]"),
+    # floats, bools, unequal lengths and vectors that are not sequences
+    # are refused, not truncated, padded or left to a TypeError
+    for vector, generators, message in (
+        ([1], [[0.9]], "expected int vectors of length 1: [0.9]"),
+        ([0.5], [[1]], "expected int vectors of length 1: [0.5]"),
+        ([1], [[True]], "expected int vectors of length 1: [True]"),
+        ([1], [[1, 5]], "expected int vectors of length 1: [1, 5]"),
+        ([1, 1], [[1]], "expected int vectors of length 2: [1]"),
+        ((1,), [5], "expected int vectors of length 1: 5"),
+        (5, [(1,)], "expected an int vector, got 5"),
     ):
-        message = f"expected int vectors of length {len(vector)}: {bad}"
         with pytest.raises(ValueError, match=re.escape(message)):
             in_rational_cone(vector, generators)
 
