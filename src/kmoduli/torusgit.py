@@ -14,6 +14,11 @@ feasible point, an integer Farkas certificate or an integer optimum):
   * a support S is polystable iff no one-parameter subgroup lambda has
     <lambda, w_i> >= 0 for all i in S with strict inequality somewhere
     (equivalently, iff some x strictly positive on S solves W_S x = 0);
+  * with s the sum of the distinct directions D of S, S is polystable iff
+    -s lies in the cone of D (Stiemke). The sum decides in integers
+    first: s = 0 makes x = (1, ..., 1) such a point, and s >= 0 on every
+    d in D makes s itself a destabilizer, as <s, s> > 0; only the other
+    sets run the LP;
   * every polystable subset of S is contained in
     {i in S : <lambda, w_i> = 0} for any such lambda, so iterating
     that cut finds the unique largest polystable support; w_i is a
@@ -102,17 +107,20 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
     # no __slots__: the cached properties below live in the instance dict
 
     def __new__(cls, rank: int, n_coords: int, matrix: tuple[tuple[int, ...], ...]):
-        if rank < 1:
-            raise ValueError(f"torus rank must be positive, got {rank}")
-        if n_coords < 1:
-            raise ValueError(f"need at least one coordinate, got {n_coords}")
-        if len(matrix) != rank:
-            raise ValueError(f"expected {rank} rows, got {len(matrix)}")
-        for row in matrix:
-            if len(row) != n_coords:
-                raise ValueError(f"expected rows of length {n_coords}: {row}")
-            if not all(type(x) is int for x in row):
-                raise ValueError(f"weights must be integers: {row}")
+        if type(rank) is not int or rank < 1:
+            raise ValueError(f"torus rank must be positive, got {rank!r}")
+        if type(n_coords) is not int or n_coords < 1:
+            raise ValueError(f"need at least one coordinate, got {n_coords!r}")
+        try:
+            if len(matrix) != rank:
+                raise ValueError(f"expected {rank} rows, got {len(matrix)}")
+            for row in matrix:
+                if len(row) != n_coords:
+                    raise ValueError(f"expected rows of length {n_coords}: {row}")
+                if not all(type(x) is int for x in row):
+                    raise ValueError(f"weights must be integers: {row}")
+        except TypeError:
+            raise ValueError(f"expected {rank} rows of integers: {matrix!r}") from None
         return super().__new__(cls, rank, n_coords, matrix)
 
     @classmethod
@@ -129,11 +137,14 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
 
     @cached_property
     def _directions(self) -> tuple[Optional[tuple[int, ...]], ...]:
-        """Primitive direction of each column; None for zero columns."""
-        return tuple(
-            tuple(x // g for x in col) if (g := gcd(*col)) else None
+        """Primitive direction of each column; None for zero columns. A
+        primitive column is its own direction."""
+        return tuple([
+            (col if g == 1 else tuple([x // g for x in col]))
+            if (g := gcd(*col))
+            else None
             for col in self.columns
-        )
+        ])
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,14 +165,19 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
     __slots__ = ()
 
     def __new__(cls, support: Iterable[int]):
-        support = frozenset(support)
+        try:
+            support = frozenset(support)
+        except TypeError:
+            raise ValueError(
+                f"support must be a set of indices, got {support!r}"
+            ) from None
         if not all(type(i) is int and i >= 1 for i in support):
             raise ValueError(f"support must hold 1-based indices: {sorted(support)}")
         return super().__new__(cls, support)
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "SupportPoint":
-        return cls(frozenset(indices))
+        return cls(indices)
 
     @classmethod
     def full(cls, n_coords: int) -> "SupportPoint":
@@ -360,13 +376,21 @@ def _destabilizer_witness(dirs: frozenset) -> Optional[tuple[int, ...]]:
     dirs is a set of primitive integer directions; the answer decides
     polystability of every support whose nonzero weights span exactly
     those directions. By Stiemke's lemma some x > 0 has sum x_d d = 0
-    iff -sum(dirs) lies in the cone of dirs; otherwise minus the Farkas
-    vector of that membership pairs >= 0 with every d and > 0 with
-    their sum.
+    iff -s lies in the cone of dirs, for s the sum of dirs. The sum
+    decides first, in integers: if s = 0, x = (1, ..., 1) is such a
+    point and the answer is None; if <s, d> >= 0 for every d, s itself
+    is the answer, as <s, s> = sum_d <s, d> > 0. Otherwise one LP
+    decides the membership, and minus its Farkas vector pairs >= 0 with
+    every d and > 0 with s.
     """
     if not dirs:
         return None
-    feasible, y = _simplex(list(dirs), [-sum(col) for col in zip(*dirs)])
+    s = [sum(col) for col in zip(*dirs)]
+    if not any(s):
+        return None
+    if all(sum(map(mul, s, d)) >= 0 for d in dirs):
+        return tuple(s)
+    feasible, y = _simplex(list(dirs), [-x for x in s])
     return None if feasible else tuple(-v for v in y)
 
 
@@ -471,6 +495,8 @@ def _lex_destabilizer(dirs: frozenset, budget: int) -> Optional[tuple[int, ...]]
 
 
 def _support_indices(ws: WeightSystem, p: SupportPoint) -> frozenset[int]:
+    if not isinstance(p, SupportPoint):
+        raise ValueError(f"expected a SupportPoint, got {p!r}")
     if p.support and max(p.support) > ws.n_coords:
         raise ValueError(
             f"support {sorted(p.support)} exceeds {ws.n_coords} coordinates"
@@ -671,7 +697,12 @@ def in_rational_cone(
     # test several times faster than Sequence does
     if not isinstance(vector, (tuple, list, Sequence)):
         raise ValueError(f"expected an int vector, got {vector!r}")
-    gens = list(generators)
+    try:
+        gens = list(generators)
+    except TypeError:
+        raise ValueError(
+            f"expected int vectors as generators, got {generators!r}"
+        ) from None
     for g in (vector, *gens):
         ints = isinstance(g, (tuple, list, Sequence)) and all(type(x) is int for x in g)
         if not ints or len(g) != len(vector):

@@ -4,31 +4,16 @@ invariant once: call counts taken by wrapping the library's functions."""
 import itertools
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from call_counts import count_calls
 
 from kmoduli import cli, cqsing, moduli, quotsurf, torusgit
 from kmoduli.cli import main
-
-MODULES = (cqsing, quotsurf, torusgit, moduli, cli)
-
-
-def count_calls(monkeypatch, fn) -> list:
-    """Wrap fn under every module-level name bound to it; return the list
-    the wrapper appends one entry to per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for mod in MODULES:
-        for name, obj in list(vars(mod).items()):
-            if obj is fn:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 def cut_misses() -> int:
@@ -259,6 +244,42 @@ def test_certificates_of_the_isolated_golden_systems_run_few_lps(monkeypatch):
     # combination lambda_1, so only the two maxima run
     assert per_system["k4_140"] == 3
     assert per_system["k5_143"] == 2
+
+
+# the benchmark's git queries, by the name golden.json records
+GIT_QUERIES = {
+    "quotient_dim": lambda ws, arg: torusgit.quotient_dim(ws),
+    "kernel_rank": lambda ws, arg: torusgit.kernel_rank(ws),
+    "largest_polystable_support": lambda ws, arg: torusgit.largest_polystable_support(ws),
+    "is_polystable": lambda ws, arg: torusgit.is_polystable(ws, torusgit.SupportPoint.of(arg)),
+    "destabilizing_limit": lambda ws, arg: torusgit.destabilizing_limit(
+        ws, torusgit.SupportPoint.of(arg)
+    ),
+    "open_half_space_certificate": lambda ws, arg: torusgit.open_half_space_certificate(ws),
+    "in_rational_cone": lambda ws, arg: torusgit.in_rational_cone(arg, ws.columns),
+}
+
+
+def test_golden_git_ops_answer_half_the_witnesses_without_an_lp(monkeypatch):
+    # each golden system cold, its regular ops in recorded order: the
+    # direction sum decides 171 of the 328 witnesses that each ran an LP
+    # before, and the certificates and cone tests run the LPs they ran
+    simplex = torusgit._simplex
+    callers = Counter()
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return simplex(*args, **kwargs)
+
+    monkeypatch.setattr(torusgit, "_simplex", counted)
+    for _, ws, ops in golden_entries():
+        clear_torusgit()
+        for op in ops:
+            if not op["known_failure"]:
+                GIT_QUERIES[op["query"]](ws, op["arg"])
+    assert callers["_destabilizer_witness"] <= 160
+    assert callers["open_half_space_certificate"] == 110
+    assert callers["in_rational_cone"] == 155
 
 
 # the k5 systems of the git pool whose ops run kernel_rank and no

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from call_counts import count_calls
 from fourier_motzkin import fm_witness
 from simplex_oracle import simplex as oracle_simplex
 from weight_systems import column, negated
@@ -105,6 +106,19 @@ def test_weight_system_validation():
         WeightSystem(rank=1, n_coords=3, matrix=((1, 2),))
     with pytest.raises(ValueError):
         WeightSystem.from_rows([])
+    # a rank or coordinate count that is not an int, and a matrix or a
+    # row without a length, are refused by name, not left to a TypeError
+    for rank, n_coords, matrix in (
+        (2.0, 1, ((1,), (1,))),
+        (True, 1, ((1,),)),
+        (1, 1.0, ((1,),)),
+        (1, None, ((1,),)),
+        (1, 1, 5),
+        (1, 1, (5,)),
+        (1, 1, None),
+    ):
+        with pytest.raises(ValueError):
+            WeightSystem(rank, n_coords, matrix)
     ws = WeightSystem.from_rows([[1, -1]])
     assert ws.rank == 1 and ws.n_coords == 2
     assert column(ws, 1) == (1,) and column(ws, 2) == (-1,)
@@ -133,6 +147,24 @@ def test_support_point_validation():
         SupportPoint([True, 2])
     with pytest.raises(ValueError, match="1-based indices"):
         SupportPoint.of([True])
+    # indices that are not a collection
+    for indices in (5, None, 2.0):
+        with pytest.raises(ValueError, match="set of indices"):
+            SupportPoint.of(indices)
+        with pytest.raises(ValueError, match="set of indices"):
+            SupportPoint(indices)
+
+
+@pytest.mark.parametrize("support", [{1}, [1, 2], (1,), frozenset({2}), 5, None])
+def test_support_queries_refuse_a_support_that_is_not_a_support_point(support):
+    ws = WeightSystem.from_rows([[1, -1]])
+    with pytest.raises(ValueError, match="expected a SupportPoint"):
+        is_polystable(ws, support)
+    with pytest.raises(ValueError, match="expected a SupportPoint"):
+        destabilizing_limit(ws, support)
+    if support is not None:  # None is the default: the whole support
+        with pytest.raises(ValueError, match="expected a SupportPoint"):
+            largest_polystable_support(ws, within=support)
 
 
 def test_integer_matrix_rank():
@@ -691,6 +723,88 @@ def test_negation_invariance():
             assert is_polystable(ws, S) == is_polystable(neg, S)
 
 
+def random_unimodular(rng, k):
+    """A random integer k x k matrix of determinant +-1: row negations
+    and row additions applied to the identity."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(2 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            m = rng.choice((-1, 1))
+            u[i] = [a + m * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def git_facts(ws, support):
+    """The answers a change of columns or of torus basis must keep, with
+    the certificate checked > 0 on every column."""
+    cert = open_half_space_certificate(ws)
+    if cert is not None:
+        den = lcm(*(x.denominator for x in cert))
+        nums = [x.numerator * (den // x.denominator) for x in cert]
+        assert all(sum(map(operator.mul, nums, c)) > 0 for c in ws.columns)
+    return (
+        quotient_dim(ws),
+        kernel_rank(ws),
+        is_polystable(ws, support),
+        largest_polystable_support(ws),
+        cert is not None,
+    )
+
+
+def test_git_answers_are_invariant_under_columns_and_basis():
+    # permuting and positively scaling the columns, or changing the torus
+    # basis by a unimodular matrix, keeps every answer (the largest
+    # support mapped through the permutation); the lex-min destabilizer
+    # depends only on the direction set, so the first change keeps it
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(1500):
+        k, n = rng.randint(1, 5), rng.randint(1, 9)
+        cols = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(n)]
+        ws = WeightSystem.from_rows(list(zip(*cols)))
+        S = SupportPoint.of(i + 1 for i in range(n) if rng.random() < 0.7)
+        # column j of moved is scale[j] times column perm[j] of ws
+        perm = rng.sample(range(n), n)
+        scale = [rng.randint(1, 3) for _ in range(n)]
+        moved = WeightSystem.from_rows(
+            list(zip(*[tuple(scale[j] * x for x in cols[perm[j]]) for j in range(n)]))
+        )
+        to_moved = {perm[j] + 1: j + 1 for j in range(n)}
+
+        def mapped(p):
+            return SupportPoint.of(to_moved[i] for i in p.support)
+
+        u = random_unimodular(rng, k)
+        rebased = WeightSystem.from_rows(
+            [[sum(map(operator.mul, row, c)) for c in cols] for row in u]
+        )
+        clear_caches()
+        qd, kr, poly, largest, certified = git_facts(ws, S)
+        assert git_facts(moved, mapped(S)) == (qd, kr, poly, mapped(largest), certified)
+        # a small budget keeps short the few rank 4 and 5 searches that
+        # visit many nodes; both sides then run out alike. The search of
+        # moved runs again, on its own copy of the direction set
+        try:
+            limit = destabilizing_limit(ws, S, budget=10**4)
+            torusgit._lex_destabilizer.cache_clear()
+        except EnumerationBudgetError:
+            with pytest.raises(EnumerationBudgetError):
+                destabilizing_limit(moved, mapped(S), budget=10**4)
+            limit = "budget"
+        else:
+            moved_limit = destabilizing_limit(moved, mapped(S), budget=10**4)
+            assert moved_limit == (limit and (limit[0], mapped(limit[1]))), ws.matrix
+        clear_caches()
+        assert git_facts(rebased, S) == (qd, kr, poly, largest, certified), (ws.matrix, u)
+        seen[poly, certified, limit == "budget"] += 1
+    # polystable and not, isolated and not, and a few budget errors
+    assert {(True, False, False), (False, True, False), (False, False, False)} <= set(seen)
+    assert 0 < sum(count for key, count in seen.items() if key[2]) < 20
+
+
 # the simplex kernel against the Fourier-Motzkin oracle
 
 
@@ -717,19 +831,26 @@ def test_cone_membership_agrees_with_fourier_motzkin():
     assert seen == {(dim, b) for dim in range(1, 6) for b in (True, False)}
 
 
+def random_direction_set(rng, dim):
+    """The primitive directions of 1 to 7 random vectors of length dim."""
+    dirs = set()
+    for v in random_vectors(rng, dim, rng.randint(1, 7)):
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g:
+            dirs.add(tuple(x // g for x in v))
+    return frozenset(dirs)
+
+
 def test_destabilizer_witness_is_a_checked_farkas_vector():
+    # the witness is the direction sum or minus a Farkas vector of the
+    # LP; either way it is an integer destabilizer, checked here
     rng = random.Random(43)
     found = 0
     for _ in range(500):
         dim = rng.randint(1, 5)
-        dirs = set()
-        for v in random_vectors(rng, dim, rng.randint(1, 7)):
-            g = 0
-            for x in v:
-                g = gcd(g, x)
-            if g:
-                dirs.add(tuple(x // g for x in v))
-        dirs = frozenset(dirs)
+        dirs = random_direction_set(rng, dim)
         total = tuple(sum(c) for c in zip(*dirs)) if dirs else (0,) * dim
         lam = _destabilizer_witness(dirs)
         oracle = fm_witness([(d, 0) for d in dirs] + [(total, 1)], dim)
@@ -740,6 +861,52 @@ def test_destabilizer_witness_is_a_checked_farkas_vector():
             assert all(sum(a * b for a, b in zip(lam, d)) >= 0 for d in dirs)
             assert sum(a * b for a, b in zip(lam, total)) > 0
     assert 100 < found < 500
+
+
+def test_destabilizer_witness_reads_the_direction_sum_before_an_lp(monkeypatch):
+    # a zero sum answers None and a sum >= 0 on every direction answers
+    # itself, with no LP; the other sets run one LP, and the verdicts of
+    # both routes agree with Fourier-Motzkin
+    rng = random.Random(53)
+    lps = count_calls(monkeypatch, _simplex)
+    routes = Counter()
+    for _ in range(600):
+        dim = rng.randint(1, 5)
+        dirs = random_direction_set(rng, dim)
+        total = tuple(sum(c) for c in zip(*dirs)) if dirs else (0,) * dim
+        before = len(lps)
+        lam = _destabilizer_witness.__wrapped__(dirs)  # past the cache
+        ran = len(lps) - before
+        oracle = fm_witness([(d, 0) for d in dirs] + [(total, 1)], dim)
+        assert (lam is None) == (oracle is None), sorted(dirs)
+        if not ran:
+            assert lam == (total if any(total) else None), sorted(dirs)
+        if lam is not None:
+            assert all(sum(a * b for a, b in zip(lam, d)) >= 0 for d in dirs)
+            assert sum(a * b for a, b in zip(lam, total)) > 0
+        routes[ran] += 1
+    assert set(routes) == {0, 1}
+    assert routes[0] >= 100 and routes[1] >= 100
+
+
+@pytest.mark.parametrize(
+    "dirs,witness",
+    [
+        ({(1, 0), (-1, 0)}, None),
+        ({(2, -1, 3), (-2, 1, -3)}, None),
+        ({(1, 0), (0, 1), (-1, -1)}, None),
+        ({(1, 2), (1, -3), (-2, 1)}, None),
+        ({(1,)}, (1,)),
+        ({(-1,)}, (-1,)),
+        ({(2, -1, 3)}, (2, -1, 3)),
+    ],
+)
+def test_zero_sums_and_singletons_run_no_witness_lp(monkeypatch, dirs, witness):
+    # {d, -d} and balanced triples sum to 0, and a singleton's sum is its
+    # direction, which pairs > 0 with itself
+    lps = count_calls(monkeypatch, _simplex)
+    assert _destabilizer_witness.__wrapped__(frozenset(dirs)) == witness
+    assert lps == []
 
 
 def test_open_half_space_certificate_is_the_fourier_motzkin_point():
@@ -838,6 +1005,8 @@ def test_in_rational_cone_basics():
         ([1, 1], [[1]], "expected int vectors of length 2: [1]"),
         ((1,), [5], "expected int vectors of length 1: 5"),
         (5, [(1,)], "expected an int vector, got 5"),
+        ((1,), 5, "expected int vectors as generators, got 5"),
+        ((1,), None, "expected int vectors as generators, got None"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             in_rational_cone(vector, generators)
