@@ -49,11 +49,8 @@ _EXPORTS = {
     ),
     "torusgit": (
         "EnumerationBudgetError",
-        "GITResult",
         "SupportPoint",
         "WeightSystem",
-        "analyze",
-        "analyze_directions",
         "destabilizing_limit",
         "in_rational_cone",
         "invariant_monomials",

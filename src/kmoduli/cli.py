@@ -302,20 +302,23 @@ def cmd_git(
     the enumeration."""
     from .torusgit import (
         DEFAULT_ENUMERATION_BUDGET,
-        analyze,
         destabilizing_limit,
         integer_matrix_rank,
         invariant_monomials,
+        kernel_rank,
+        quotient_dim,
     )
 
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
     ws = parse_weight_matrix(weights_text)
-    git = analyze(ws)
+    dim, kernel = quotient_dim(ws), kernel_rank(ws)
     data = {
         "weight_system": ws.to_json_dict(),
-        **git.to_json_dict(),
-        "origin_only_polystable": git.quotient_dim == 0,
+        "quotient_dim": dim,
+        "kernel_rank": kernel,
+        "effective_rank": ws.rank - kernel,
+        "origin_only_polystable": dim == 0,
     }
     support = None
     if support_text is not None:

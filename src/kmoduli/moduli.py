@@ -28,7 +28,7 @@ from .quotsurf import (
     qdef_directions,
     rational_json,
 )
-from .torusgit import _require_ints, analyze_directions
+from .torusgit import _direction_rank, _quotient_dim, _require_ints
 
 FAMILIES = ("X", "Y")
 
@@ -100,12 +100,15 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
     The dimension of the deformation space and the GIT input, the
     multiset of the primitive directions of its characters, come from
     one pass over the singular locus (qdef_directions); no character
-    and no weight matrix is built. Each distinct form gives the least
-    integer numerator of its chain (_min_log_numerator, the run form of
-    the chain walk), so the cost grows as log l; the minimal discrepancy
-    is compared across the forms as integer pairs (numerator - n, n) by
-    cross-multiplication, exact also for points of different orders, and
-    one Fraction is built for the least. aut_dim is the dimension of the
+    and no weight matrix is built. The coarse dimension and the kernel
+    rank of the residual 2-torus are read off the cached support cut
+    and ranks of that direction set (_quotient_dim, _direction_rank).
+    Each distinct form gives the least integer numerator of its chain
+    (_min_log_numerator, the run form of the chain walk), so the cost
+    grows as log l; the minimal discrepancy is compared across the forms
+    as integer pairs (numerator - n, n) by cross-multiplication, exact
+    also for points of different orders, and one Fraction is built for
+    the least. aut_dim is the dimension of the
     connected reductive automorphism group (the residual torus; finite
     factors are ignored, and finite quotients do not change any
     dimension reported here).
@@ -117,7 +120,8 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
             "only the X and Y family actions have a moduli model"
         )
     qdef_dim, counts = qdef_directions(surface)
-    git = analyze_directions(2, counts, 0)
+    dirs = frozenset(counts)
+    coarse_dim = _quotient_dim(counts, 0, dirs)
     # the search starts above every discrepancy, at 1 / 0; classification.r
     # is the Gorenstein index n / gcd(n, q + 1)
     forms = {p.singularity: p.classification for p in surface.singular_locus}
@@ -137,9 +141,9 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
         qdef_dim,
         aut,
         qdef_dim - aut,
-        git.quotient_dim,
-        git.kernel_rank,
-        git.quotient_dim == 0,
+        coarse_dim,
+        2 - _direction_rank(dirs),
+        coarse_dim == 0,
         surface.volume,
         Fraction(num, den),
         index,

@@ -62,11 +62,12 @@ K the directions the support cut keeps,
     quotient dim = sum of the counts of K + zeros - rank(K),
     kernel rank = k - rank(all the directions).
 
-quotient_dim reads the cut and rank(K), kernel_rank only the rank of
-all the directions and never the cut, and analyze_directions both, so
-per call only the sum is computed, and its cost does not grow with the
-multiplicities. analyze(ws) counts the directions of a weight matrix
-and calls analyze_directions.
+quotient_dim counts the directions of a weight matrix and reads the
+cut and rank(K) through _quotient_dim, and kernel_rank only the rank of
+all the directions and never the cut. The local model of a surface
+reads the same two cached facts of its counted deformation directions,
+so per call only the sum is computed, and its cost does not grow with
+the multiplicities.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from operator import index, mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -106,7 +107,7 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
 
     # no __slots__: the cached properties below live in the instance dict
 
-    def __new__(cls, rank: int, n_coords: int, matrix: tuple[tuple[int, ...], ...]):
+    def __new__(cls, rank: int, n_coords: int, matrix: Sequence[Sequence[int]]):
         if type(rank) is not int or rank < 1:
             raise ValueError(f"torus rank must be positive, got {rank!r}")
         if type(n_coords) is not int or n_coords < 1:
@@ -119,6 +120,9 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
                     raise ValueError(f"expected rows of length {n_coords}: {row}")
                 if not all(type(x) is int for x in row):
                     raise ValueError(f"weights must be integers: {row}")
+            # a copy in tuples: the record stays hashable, and mutating the
+            # rows given cannot leave a cached fact stale
+            matrix = tuple(map(tuple, matrix))
         except TypeError:
             raise ValueError(f"expected {rank} rows of integers: {matrix!r}") from None
         return super().__new__(cls, rank, n_coords, matrix)
@@ -181,6 +185,7 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
 
     @classmethod
     def full(cls, n_coords: int) -> "SupportPoint":
+        _require_ints(n_coords=n_coords)
         return cls(frozenset(range(1, n_coords + 1)))
 
     @classmethod
@@ -192,17 +197,6 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
 
     def to_json_dict(self) -> list[int]:
         return sorted(self.support)
-
-
-class GITResult(NamedTuple):
-    """Summary invariants of one torus action."""
-
-    quotient_dim: int
-    kernel_rank: int
-    effective_rank: int
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 # exact linear algebra
@@ -620,65 +614,22 @@ def quotient_dim_via_supports(ws: WeightSystem) -> int:
 def quotient_dim(ws: WeightSystem) -> int:
     """Dimension of the affine GIT quotient Spec of the invariant ring:
     |S| - rank(W_S) at the largest polystable support S, counted on the
-    directions of W as in analyze_directions."""
-    counts, zeros = _direction_counts(ws)
+    multiset of the column directions of W."""
+    counts = Counter(ws._directions)
+    zeros = counts.pop(None, 0)
     return _quotient_dim(counts, zeros, frozenset(counts))
 
 
-def _direction_counts(ws: WeightSystem) -> tuple[Counter, int]:
-    """The multiset of column directions and the number of zero columns."""
-    counts = Counter(ws._directions)
-    return counts, counts.pop(None, 0)
-
-
 def _quotient_dim(counts: Mapping, zeros: int, dirs: frozenset) -> int:
-    """The quotient dimension of the directions counted, given their set."""
+    """The quotient dimension of the directions counted, given their set.
+
+    counts maps each primitive direction to the number of coordinates
+    whose weight is a positive multiple of it, and zeros counts the
+    coordinates of weight 0; the input is not checked. The answer is the
+    sum of the counts of the directions the support cut keeps, plus
+    zeros, minus their rank."""
     kept = _polystable_directions(dirs)
     return sum(counts[d] for d in kept) + zeros - _direction_rank(kept)
-
-
-def analyze_directions(
-    rank: int, counts: Mapping[tuple[int, ...], int], zeros: int
-) -> GITResult:
-    """The invariants of a rank-k torus acting with the given weights.
-
-    counts maps each primitive direction (a tuple of k coprime integers)
-    to the number of coordinates whose weight is a positive multiple of
-    it; zeros counts the coordinates of weight 0. The effective rank is
-    the rank of the distinct directions, and the quotient dimension is
-    the sum of the counts of the directions the support cut keeps, plus
-    zeros, minus their rank. The cut (_polystable_directions) and the
-    rank of a direction set (_direction_rank) are each cached on the
-    set, and equal sets share one entry, so a cut that keeps every
-    direction costs one rank. The set is built once per call, for the
-    rank and the cut, so a call on a set seen before only checks its
-    input, builds the set and sums the kept counts. counts must be a
-    mapping and each direction a tuple; the rank, the zero count, every
-    count and every direction entry must be ints (bools are refused, as
-    in WeightSystem); otherwise ValueError is raised.
-    """
-    if type(rank) is not int or rank < 1:
-        raise ValueError(f"torus rank must be positive, got {rank}")
-    if type(zeros) is not int or zeros < 0:
-        raise ValueError(f"zero count must be nonnegative, got {zeros}")
-    if not isinstance(counts, (dict, Mapping)):  # dict answers before the ABC
-        raise ValueError(f"counts must map directions to counts, got {counts!r}")
-    for d, n in counts.items():
-        ints = type(d) is tuple and type(n) is int and all(type(x) is int for x in d)
-        if not ints or n < 1 or len(d) != rank or gcd(*d) != 1:
-            raise ValueError(
-                f"need a positive count of a primitive direction of length {rank}: "
-                f"{d} -> {n}"
-            )
-    dirs = frozenset(counts)
-    eff = _direction_rank(dirs)
-    return GITResult(_quotient_dim(counts, zeros, dirs), rank - eff, eff)
-
-
-def analyze(ws: WeightSystem) -> GITResult:
-    """Quotient dimension, kernel rank and effective rank of a weight
-    matrix, through the multiset of its column directions."""
-    return analyze_directions(ws.rank, *_direction_counts(ws))
 
 
 # cones and certificates

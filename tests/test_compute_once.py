@@ -128,23 +128,24 @@ def test_local_model_runs_one_support_cut(monkeypatch, cold_torusgit, family, l)
     # direction set reads the cut and the ranks from the cache
     n_ranked = RANKED[family, l]
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
-    analyses = count_calls(monkeypatch, torusgit.analyze_directions)
+    dims = count_calls(monkeypatch, torusgit._quotient_dim)
     systems = count_built(monkeypatch, torusgit.WeightSystem)
     first = moduli.local_model(family, l)
-    assert (cut_misses(), len(ranks), len(analyses)) == (1, n_ranked, 1)
+    assert (cut_misses(), len(ranks), len(dims)) == (1, n_ranked, 1)
     second = moduli.local_model(family, SAME_DIRECTIONS[family, l])
-    assert (cut_misses(), len(ranks), len(analyses)) == (1, n_ranked, 2)
+    assert (cut_misses(), len(ranks), len(dims)) == (1, n_ranked, 2)
     assert first.qdef_dim != second.qdef_dim
     assert systems == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--support", "1,3"], ["--oracle-cap", "3"]])
 def test_git_request_runs_one_support_cut(monkeypatch, capsys, cold_torusgit, extra):
-    analyses = count_calls(monkeypatch, torusgit.analyze_directions)
+    dims = count_calls(monkeypatch, torusgit.quotient_dim)
+    kernels = count_calls(monkeypatch, torusgit.kernel_rank)
     argv = ["git", "--weights=1,-1,2,0;0,1,-1,1", *extra, "--format", "json"]
     assert main(argv) == 0
     assert cut_misses() == 1
-    assert len(analyses) == 1
+    assert len(dims) == len(kernels) == 1
 
 
 def singular_locus(family: str, l: int) -> tuple:
@@ -303,24 +304,31 @@ def test_cold_kernel_rank_runs_no_lp(monkeypatch, cold_torusgit, kernel_first, n
 
 
 @pytest.mark.parametrize("name", KERNEL_FIRST)
-def test_analyze_reads_what_quotient_dim_and_kernel_rank_cached(
+def test_direction_counts_read_what_quotient_dim_and_kernel_rank_cached(
     monkeypatch, cold_torusgit, kernel_first, name
 ):
+    # the local model's reads of a direction multiset hit the cut and
+    # the ranks that the matrix queries cached for the same set
     ws = kernel_first[name]
     qd, kr = torusgit.quotient_dim(ws), torusgit.kernel_rank(ws)
     lps = count_calls(monkeypatch, torusgit._simplex)
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
-    assert torusgit.analyze(ws)[:2] == (qd, kr)
+    counts = Counter(ws._directions)
+    zeros = counts.pop(None, 0)
+    dirs = frozenset(counts)
+    assert torusgit._quotient_dim(counts, zeros, dirs) == qd
+    assert ws.rank - torusgit._direction_rank(dirs) == kr
     assert lps == [] and ranks == []
 
 
 def test_git_answers_do_not_depend_on_the_call_order():
-    # each order of analyze, quotient_dim and kernel_rank, on caches
-    # cleared first, gives the answers each query gives alone and cold
+    # each order of quotient_dim, kernel_rank and the support cut, on
+    # caches cleared first, gives the answers each query gives alone and
+    # cold
     queries = {
-        "analyze": torusgit.analyze,
         "quotient_dim": torusgit.quotient_dim,
         "kernel_rank": torusgit.kernel_rank,
+        "largest_polystable_support": torusgit.largest_polystable_support,
     }
     rng = random.Random(20261019)
     for _ in range(150):
@@ -332,7 +340,6 @@ def test_git_answers_do_not_depend_on_the_call_order():
         for name, query in queries.items():
             clear_torusgit()
             cold[name] = query(ws)
-        assert cold["analyze"][:2] == (cold["quotient_dim"], cold["kernel_rank"])
         for order in itertools.permutations(queries):
             clear_torusgit()
             assert {name: queries[name](ws) for name in order} == cold, ws.matrix

@@ -32,6 +32,7 @@ from kmoduli.quotsurf import (
 from kmoduli.torusgit import (
     SupportPoint,
     is_polystable,
+    kernel_rank,
     open_half_space_certificate,
     quotient_dim,
 )
@@ -182,10 +183,14 @@ def test_stack_dim_is_qdef_minus_aut():
 
 
 def test_coarse_dim_matches_weight_system():
-    for family, l in [("X", 2), ("X", 4), ("X", 9), ("Y", 3), ("Y", 9), ("Y", 11)]:
-        assert local_model(family, l).coarse_dim == quotient_dim(
-            weight_system_of(family, l)
-        )
+    # the model reads the multiset of its deformation directions, and the
+    # matrix queries the columns of the assembled weight matrix
+    orders = [("X", l) for l in range(2, 61)] + [("Y", l) for l in range(3, 62, 2)]
+    for family, l in orders:
+        m = local_model(family, l)
+        ws = weight_system_of(family, l)
+        expected = (quotient_dim(ws), kernel_rank(ws))
+        assert (m.coarse_dim, m.kernel_rank) == expected, (family, l)
 
 
 # -------------------------------------------------------------- isolated
@@ -502,10 +507,6 @@ RECORDS = {
         ("rank", "n_coords", "matrix"),
     ),
     "SupportPoint": (lambda: SupportPoint.of([3, 1]), ("support",)),
-    "GITResult": (
-        lambda: kmoduli.analyze(weight_system_of("X", 5)),
-        ("quotient_dim", "kernel_rank", "effective_rank"),
-    ),
     "LocalModuliModel": (
         lambda: local_model("X", 2),
         ("family", "l", "qdef_dim", "aut_dim", "stack_dim", "coarse_dim",

@@ -27,14 +27,12 @@ from kmoduli.torusgit import (
     _destabilizer_witness,
     _direction_rank,
     _polystable_directions,
+    _quotient_dim,
     _simplex,
     _start_box,
     EnumerationBudgetError,
-    GITResult,
     SupportPoint,
     WeightSystem,
-    analyze,
-    analyze_directions,
     destabilizing_limit,
     in_rational_cone,
     integer_matrix_rank,
@@ -126,6 +124,26 @@ def test_weight_system_validation():
         column(ws, 3)
 
 
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("row_container", [list, tuple])
+def test_weight_system_keeps_its_own_rows(container, row_container):
+    # the constructor copies the matrix into tuples: the record is
+    # hashable, equals the one from_rows builds, and mutating the rows
+    # given later changes no answer
+    rows = container([row_container([1, -1, 0]), row_container([0, 2, -1])])
+    ws = WeightSystem(2, 3, rows)
+    built = WeightSystem.from_rows([[1, -1, 0], [0, 2, -1]])
+    assert ws == built and hash(ws) == hash(built)
+    assert ws.matrix == ((1, -1, 0), (0, 2, -1))
+    assert (quotient_dim(ws), kernel_rank(ws)) == (1, 0)
+    if container is list and row_container is list:
+        rows[0][0] = -1
+        rows.append([5, 5, 5])
+        assert ws.matrix == built.matrix
+        assert (quotient_dim(ws), kernel_rank(ws)) == (1, 0)
+        assert quotient_dim(WeightSystem(2, 3, rows[:2])) == 0
+
+
 def test_weight_system_rejects_booleans():
     with pytest.raises(TypeError):
         WeightSystem.from_rows([[True, False]])
@@ -139,6 +157,10 @@ def test_support_point_validation():
     with pytest.raises(ValueError):
         SupportPoint(frozenset({0}))
     assert len(SupportPoint.full(4)) == 4
+    # a coordinate count that is not an int is refused by name
+    for n_coords in (2.0, None, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SupportPoint.full(n_coords)
     assert SupportPoint.origin().support == frozenset()
     with pytest.raises(ValueError):
         is_polystable(WeightSystem.from_rows([[1, 2]]), SupportPoint.of([3]))
@@ -307,17 +329,24 @@ def test_zero_coordinate_monotonicity():
 def test_kernel_rank_x_family():
     for l in (3, 5, 8):
         assert kernel_rank(x_matrix(l)) == 1
-        assert analyze(x_matrix(l)).effective_rank == 1
+        assert integer_matrix_rank(x_matrix(l).matrix) == 1
 
 
 def test_kernel_rank_zero_matrix():
     assert kernel_rank(WeightSystem.from_rows([[0, 0], [0, 0]])) == 2
 
 
-def test_analyze_bundles():
-    res = analyze(x_matrix(5))
-    assert res == GITResult(quotient_dim=7, kernel_rank=1, effective_rank=1)
-    assert analyze_directions(2, {(1, 1): 4, (-1, -1): 4}, 0) == res
+def direction_answers(k, counts, zeros):
+    """Quotient dimension and kernel rank of a rank-k torus from the
+    multiset of its directions, as the local model reads them."""
+    dirs = frozenset(counts)
+    return _quotient_dim(counts, zeros, dirs), k - _direction_rank(dirs)
+
+
+def test_direction_counts_answer_as_the_matrix():
+    ws = x_matrix(5)
+    assert (quotient_dim(ws), kernel_rank(ws)) == (7, 1)
+    assert direction_answers(2, {(1, 1): 4, (-1, -1): 4}, 0) == (7, 1)
 
 
 def clear_caches():
@@ -340,7 +369,7 @@ def expanded_system(rng, counts, zeros):
     return WeightSystem.from_rows([list(row) for row in zip(*cols)])
 
 
-def test_analyze_directions_matches_analyze_on_expanded_systems():
+def test_direction_counts_match_expanded_systems():
     rng = random.Random(20261020)
     seen = set()
     for _ in range(400):
@@ -361,11 +390,11 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
         if not counts:
             k, zeros = 1, zeros or 1
         ws = expanded_system(rng, counts, zeros)
-        res = analyze_directions(k, counts, zeros)
-        # analyze would read the cut and the ranks cached just above
+        res = direction_answers(k, counts, zeros)
+        # the matrix queries would read the cut and the ranks cached just above
         clear_caches()
-        assert res == analyze(ws), ws.matrix
-        assert res.quotient_dim == quotient_dim_via_supports(ws), ws.matrix
+        assert res == (quotient_dim(ws), kernel_rank(ws)), ws.matrix
+        assert res[0] == quotient_dim_via_supports(ws), ws.matrix
         kept = largest_polystable_support(ws)
         seen.add((k, len(kept) - zeros, len(kept) == ws.n_coords))
     # every rank sees a cut to the zero columns, and ranks 2 to 4 a
@@ -375,34 +404,31 @@ def test_analyze_directions_matches_analyze_on_expanded_systems():
         assert any(key[0] == k and key[1] > 0 and not key[2] for key in seen), k
 
 
-def test_analyze_directions_cuts_once_per_direction_set():
+def test_direction_counts_cut_once_per_direction_set():
     # (0, 1) destabilizes and the cut keeps the pair (1, 0), (-1, 0) of
     # rank 1: one cut, two witnesses (the set and the pair) and two
     # ranks (the pair and all three); other counts and zeros reuse them,
-    # and a warm answer is the answer after cache_clear()
+    # and a warm answer is the answer after cache_clear() and the answer
+    # of an expanded matrix
     cases = [
-        (({(1, 0): 1, (-1, 0): 2, (0, 1): 1}, 0), GITResult(2, 0, 2)),
-        (({(1, 0): 5, (-1, 0): 1, (0, 1): 3}, 2), GITResult(7, 0, 2)),
-        (({(0, 1): 7, (-1, 0): 1, (1, 0): 1}, 1), GITResult(2, 0, 2)),
+        (({(1, 0): 1, (-1, 0): 2, (0, 1): 1}, 0), (2, 0)),
+        (({(1, 0): 5, (-1, 0): 1, (0, 1): 3}, 2), (7, 0)),
+        (({(0, 1): 7, (-1, 0): 1, (1, 0): 1}, 1), (2, 0)),
     ]
     clear_caches()
-    warm = [analyze_directions(2, *args) for args, _ in cases]
+    warm = [direction_answers(2, *args) for args, _ in cases]
     misses = [
         fn.cache_info().misses
         for fn in (_polystable_directions, _destabilizer_witness, _direction_rank)
     ]
     assert misses == [1, 2, 2]
+    rng = random.Random(22)
     for (args, expected), res in zip(cases, warm):
         clear_caches()
-        assert res == analyze_directions(2, *args) == expected
-
-
-def test_analyze_directions_validates_a_cached_direction_set():
-    analyze_directions(1, {(1,): 5}, 0)
-    with pytest.raises(ValueError, match="positive count"):
-        analyze_directions(1, {(1,): 0}, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        analyze_directions(1, {(1,): 5}, -1)
+        assert res == direction_answers(2, *args) == expected
+        ws = expanded_system(rng, *args)
+        clear_caches()
+        assert (quotient_dim(ws), kernel_rank(ws)) == expected, ws.matrix
 
 
 def test_every_torusgit_memo_is_a_module_level_lru_cache():
@@ -432,43 +458,20 @@ def test_every_torusgit_memo_is_a_module_level_lru_cache():
         for name, obj in vars(torusgit).items()
         if not name.startswith("__") and isinstance(obj, (dict, list, set))
     ]
-    analyze_directions(2, {(1, 1): 2}, 0)
+    quotient_dim(WeightSystem.from_rows([[1, 1], [1, 1]]))
     destabilizing_limit(WeightSystem.from_rows([[1, 1]]), SupportPoint.of([1]))
     assert all(getattr(torusgit, name).cache_info().currsize for name in memos)
     clear_caches()
     assert not any(getattr(torusgit, name).cache_info().currsize for name in memos)
 
 
-def test_analyze_directions_without_directions():
-    # no deformations: the quotient is a point and the torus acts trivially
-    assert analyze_directions(2, {}, 0) == GITResult(0, 2, 0)
-    assert analyze_directions(3, {}, 4) == GITResult(4, 3, 0)
-
-
-@pytest.mark.parametrize(
-    "rank,counts,zeros",
-    [
-        (0, {}, 0),
-        (1, {}, -1),
-        (2, {(2, 0): 1}, 0),
-        (2, {(0, 0): 1}, 0),
-        (2, {(1,): 1}, 0),
-        (1, {(1,): 0}, 0),
-        # only exact ints: a float count, zero count or rank, a float
-        # direction entry and a bool count
-        (2, {(1, 0): 1.5, (-1, 0): 1}, 0),
-        (2, {(1, 0): 1, (-1, 0): 1}, 0.5),
-        (2.0, {(1, 0): 1, (-1, 0): 1}, 0),
-        (2, {(1.0, 0): 1, (-1, 0): 1}, 0),
-        (2, {(1, 0): True, (-1, 0): 1}, 0),
-        # a direction that is not a tuple, and counts that are not a mapping
-        (2, {5: 1}, 0),
-        (2, [((1, 0), 1)], 0),
-    ],
-)
-def test_analyze_directions_validation(rank, counts, zeros):
-    with pytest.raises(ValueError):
-        analyze_directions(rank, counts, zeros)
+def test_no_directions_make_a_point_and_a_trivial_torus():
+    # no deformations: the quotient is a point and the torus acts
+    # trivially; zero columns each add one to the quotient dimension
+    assert direction_answers(2, {}, 0) == (0, 2)
+    assert direction_answers(3, {}, 4) == (4, 3)
+    ws = WeightSystem.from_rows([[0] * 4] * 3)
+    assert (quotient_dim(ws), kernel_rank(ws)) == (4, 3)
 
 
 # polystability
@@ -544,7 +547,7 @@ def test_largest_polystable_support_matches_coordinatewise_cut():
                 coordinatewise_cut_oracle(ws, point)
             ), (ws.matrix, sorted(point.support))
         # the ranks over columns: rank W and |S| - rank W_S
-        assert analyze(ws).effective_rank == integer_matrix_rank(ws.matrix), ws.matrix
+        assert ws.rank - kernel_rank(ws) == integer_matrix_rank(ws.matrix), ws.matrix
         smax = sorted(coordinatewise_cut_oracle(ws, SupportPoint.full(n)).support)
         sub = [[row[i - 1] for i in smax] for row in ws.matrix]
         assert quotient_dim_via_supports(ws) == (
@@ -566,7 +569,6 @@ def test_origin_only_polystable_iff_quotient_dim_zero():
         ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
         origin_only = largest_polystable_support(ws) == SupportPoint.origin()
         assert (quotient_dim(ws) == 0) == origin_only, ws.matrix
-        assert (analyze(ws).quotient_dim == 0) == origin_only, ws.matrix
         seen.add((k, origin_only))
     assert seen == {(k, b) for k in (1, 2, 3) for b in (True, False)}
 
