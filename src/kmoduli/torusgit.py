@@ -9,7 +9,10 @@ independent oracle.
 
 Key facts used (all over the rationals, decided by one exact simplex
 kernel with Bland's rule and integer-only pivoting, which returns a
-feasible point, an integer Farkas certificate or an integer optimum):
+feasible point, an integer Farkas certificate or an integer optimum;
+the tableau is condensed to one column per nonbasic variable, as a
+basic column is a multiple of a unit vector, and the kernel makes the
+same pivots as on the full tableau, which the tests keep as an oracle):
 
   * a support S is polystable iff no one-parameter subgroup lambda has
     <lambda, w_i> >= 0 for all i in S with strict inequality somewhere
@@ -186,6 +189,8 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
     @classmethod
     def full(cls, n_coords: int) -> "SupportPoint":
         _require_ints(n_coords=n_coords)
+        if n_coords < 0:
+            raise ValueError(f"coordinate count must be >= 0, got {n_coords}")
         return cls(frozenset(range(1, n_coords + 1)))
 
     @classmethod
@@ -232,20 +237,32 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
-    """Integer pivot on rows[r][c]; returns the new common denominator.
+    """Integer pivot on rows[r][c] of a condensed tableau; returns the new
+    common denominator.
 
-    The tableau is stored as integers over the common denominator d (the
-    previous pivot). Every stored entry is a minor of the starting
-    matrix, so (p * a - f * b) // d is an exact division. A negative
-    pivot negates every row, which keeps the denominator positive; that
-    is folded into the update by negating the pivot row and p first. A
-    row with f = 0 is only rescaled by p / d, and left as it is if p = d.
+    The rows are integers over the common denominator d (the previous
+    pivot). They hold one column per nonbasic variable and the
+    right-hand side last; the column of the variable basic in row i is
+    d e_i, so it is not stored. Every stored entry is a minor of the
+    starting matrix, so (p * a - f * b) // d is an exact division, with
+    f a row's entry in column c. After the pivot column c holds the
+    variable that left: its column d e_r becomes d in row r and -f in
+    every other row. A negative pivot negates every row, which keeps the
+    denominator positive; that is folded into the update by negating the
+    pivot row and p first, which makes the left column -d in row r and f
+    elsewhere. With u = +-d that column's entry in row r, setting entry c
+    of the pivot row to p + u for the update writes -f u / d there in
+    every other row in the same pass. A row with f = 0 is only rescaled
+    by p / d, and left as it is if p = d.
     """
     top = rows[r]
     p = top[c]
     if p < 0:
-        p = -p
+        p, u = -p, -d
         top = rows[r] = [-a for a in top]
+    else:
+        u = d
+    top[c] = p + u
     for i, row in enumerate(rows):
         if i == r:
             continue
@@ -257,6 +274,7 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
                 rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
         elif p != d:
             rows[i] = [p * a // d for a in row]
+    top[c] = u
     return p
 
 
@@ -285,7 +303,13 @@ def _simplex(
 
     Phase one of the primal simplex with one artificial variable per row
     and Bland's rule, which cannot cycle; with a cost row, phase two
-    then maximises cost . x. Pivoting is integer-only (_pivot).
+    then maximises cost . x. Pivoting is integer-only on a condensed
+    tableau that stores no basic column (_pivot; the dictionary of Avis's
+    lrs, 2000, with the exact division of Bareiss, 1968). Entering and
+    drive-out pick the nonbasic structural variable of smallest index,
+    so the pivots are those of the full tableau. The phase-two objective
+    is built from the basis once phase one ends, and the Farkas vector
+    and the dual point are read off the columns of the artificials.
 
     Returns (False, y) when the system is infeasible, with y an integer
     Farkas vector: y . c <= 0 for every column and y . rhs > 0. When it
@@ -299,38 +323,39 @@ def _simplex(
     Theory of Linear and Integer Programming, 1986, sec. 7.9).
     """
     m, n = len(rhs), len(columns)
-    # row i is flipped to a right-hand side >= 0 and gets artificial i;
-    # the phase-one objective, the sum of the artificials, is kept as
-    # reduced costs, minus the rows' sum, with minus its value last
-    signs, rows, w, total = [], [], [0] * n, 0
+    # row i is flipped to a right-hand side >= 0 and gets artificial i
+    signs, rows = [], []
     for i, b in enumerate(rhs):
         if b < 0:
-            row = [-col[i] for col in columns]
+            rows.append([-col[i] for col in columns] + [-b])
             signs.append(-1)
-            b = -b
         else:
-            row = [col[i] for col in columns]
+            rows.append([col[i] for col in columns] + [b])
             signs.append(1)
-        w = [x - y for x, y in zip(w, row)]
-        total -= b
-        row += [0] * m
-        row[n + i] = 1
-        row.append(b)
-        rows.append(row)
-    if cost is not None:
-        rows.append([-x for x in cost] + [0] * (m + 1))
-    rows.append(w + [0] * m + [total])
+    # the phase-one objective, the sum of the artificials, as reduced
+    # costs: minus the rows' sum, with minus its value last
+    w = [-sum(col) for col in zip(*rows)] if rows else [0] * (n + 1)
+    rows.append(w)
+    # basis[i] is the variable basic in row i, and at[v] the column of
+    # variable v, or -1 while it is basic; the structural variables are
+    # 0..n-1, so Bland's rule scans at[:n] in order, and the artificial
+    # of row t is n + t
     basis = list(range(n, n + m))
+    at = list(range(n)) + [-1] * m
     d = 1
-    while rows[-1][-1]:
-        w = rows[-1]
-        c = next((j for j in range(n) if w[j] < 0), None)
-        if c is None:
-            # the reduced cost of artificial t is d * (1 - y_t)
-            return False, tuple(s * (d - w[n + t]) for t, s in enumerate(signs))
+    while w[-1]:
+        v = next((v for v, j in enumerate(at[:n]) if j >= 0 and w[j] < 0), None)
+        if v is None:
+            # the reduced cost of artificial t is d * (1 - y_t), and 0
+            # while it is basic
+            return False, tuple(
+                s * (d - w[j]) if j >= 0 else s * d for s, j in zip(signs, at[n:])
+            )
+        c = at[v]
         r = _leaving_row(rows, basis, m, c)
         d = _pivot(rows, r, c, d)
-        basis[r] = c
+        at[basis[r]], at[v], basis[r] = c, -1, v
+        w = rows[-1]
     if cost is None:
         return True, None
     rows.pop()
@@ -338,26 +363,37 @@ def _simplex(
     # no nonzero entry in x is redundant and never leaves
     for r in range(m):
         if basis[r] >= n:
-            c = next((j for j in range(n) if rows[r][j]), None)
-            if c is not None:
+            row = rows[r]
+            v = next((v for v, j in enumerate(at[:n]) if j >= 0 and row[j]), None)
+            if v is not None:
+                c = at[v]
                 d = _pivot(rows, r, c, d)
-                basis[r] = c
-    z = rows[-1]
+                at[basis[r]], at[v], basis[r] = c, -1, v
+    # the phase-two objective as reduced costs: d times cost_B B^-1 A - cost
+    z = [0] * (n + 1)
+    for v, j in enumerate(at[:n]):
+        if j >= 0:
+            z[j] = -d * cost[v]
+    for row, v in zip(rows, basis):
+        if v < n and (k := cost[v]):
+            z = [a + k * b for a, b in zip(z, row)]
+    rows.append(z)
     while True:
-        c = next((j for j in range(n) if z[j] < 0), None)
-        if c is None:
+        v = next((v for v, j in enumerate(at[:n]) if j >= 0 and z[j] < 0), None)
+        if v is None:
             # an artificial still basic sits at level 0, so a positive
             # basis is structural; the reduced cost of artificial t is d
             # times the multiplier of row t, whose sign s_t was flipped
             point = None
             if all(row[-1] > 0 for row in rows[:m]):
-                point = [s * z[n + t] for t, s in enumerate(signs)]
+                point = [s * z[j] for s, j in zip(signs, at[n:])]
             return True, (z[-1], d, point)
+        c = at[v]
         r = _leaving_row(rows, basis, m, c)
         if r is None:
             return True, None
         d = _pivot(rows, r, c, d)
-        basis[r] = c
+        at[basis[r]], at[v], basis[r] = c, -1, v
         z = rows[-1]
 
 
@@ -488,6 +524,12 @@ def _lex_destabilizer(dirs: frozenset, budget: int) -> Optional[tuple[int, ...]]
     return lam
 
 
+def _require_system(ws) -> None:
+    """Refuse a query's first argument unless it is a WeightSystem."""
+    if not isinstance(ws, WeightSystem):
+        raise ValueError(f"expected a WeightSystem, got {ws!r}")
+
+
 def _support_indices(ws: WeightSystem, p: SupportPoint) -> frozenset[int]:
     if not isinstance(p, SupportPoint):
         raise ValueError(f"expected a SupportPoint, got {p!r}")
@@ -519,6 +561,7 @@ def is_polystable(ws: WeightSystem, p: SupportPoint) -> bool:
     nonnegative on S and positive somewhere; some x strictly positive
     on S solves W_S x = 0.
     """
+    _require_system(ws)
     indices = _support_indices(ws, p)
     return _destabilizer_witness(_direction_set(ws, indices)) is None
 
@@ -533,6 +576,7 @@ def largest_polystable_support(
     positive; cutting to {i : <lambda, w_i> = 0} and iterating strictly
     shrinks S and terminates at the largest polystable support.
     """
+    _require_system(ws)
     if within is None:
         support = range(1, ws.n_coords + 1)
     else:
@@ -568,6 +612,7 @@ def destabilizing_limit(
     that raises EnumerationBudgetError naming the support. A budget that
     is not an int raises ValueError.
     """
+    _require_system(ws)
     _require_ints(budget=budget)
     indices = _support_indices(ws, p)
     dirs = _direction_set(ws, indices)
@@ -596,6 +641,7 @@ def _direction_rank(dirs: frozenset) -> int:
 def kernel_rank(ws: WeightSystem) -> int:
     """Dimension of the subtorus acting trivially: k - rank(W), with no
     support cut."""
+    _require_system(ws)
     return ws.rank - _direction_rank(_direction_set(ws, range(1, ws.n_coords + 1)))
 
 
@@ -607,6 +653,7 @@ def quotient_dim_via_supports(ws: WeightSystem) -> int:
     inclusion. It works on coordinate indices, not on direction counts,
     so it is an independent check of quotient_dim.
     """
+    _require_system(ws)
     smax = largest_polystable_support(ws)
     return len(smax) - integer_matrix_rank(zip(*_direction_set(ws, smax.support)))
 
@@ -615,6 +662,7 @@ def quotient_dim(ws: WeightSystem) -> int:
     """Dimension of the affine GIT quotient Spec of the invariant ring:
     |S| - rank(W_S) at the largest polystable support S, counted on the
     multiset of the column directions of W."""
+    _require_system(ws)
     counts = Counter(ws._directions)
     zeros = counts.pop(None, 0)
     return _quotient_dim(counts, zeros, frozenset(counts))
@@ -696,15 +744,18 @@ def open_half_space_certificate(
     ray with r_0 = 0, and of p_0 n - n_0 p for one pair with
     n_0 < 0 < p_0, a positive combination with r_0 = 0.
     """
-    if largest_polystable_support(ws).support:
+    _require_system(ws)
+    # a zero column is a polystable support of its own
+    dirs = frozenset(ws._directions)
+    if None in dirs or _polystable_directions(dirs):
         return None
     cols = ws.columns
     last = ws.rank - 1
     # the fixed prefix is lambda_t = nums[t] / den, gcd(den, *nums) = 1
     nums, den = [], 1
-    # rays r with <r, w_i[j:]> >= 0 for every column at level j; no zero
-    # column is left, so the cut's witness is one at level 0
-    rays = [_destabilizer_witness(frozenset(ws._directions))]
+    # rays r with <r, w_i[j:]> >= 0 for every column at level j; the
+    # cut's witness is one at level 0
+    rays = [_destabilizer_witness(dirs)]
     for j in range(last + 1):
         cost = [den - sum(map(mul, col, nums)) for col in cols]
         heads = [col[j] for col in cols]
@@ -775,6 +826,7 @@ def invariant_monomials(
     ascending lexicographic order and always contains the zero vector.
     A cap or budget that is not an int raises ValueError.
     """
+    _require_system(ws)
     _require_ints(degree_cap=degree_cap, budget=budget)
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")

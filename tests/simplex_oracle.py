@@ -1,11 +1,15 @@
-"""The exact simplex kernel as first written: the test oracle for
-torusgit._simplex and torusgit._pivot.
+"""The exact simplex kernel as first written, on the full tableau: the
+test oracle for torusgit._simplex and torusgit._pivot.
 
-pivot rebuilds every row other than the pivot row, divides every entry
-by the previous denominator, and negates the whole tableau in a second
-pass when the pivot is negative; simplex builds the sign-flipped rows
-and the phase-one row in separate passes. The library's kernel makes the
-same pivots with less arithmetic, so the two must return the same
+The tableau here keeps a column for every variable, the basic ones
+included, and carries the phase-two objective through phase one. pivot
+rebuilds every row other than the pivot row, divides every entry by the
+previous denominator, and negates the whole tableau in a second pass
+when the pivot is negative; simplex builds the sign-flipped rows and the
+phase-one row in separate passes. The library's kernel stores only the
+nonbasic columns, a condensed tableau, and builds the phase-two
+objective when phase one ends. It makes the same pivots, in the same
+rows and with the same denominators, so the two must return the same
 values on every input.
 """
 

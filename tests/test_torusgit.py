@@ -19,6 +19,7 @@ from math import gcd, lcm
 import pytest
 from call_counts import count_calls
 from fourier_motzkin import fm_witness
+import simplex_oracle
 from simplex_oracle import simplex as oracle_simplex
 from weight_systems import column, negated
 
@@ -157,6 +158,11 @@ def test_support_point_validation():
     with pytest.raises(ValueError):
         SupportPoint(frozenset({0}))
     assert len(SupportPoint.full(4)) == 4
+    # no coordinates make the origin; a negative count names none at all
+    assert SupportPoint.full(0) == SupportPoint.origin()
+    for n_coords in (-1, -3):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            SupportPoint.full(n_coords)
     # a coordinate count that is not an int is refused by name
     for n_coords in (2.0, None, "3"):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -187,6 +193,29 @@ def test_support_queries_refuse_a_support_that_is_not_a_support_point(support):
     if support is not None:  # None is the default: the whole support
         with pytest.raises(ValueError, match="expected a SupportPoint"):
             largest_polystable_support(ws, within=support)
+
+
+# every public query of a weight system, as a function of the system
+SYSTEM_QUERIES = {
+    "quotient_dim": quotient_dim,
+    "kernel_rank": kernel_rank,
+    "is_polystable": lambda ws: is_polystable(ws, SupportPoint.of([1])),
+    "largest_polystable_support": largest_polystable_support,
+    "destabilizing_limit": lambda ws: destabilizing_limit(ws, SupportPoint.of([1])),
+    "open_half_space_certificate": open_half_space_certificate,
+    "quotient_dim_via_supports": quotient_dim_via_supports,
+    "invariant_monomials": lambda ws: invariant_monomials(ws, 2),
+}
+
+
+@pytest.mark.parametrize("query", SYSTEM_QUERIES)
+@pytest.mark.parametrize(
+    "ws", [5, None, [[1, -1]], (1, 2, ((1, -1),)), "1,-1"], ids=repr
+)
+def test_queries_refuse_what_is_not_a_weight_system(query, ws):
+    # a tuple with a weight system's fields is not one either
+    with pytest.raises(ValueError, match="expected a WeightSystem"):
+        SYSTEM_QUERIES[query](ws)
 
 
 def test_integer_matrix_rank():
@@ -984,6 +1013,55 @@ def test_simplex_returns_what_the_first_kernel_returned():
         else:
             outcomes["optimum with a point" if answer[2] else "optimum"] += 1
     # every kind of answer occurs often
+    assert len(outcomes) == 5 and min(outcomes.values()) > 50, outcomes
+
+
+def certificate_shaped_lp(rng):
+    """An LP shaped like the certificate's: up to 11 columns of length 1
+    to 6, like the tails of the weights at a level, the right-hand side
+    +-e_0, so every row but the first starts at level 0, and mostly a
+    cost row. Often one row below the first is a combination of the
+    others below the first, possibly the zero row: it is redundant, and
+    its artificial can stay basic through the drive-out."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 11)
+    rows = [list(row) for row in random_vectors(rng, n, m, bound=rng.randint(1, 6))]
+    if m > 1 and rng.random() < 0.4:
+        t = rng.randrange(1, m)
+        rows[t] = [
+            sum(rng.randint(-2, 2) * rows[u][j] for u in range(1, m) if u != t)
+            for j in range(n)
+        ]
+    rhs = [rng.choice((1, -1))] + [0] * (m - 1)
+    cost = random_vectors(rng, n, 1, bound=6)[0] if rng.random() < 0.9 else None
+    return list(zip(*rows)), rhs, cost
+
+
+def test_condensed_kernel_makes_the_first_kernels_pivots(monkeypatch):
+    # on LPs shaped like the certificate's, the condensed tableau returns
+    # what the full one returns, after the same pivots: the same pivot
+    # rows and the same sequence of denominators
+    ours = count_calls(monkeypatch, torusgit._pivot)
+    theirs = count_calls(monkeypatch, simplex_oracle.pivot, modules=(simplex_oracle,))
+    rng = random.Random(67)
+    outcomes = Counter()
+    for _ in range(6000):
+        columns, rhs, cost = certificate_shaped_lp(rng)
+        del ours[:], theirs[:]
+        result = _simplex(columns, rhs, cost)
+        assert result == oracle_simplex(columns, rhs, cost), (columns, rhs, cost)
+        assert [(a[1], a[3]) for a in ours] == [(a[1], a[3]) for a in theirs], (
+            columns, rhs, cost,
+        )
+        feasible, answer = result
+        if not feasible:
+            outcomes["Farkas vector"] += 1
+        elif cost is None:
+            outcomes["feasible"] += 1
+        elif answer is None:
+            outcomes["unbounded"] += 1
+        else:
+            outcomes["optimum with a point" if answer[2] else "optimum"] += 1
     assert len(outcomes) == 5 and min(outcomes.values()) > 50, outcomes
 
 
