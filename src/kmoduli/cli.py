@@ -199,7 +199,7 @@ def cmd_surface(family: str, l: int, fmt: str) -> str:
 
     surface = build_surface(action_for(family, l))
     qdef = assemble_qdef(surface)
-    model = evaluate_model(family, surface)
+    model = evaluate_model(surface)
     if fmt == "json":
         return _dumps({
             "model": model.to_json_dict(),
@@ -265,7 +265,7 @@ def parse_weight_matrix(text: str):
                 for row in text.split(";")
             ]
         return WeightSystem.from_rows(rows)
-    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
+    except ValueError as e:  # JSONDecodeError is a ValueError
         raise ValueError(
             f"cannot parse weight matrix {text!r}: {e}; "
             'expected rows like "1,2;3,4" or JSON like "[[1,2],[3,4]]"'
@@ -465,8 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
             "surfaces: singularity normal forms, resolutions, Q-Gorenstein "
             "deformations, and torus GIT quotients."
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        # an option is matched by its full name only, never by a prefix
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default: table)",
         )
 
-    sing = sub.add_parser("sing", help="analyze a cyclic quotient singularity")
+    sing = add_parser("sing", help="analyze a cyclic quotient singularity")
     sing.add_argument(
         "germ", metavar="GERM",
         help='singularity in the form "1/n(a,b)"; its resolution chain may '
@@ -482,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sing)
 
-    surface = sub.add_parser("surface", help="local moduli model of one surface")
+    surface = add_parser("surface", help="local moduli model of one surface")
     surface.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     surface.add_argument(
         "--l", type=int, required=True,
@@ -490,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(surface)
 
-    git = sub.add_parser("git", help="torus GIT analysis of a weight system")
+    git = add_parser("git", help="torus GIT analysis of a weight system")
     git.add_argument(
         "--weights", required=True,
         help='weight matrix: rows "1,2;3,4" or JSON "[[1,2],[3,4]]"; '
@@ -508,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(git)
 
-    tab = sub.add_parser("table", help="moduli models across a range of orders")
+    tab = add_parser("table", help="moduli models across a range of orders")
     tab.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     tab.add_argument("--l-min", type=int, required=True)
     tab.add_argument(
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(tab)
 
-    wit = sub.add_parser("witness", help="smallest order reaching a moduli dimension")
+    wit = add_parser("witness", help="smallest order reaching a moduli dimension")
     wit.add_argument("--family", type=str.upper, choices=FAMILIES, required=True)
     wit.add_argument("--target-dim", type=int, required=True)
     add_common(wit)

@@ -83,8 +83,9 @@ _SING_RE = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$"
 
 
 def parse_singularity(text: str) -> CyclicQuotientSingularity:
-    """Parse the input syntax "1/n(a,b)"; negative weights reduce mod n."""
-    m = _SING_RE.match(text)
+    """Parse the input syntax "1/n(a,b)"; negative weights reduce mod n.
+    Text that is not a str of that form raises ValueError."""
+    m = _SING_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"cannot parse singularity {text!r}, expected \"1/n(a,b)\"")
     n, a, b = (int(g) for g in m.groups())

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .cqsing import _check_singular, _min_log_numerator
 from .quotsurf import (
+    P1XP1,
     CyclicAction,
     SurfaceModel,
     betti_of_generic_smoothing,
@@ -91,11 +92,16 @@ def action_for(family: str, l: int) -> CyclicAction:
 
 def local_model(family: str, l: int) -> LocalModuliModel:
     """Build the surface and evaluate its model, in O(log l)."""
-    return evaluate_model(family, build_surface(action_for(family, l)))
+    return evaluate_model(build_surface(action_for(family, l)))
 
 
-def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
+def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     """The local moduli model of a built surface.
+
+    Only the two family presets have an automorphism dimension
+    (build_surface sets aut0_dim for them alone), so a surface without
+    one raises ValueError, and the ambient of one with it names the
+    family: P1 x P1 is X, P2 is Y.
 
     The dimension of the deformation space and the GIT input, the
     multiset of the primitive directions of its characters, come from
@@ -136,7 +142,7 @@ def evaluate_model(family: str, surface: SurfaceModel) -> LocalModuliModel:
     if not den:
         raise ValueError(f"the surface of {surface.action} has no singular point")
     return LocalModuliModel(
-        family,
+        "X" if surface.action.ambient == P1XP1 else "Y",
         surface.action.order,
         qdef_dim,
         aut,

@@ -111,22 +111,26 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
 
     @classmethod
     def x_family(cls, l: int) -> "CyclicAction":
-        """The X-family action on P1 x P1: ([z0:z1],[w0:w1]) -> ([zeta z0:z1],[zeta^(-1) w0:w1])."""
-        if l < 2:
-            raise ValueError(f"the X family needs l >= 2, got {l}")
+        """The X-family action on P1 x P1: ([z0:z1],[w0:w1]) -> ([zeta z0:z1],[zeta^(-1) w0:w1]).
+
+        l is checked by the constructor: an int of at least 2, else ValueError.
+        """
         return cls(P1XP1, l, (1, -1))
 
     @classmethod
     def y_family(cls, l: int) -> "CyclicAction":
-        """The Y-family action on P2: [z0:z1:z2] -> [zeta z0 : zeta^(-1) z1 : z2]."""
-        if l < 3:
-            raise ValueError(f"the Y family needs l >= 3, got {l}")
+        """The Y-family action on P2: [z0:z1:z2] -> [zeta z0 : zeta^(-1) z1 : z2].
+
+        The constructor checks l first (an int of at least 2, else
+        ValueError); an even l then raises NonIsolatedError.
+        """
+        action = cls(P2, l, (1, -1, 0))
         if l % 2 == 0:
             raise NonIsolatedError(
                 f"even order {l} is not admissible for the Y family: the order-2 "
                 "subgroup acts trivially on the line z2 = 0, fixing it pointwise"
             )
-        return cls(P2, l, (1, -1, 0))
+        return action
 
     # the preset tests compare the fields with those of x_family(l) and
     # y_family(l), weights reduced mod l, and build no record

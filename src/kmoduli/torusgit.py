@@ -80,7 +80,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from operator import index, mul
+from operator import mul
 from typing import Optional
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -99,12 +99,6 @@ def _require_ints(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _weight(x) -> int:
-    if isinstance(x, bool):
-        raise TypeError(f"weights must be integers, not booleans: {x!r}")
-    return index(x)
-
-
 class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
     """An integer k x N weight matrix of a diagonal k-torus action."""
 
@@ -121,8 +115,10 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
             for row in matrix:
                 if len(row) != n_coords:
                     raise ValueError(f"expected rows of length {n_coords}: {row}")
-                if not all(type(x) is int for x in row):
-                    raise ValueError(f"weights must be integers: {row}")
+                for x in row:
+                    if type(x) is not int:
+                        t = type(x).__name__
+                        raise ValueError(f"weights must be integers, not {t}: {x!r}")
             # a copy in tuples: the record stays hashable, and mutating the
             # rows given cannot leave a cached fact stale
             matrix = tuple(map(tuple, matrix))
@@ -131,12 +127,19 @@ class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
         return super().__new__(cls, rank, n_coords, matrix)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "WeightSystem":
-        """Rows of integers, or of objects with __index__; bools are refused."""
-        matrix = tuple(tuple(map(_weight, row)) for row in rows)
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightSystem":
+        """The system of a matrix given as an iterable of rows: the rank
+        is the number of rows and the coordinate count the length of the
+        first. Only the shape is read here; the constructor checks the
+        entries, which must be exact ints (a bool, a float or an object
+        with __index__ is refused). Every bad matrix raises ValueError."""
+        try:
+            matrix = tuple(map(tuple, rows))
+        except TypeError as e:  # a row, or the rows, cannot be iterated
+            raise ValueError(str(e)) from None
         if not matrix or not matrix[0]:
             raise ValueError("weight matrix must be nonempty")
-        return cls(rank=len(matrix), n_coords=len(matrix[0]), matrix=matrix)
+        return cls(len(matrix), len(matrix[0]), matrix)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -185,17 +188,6 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
     @classmethod
     def of(cls, indices: Iterable[int]) -> "SupportPoint":
         return cls(indices)
-
-    @classmethod
-    def full(cls, n_coords: int) -> "SupportPoint":
-        _require_ints(n_coords=n_coords)
-        if n_coords < 0:
-            raise ValueError(f"coordinate count must be >= 0, got {n_coords}")
-        return cls(frozenset(range(1, n_coords + 1)))
-
-    @classmethod
-    def origin(cls) -> "SupportPoint":
-        return cls(frozenset())
 
     def __len__(self) -> int:
         return len(self.support)
@@ -566,21 +558,17 @@ def is_polystable(ws: WeightSystem, p: SupportPoint) -> bool:
     return _destabilizer_witness(_direction_set(ws, indices)) is None
 
 
-def largest_polystable_support(
-    ws: WeightSystem, within: Optional[SupportPoint] = None
-) -> SupportPoint:
-    """The unique largest polystable support contained in `within` (default: all).
+def largest_polystable_support(ws: WeightSystem) -> SupportPoint:
+    """The unique largest polystable support of the action.
 
     Any destabilizer lambda of S is nonnegative on every subset, so a
     polystable subset must avoid the coordinates where lambda is
     positive; cutting to {i : <lambda, w_i> = 0} and iterating strictly
-    shrinks S and terminates at the largest polystable support.
+    shrinks S and terminates at the largest polystable support. For the
+    largest one inside a support T, ask the system of the columns of T.
     """
     _require_system(ws)
-    if within is None:
-        support = range(1, ws.n_coords + 1)
-    else:
-        support = _support_indices(ws, within)
+    support = range(1, ws.n_coords + 1)
     kept = _polystable_directions(_direction_set(ws, support))
     return SupportPoint(_indices_within(ws, support, kept))
 

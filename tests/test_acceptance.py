@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from continued_fractions import continued_fraction_value
 from fourier_motzkin import fm_witness
-from weight_systems import column, negated, qdef_weight_system
+from weight_systems import column, full_support, negated, qdef_weight_system
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
@@ -175,7 +175,7 @@ def _assert_all_destabilized_to_origin(ws: WeightSystem, supports) -> int:
         p = SupportPoint.of(s)
         assert not is_polystable(ws, p), s
         lam, limit = destabilizing_limit(ws, p)
-        assert limit == SupportPoint.origin(), s
+        assert limit == full_support(0), s
         assert any(sum(a * b for a, b in zip(lam, column(ws, i))) > 0 for i in s)
         checked += 1
     return checked
@@ -207,7 +207,7 @@ def test_criterion_06_polystability_semantics():
         checked += _assert_all_destabilized_to_origin(ws, supports)
     for l in range(5, 16):
         ws = preset_system("X", l)
-        full = SupportPoint.full(ws.n_coords)
+        full = full_support(ws.n_coords)
         assert is_polystable(ws, full), l
         assert destabilizing_limit(ws, full) is None, l
         for block in _x_a_blocks(l):
@@ -487,10 +487,10 @@ def test_criterion_08_sign_convention_invariance():
         neg = negated(ws)
         assert quotient_dim(neg) == quotient_dim(ws)
         assert kernel_rank(neg) == kernel_rank(ws)
-        full = SupportPoint.full(ws.n_coords)
+        full = full_support(ws.n_coords)
         assert is_polystable(neg, full) == is_polystable(ws, full)
-        assert (largest_polystable_support(neg) == SupportPoint.origin()) == (
-            largest_polystable_support(ws) == SupportPoint.origin()
+        assert (largest_polystable_support(neg) == full_support(0)) == (
+            largest_polystable_support(ws) == full_support(0)
         )
     _pass("8", 1.0, start, f"negating all {len(systems)} preset weight matrices changes nothing")
 

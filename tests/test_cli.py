@@ -210,6 +210,27 @@ def test_family_choices_are_the_moduli_families(capsys, argv):
     assert f"invalid choice: 'Z' (choose from {choices})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,abbreviated",
+    [
+        (["witness", "--family", "Y", "--target-dim", "50"], "--target"),
+        (["surface", "--family", "X", "--l", "5", "--format", "json"], "--form"),
+        (["table", "--family", "X", "--l-min", "2", "--l-max", "3"], "--fam"),
+        (["git", "--weights=1,-1", "--support", "1"], "--supp"),
+        (["sing", "1/5(1,2)", "--format", "json"], "--form"),
+    ],
+)
+def test_options_are_matched_by_their_full_names_only(capsys, argv, abbreviated):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    # the one option that the abbreviation is a prefix of
+    full = next(a for a in argv if a.startswith(abbreviated))
+    with pytest.raises(SystemExit) as exc:
+        main([abbreviated if a == full else a for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_parser_families_are_the_moduli_families():
     # the parser holds its own copy, so that building it loads no layer
     assert cli.FAMILIES == FAMILIES
@@ -466,10 +487,12 @@ def test_git_malformed_weights(capsys):
     # JSON floats and strings are not truncated or split into digits, and
     # JSON booleans are not read as 1 and 0
     for weights in (
-        "1,2;3", "[[1.7,-2.9]]", '["12"]', "[[true,false]]", "[true,false]", "[[1,true]]"
+        "1,2;3", "[[1.7,-2.9]]", '["12"]', "[[true,false]]", "[true,false]", "[[1,true]]",
+        "[[1.5]]", "[true]", "[[1],[2,3]]", "[5,[1]]",
     ):
-        code, _, err = run_cli(capsys, "git", "--weights", weights)
+        code, out, err = run_cli(capsys, "git", "--weights", weights)
         assert code == 1, weights
+        assert out == "", weights
         assert "cannot parse weight matrix" in err, weights
         assert "1,2;3,4" in err
 
@@ -479,10 +502,10 @@ def test_git_malformed_weights(capsys):
     [
         # a flat JSON array is one row, whatever its first entry: the
         # message names the entry that is not an integer
-        ("[1.5,2]", "'float' object cannot be interpreted as an integer"),
-        ("[null]", "'NoneType' object cannot be interpreted as an integer"),
-        ('["a",1]', "'str' object cannot be interpreted as an integer"),
-        ("[true,1]", "weights must be integers, not booleans: True"),
+        ("[1.5,2]", "weights must be integers, not float: 1.5"),
+        ("[null]", "weights must be integers, not NoneType: None"),
+        ('["a",1]', "weights must be integers, not str: 'a'"),
+        ("[true,1]", "weights must be integers, not bool: True"),
         ("[]", "weight matrix must be nonempty"),
         ("[[1,2],3]", "'int' object is not iterable"),
     ],

@@ -140,6 +140,10 @@ def test_parse_singularity():
     for bad in ("5(1,2)", "1/5(1)", "1/5(1,2,3)", "x", "1/(1,2)"):
         with pytest.raises(ValueError):
             parse_singularity(bad)
+    # what is not a str is refused as malformed text is, not left to re
+    for bad in (5, None, 2.0, b"1/5(1,2)", ["1/5(1,2)"]):
+        with pytest.raises(ValueError, match="cannot parse singularity"):
+            parse_singularity(bad)
 
 
 def test_canonical_and_equivalence():

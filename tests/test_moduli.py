@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 from capped import run_capped
-from weight_systems import negated, qdef_weight_system
+from weight_systems import full_support, negated, qdef_weight_system
 
 import kmoduli
 from kmoduli.cqsing import NonIsolatedError, NormalForm, classify, min_discrepancy
@@ -272,7 +272,7 @@ def test_min_discrepancy_over_points_of_different_orders():
         for i, nf in enumerate((NormalForm(9, 4), NormalForm(4, 1), NormalForm(5, 4)))
     )
     action = CyclicAction("P1xP1", 5, (1, 4))
-    model = evaluate_model("X", SurfaceModel(action, records, Fraction(8, 5), 2, 2))
+    model = evaluate_model(SurfaceModel(action, records, Fraction(8, 5), 2, 2))
     assert model.min_discrepancy == Fraction(-1, 2)
     assert model.min_discrepancy == min(min_discrepancy(r.singularity) for r in records)
     assert model.gorenstein_index == 18
@@ -284,7 +284,7 @@ def test_evaluate_model_refuses_a_locus_without_singular_points():
     point = FixedPointRecord("p", 1, (0, 0), ((1, 0), (0, 1)), smooth, classify(smooth))
     for locus, message in (((), "no singular point"), ((point,), "smooth point")):
         with pytest.raises(ValueError, match=message):
-            evaluate_model("X", SurfaceModel(action, locus, Fraction(8, 5), 2, 2))
+            evaluate_model(SurfaceModel(action, locus, Fraction(8, 5), 2, 2))
 
 
 def test_gorenstein_index():
@@ -427,7 +427,19 @@ def test_errors_propagate():
     # a valid action outside both families has no automorphism dimension
     surface = build_surface(CyclicAction("P1xP1", 5, (1, 2)))
     with pytest.raises(ValueError, match=r"order=5, weights=\(1, 2\)"):
-        evaluate_model("X", surface)
+        evaluate_model(surface)
+
+
+def test_evaluate_model_reads_the_family_off_the_action():
+    # the surface of a preset names its family: the model of X_l and of
+    # Y_l is the one local_model builds, and any other action is refused
+    for family, l in (("X", 2), ("X", 6), ("Y", 3), ("Y", 9), ("Y", 11)):
+        surface = build_surface(action_for(family, l))
+        assert evaluate_model(surface) == local_model(family, l), (family, l)
+        assert evaluate_model(surface).surface_id == f"{family}_{l}"
+    for action in (CyclicAction("P1xP1", 7, (1, 2)), CyclicAction("P2", 7, (1, 2, 0))):
+        with pytest.raises(ValueError, match="no automorphism dimension"):
+            evaluate_model(build_surface(action))
 
 
 def test_negating_weight_matrix_changes_nothing():
@@ -435,7 +447,7 @@ def test_negating_weight_matrix_changes_nothing():
         ws = weight_system_of(family, l)
         neg = negated(ws)
         assert quotient_dim(neg) == quotient_dim(ws)
-        full = SupportPoint.full(ws.n_coords)
+        full = full_support(ws.n_coords)
         assert is_polystable(neg, full) == is_polystable(ws, full)
 
 

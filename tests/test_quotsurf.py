@@ -199,6 +199,23 @@ def test_action_validation():
         CyclicAction.y_family(1)
 
 
+@pytest.mark.parametrize("l", ["5", None, 2.0, 4.0, True, 1])
+def test_family_orders_are_checked_by_the_constructor(l):
+    # both families build through CyclicAction first, so its check of the
+    # order runs first and an even Y order is only ever an int
+    message = f"group order must be an int of at least 2, got {l!r}"
+    for family in (CyclicAction.x_family, CyclicAction.y_family):
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            family(l)
+        assert not isinstance(exc.value, NonIsolatedError), (family, l)
+
+
+def test_y_family_names_every_even_order():
+    for l in (2, 4, 10**9):
+        with pytest.raises(NonIsolatedError, match=f"even order {l} "):
+            CyclicAction.y_family(l)
+
+
 def test_y_family_even_order_rejected():
     with pytest.raises(NonIsolatedError, match="z2 = 0"):
         CyclicAction.y_family(4)

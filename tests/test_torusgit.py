@@ -7,6 +7,7 @@ the x variables), while the library decides supports on the dual side
 """
 
 import ast
+import enum
 import inspect
 import itertools
 import operator
@@ -16,12 +17,13 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from call_counts import count_calls
 from fourier_motzkin import fm_witness
 import simplex_oracle
 from simplex_oracle import simplex as oracle_simplex
-from weight_systems import column, negated
+from weight_systems import column, full_support, negated
 
 from kmoduli import torusgit
 from kmoduli.torusgit import (
@@ -146,28 +148,62 @@ def test_weight_system_keeps_its_own_rows(container, row_container):
 
 
 def test_weight_system_rejects_booleans():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         WeightSystem.from_rows([[True, False]])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         WeightSystem.from_rows([[1, -1], [0, True]])
     with pytest.raises(ValueError):
         WeightSystem(rank=1, n_coords=2, matrix=((True, False),))
 
 
+class _Weight(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "entry", [True, 1.5, "3", None, np.int64(1), _Weight.ONE, [1]], ids=repr
+)
+def test_weight_entries_are_exact_ints_on_every_path(entry):
+    # from_rows reads the shape and the constructor checks the entries:
+    # both refuse the same entry with ValueError, and name it; objects
+    # with __index__ are not ints either
+    message = f"weights must be integers, not {type(entry).__name__}: {entry!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightSystem.from_rows([[1, -1], [0, entry]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightSystem(2, 2, ((1, -1), (0, entry)))
+
+
+def test_weight_matrix_shape_errors_name_the_matrix():
+    # a ragged row, an empty matrix and rows that cannot be iterated are
+    # ValueErrors on both paths
+    for rows, message in (
+        ([[1, 2], [3]], "expected rows of length 2: (3,)"),
+        ([], "weight matrix must be nonempty"),
+        ([[]], "weight matrix must be nonempty"),
+        (None, "'NoneType' object is not iterable"),
+        ([5, [1]], "'int' object is not iterable"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightSystem.from_rows(rows)
+    for rank, n_coords, matrix, message in (
+        (2, 2, ((1, 2), (3,)), "expected rows of length 2: (3,)"),
+        (1, 1, (), "expected 1 rows, got 0"),
+        (1, 1, None, "expected 1 rows of integers: None"),
+        (2, 1, (5, (1,)), "expected 2 rows of integers: (5, (1,))"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightSystem(rank, n_coords, matrix)
+    # any iterable of rows is read, a generator included
+    rows = ([1, -1, 0], (0, 2, -1))
+    assert WeightSystem.from_rows(row for row in rows) == WeightSystem(2, 3, rows)
+
+
 def test_support_point_validation():
     with pytest.raises(ValueError):
         SupportPoint(frozenset({0}))
-    assert len(SupportPoint.full(4)) == 4
-    # no coordinates make the origin; a negative count names none at all
-    assert SupportPoint.full(0) == SupportPoint.origin()
-    for n_coords in (-1, -3):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            SupportPoint.full(n_coords)
-    # a coordinate count that is not an int is refused by name
-    for n_coords in (2.0, None, "3"):
-        with pytest.raises(ValueError, match="must be an integer"):
-            SupportPoint.full(n_coords)
-    assert SupportPoint.origin().support == frozenset()
+    assert len(full_support(4)) == 4
+    assert full_support(0).support == frozenset()
     with pytest.raises(ValueError):
         is_polystable(WeightSystem.from_rows([[1, 2]]), SupportPoint.of([3]))
     # bools are refused, as in WeightSystem
@@ -190,9 +226,6 @@ def test_support_queries_refuse_a_support_that_is_not_a_support_point(support):
         is_polystable(ws, support)
     with pytest.raises(ValueError, match="expected a SupportPoint"):
         destabilizing_limit(ws, support)
-    if support is not None:  # None is the default: the whole support
-        with pytest.raises(ValueError, match="expected a SupportPoint"):
-            largest_polystable_support(ws, within=support)
 
 
 # every public query of a weight system, as a function of the system
@@ -296,7 +329,7 @@ def test_quotient_dim_positive_kernel_ray_needs_high_degree():
     # smallest nonzero invariant monomial has degree 40
     ws = WeightSystem.from_rows([[4, -1, -1], [-3, 4, -4]])
     assert quotient_dim(ws) == 1
-    assert largest_polystable_support(ws) == SupportPoint.full(3)
+    assert largest_polystable_support(ws) == full_support(3)
     assert invariant_monomials(ws, 39) == [(0, 0, 0)]
     assert (8, 19, 13) in invariant_monomials(ws, 40)
 
@@ -511,12 +544,12 @@ def test_polystable_y_supports():
     for mask in range(1, 16):
         S = SupportPoint.of(i + 1 for i in range(4) if mask >> i & 1)
         assert not is_polystable(ws, S)
-    assert is_polystable(ws, SupportPoint.origin())
+    assert is_polystable(ws, full_support(0))
 
 
 def test_polystable_x_supports():
     ws = x_matrix(5)
-    assert is_polystable(ws, SupportPoint.full(8))
+    assert is_polystable(ws, full_support(8))
     # supports confined to one block of four columns
     for mask in range(1, 16):
         block1 = SupportPoint.of(i + 1 for i in range(4) if mask >> i & 1)
@@ -528,13 +561,14 @@ def test_polystable_x_supports():
 
 
 def test_largest_polystable_support():
-    assert largest_polystable_support(y_matrix(5)) == SupportPoint.origin()
-    assert largest_polystable_support(x_matrix(5)) == SupportPoint.full(8)
-    ws = WeightSystem.from_rows([[1, -1, 1]])
-    assert largest_polystable_support(ws, within=SupportPoint.of([1, 3])) == (
-        SupportPoint.origin()
+    assert largest_polystable_support(y_matrix(5)) == full_support(0)
+    assert largest_polystable_support(x_matrix(5)) == full_support(8)
+    # inside the support {1, 3} of [1, -1, 1]: the system of its columns
+    assert largest_polystable_support(WeightSystem.from_rows([[1, 1]])) == (
+        full_support(0)
     )
-    assert largest_polystable_support(ws) == SupportPoint.full(3)
+    ws = WeightSystem.from_rows([[1, -1, 1]])
+    assert largest_polystable_support(ws) == full_support(3)
 
 
 def coordinatewise_cut_oracle(ws, within):
@@ -571,13 +605,22 @@ def test_largest_polystable_support_matches_coordinatewise_cut():
         ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
         n = ws.n_coords
         within = SupportPoint.of(i for i in range(1, n + 1) if rng.random() < 0.7)
-        for point in (SupportPoint.full(n), within):
-            assert largest_polystable_support(ws, within=point) == (
-                coordinatewise_cut_oracle(ws, point)
-            ), (ws.matrix, sorted(point.support))
+        assert largest_polystable_support(ws) == (
+            coordinatewise_cut_oracle(ws, full_support(n))
+        ), ws.matrix
+        # the cut inside `within` is the cut of the system of its columns,
+        # mapped back to the original indices
+        kept = sorted(within.support)
+        if kept:
+            sub = WeightSystem.from_rows([[row[i - 1] for i in kept] for row in ws.matrix])
+            largest = largest_polystable_support(sub).support
+            cut = SupportPoint.of(kept[j - 1] for j in largest)
+        else:
+            cut = full_support(0)
+        assert cut == coordinatewise_cut_oracle(ws, within), (ws.matrix, kept)
         # the ranks over columns: rank W and |S| - rank W_S
         assert ws.rank - kernel_rank(ws) == integer_matrix_rank(ws.matrix), ws.matrix
-        smax = sorted(coordinatewise_cut_oracle(ws, SupportPoint.full(n)).support)
+        smax = sorted(coordinatewise_cut_oracle(ws, full_support(n)).support)
         sub = [[row[i - 1] for i in smax] for row in ws.matrix]
         assert quotient_dim_via_supports(ws) == (
             len(smax) - integer_matrix_rank(sub)
@@ -596,7 +639,7 @@ def test_origin_only_polystable_iff_quotient_dim_zero():
         cols += [[g * x for x in rng.choice(base)] for g in rng.sample((2, 3, -2), rng.randint(0, 2))]
         rng.shuffle(cols)
         ws = WeightSystem.from_rows([list(row) for row in zip(*cols)])
-        origin_only = largest_polystable_support(ws) == SupportPoint.origin()
+        origin_only = largest_polystable_support(ws) == full_support(0)
         assert (quotient_dim(ws) == 0) == origin_only, ws.matrix
         seen.add((k, origin_only))
     assert seen == {(k, b) for k in (1, 2, 3) for b in (True, False)}
@@ -604,17 +647,17 @@ def test_origin_only_polystable_iff_quotient_dim_zero():
 
 def test_destabilizing_limit_y():
     lam, limit = destabilizing_limit(
-        WeightSystem.from_rows([y_row(5)]), SupportPoint.full(4)
+        WeightSystem.from_rows([y_row(5)]), full_support(4)
     )
     assert lam == (1,)
-    assert limit == SupportPoint.origin()
-    lam2, limit2 = destabilizing_limit(y_matrix(5), SupportPoint.full(4))
+    assert limit == full_support(0)
+    lam2, limit2 = destabilizing_limit(y_matrix(5), full_support(4))
     assert lam2 == (0, 1)
-    assert limit2 == SupportPoint.origin()
+    assert limit2 == full_support(0)
 
 
 def test_destabilizing_limit_x_full_closed():
-    assert destabilizing_limit(x_matrix(5), SupportPoint.full(8)) is None
+    assert destabilizing_limit(x_matrix(5), full_support(8)) is None
 
 
 def test_destabilizing_limit_single_positive_weight():
@@ -622,7 +665,7 @@ def test_destabilizing_limit_single_positive_weight():
         WeightSystem.from_rows([[1, -1]]), SupportPoint.of([1])
     )
     assert lam == (1,)
-    assert limit == SupportPoint.origin()
+    assert limit == full_support(0)
 
 
 def test_destabilizing_limit_mixed_support():
@@ -630,7 +673,7 @@ def test_destabilizing_limit_mixed_support():
     ws = WeightSystem.from_rows([[1, -1, 2]])
     lam, limit = destabilizing_limit(ws, SupportPoint.of([1, 3]))
     assert lam == (1,)
-    assert limit == SupportPoint.origin()
+    assert limit == full_support(0)
 
 
 def lex_box_destabilizer(ws, S, max_box=None):
@@ -707,7 +750,7 @@ def test_destabilizer_search_is_capped_by_the_budget():
         destabilizing_limit(ws, S, budget=1000)
     assert destabilizing_limit(ws, S)[0] == (-10, 2, 2, 19)
     # box 1 in rank 2 visits at most 1 + 3 prefixes
-    assert destabilizing_limit(y_matrix(5), SupportPoint.full(4), budget=4)[0] == (0, 1)
+    assert destabilizing_limit(y_matrix(5), full_support(4), budget=4)[0] == (0, 1)
     with pytest.raises(EnumerationBudgetError, match=r"support \[1, 3, 4, 5, 6, 7\]"):
         destabilizing_limit(ws, S, budget=-1)
 
@@ -717,7 +760,7 @@ def test_destabilizer_skips_coordinates_no_weight_sees():
     # and every other coordinate takes its least value, with no search
     # over the 3^19 completions of lambda_0 = 0
     rows = [[1, 2, 0]] + [[0, 0, 0]] * 19
-    lam, limit = destabilizing_limit(WeightSystem.from_rows(rows), SupportPoint.full(3))
+    lam, limit = destabilizing_limit(WeightSystem.from_rows(rows), full_support(3))
     assert lam == (1,) + (-1,) * 19
     assert limit == SupportPoint.of([3])
     rows = [[0, 0]] * 3 + [[1, -1]] + [[0, 0]] * 2
@@ -730,7 +773,7 @@ def test_iterated_destabilization_reaches_polystable():
     rng = random.Random(17)
     for _ in range(60):
         ws = random_system(rng, rng.randint(1, 2), rng.randint(1, 4))
-        S = SupportPoint.full(ws.n_coords)
+        S = full_support(ws.n_coords)
         steps = 0
         while True:
             res = destabilizing_limit(ws, S)
@@ -1295,8 +1338,8 @@ def test_invariant_monomial_rank_approaches_quotient_dim():
 
 def test_destabilizer_deterministic():
     ws = y_matrix(7)
-    first = destabilizing_limit(ws, SupportPoint.full(6))
-    second = destabilizing_limit(ws, SupportPoint.full(6))
+    first = destabilizing_limit(ws, full_support(6))
+    second = destabilizing_limit(ws, full_support(6))
     assert first == second
 
 

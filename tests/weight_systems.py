@@ -1,6 +1,11 @@
 """Weight-system helpers that only the tests use."""
 
-from kmoduli.torusgit import WeightSystem
+from kmoduli.torusgit import SupportPoint, WeightSystem
+
+
+def full_support(n: int) -> SupportPoint:
+    """The support of coordinates 1..n; n = 0 gives the origin."""
+    return SupportPoint.of(range(1, n + 1))
 
 
 def column(ws: WeightSystem, i: int) -> tuple[int, ...]:
