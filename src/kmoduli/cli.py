@@ -29,19 +29,18 @@ import os
 import sys
 from fractions import Fraction
 
-# The family names of moduli.FAMILIES, held here so that building the
-# parser loads no layer.
+# The family names of moduli.FAMILIES and the table limit of
+# moduli.MAX_TABLE_SPAN, held here so that building the parser loads no
+# layer; moduli.table checks the limit.
 FAMILIES = ("X", "Y")
+MAX_TABLE_SPAN = 5_000
 
 # The sing report prints every curve of the chain, and the surface report
-# one weight column per deformation parameter (about 2l); table builds
-# one model per order of its range, counted from 2 (5,000 X orders take
-# about 0.55 s as JSON, process start included, on one Xeon core under
-# Python 3.11). Each refuses larger requests before building anything.
-# A model costs O(log l), so witness has no limit.
+# one weight column per deformation parameter (about 2l). Each refuses
+# larger requests before building anything. A model costs O(log l), so
+# witness has no limit.
 MAX_CHAIN_CURVES = 100_000
 MAX_SURFACE_ORDER = 100_000
-MAX_TABLE_SPAN = 5_000
 
 
 def _dumps(data) -> str:
@@ -272,7 +271,9 @@ def parse_weight_matrix(text: str):
         ) from None
 
 
-def parse_support(text: str, n_coords: int):
+def parse_support(text: str):
+    """The support of comma-separated indices; SupportPoint refuses an
+    index below 1, and the query one past the system's coordinates."""
     from .torusgit import SupportPoint
 
     try:
@@ -281,11 +282,7 @@ def parse_support(text: str, n_coords: int):
         raise ValueError(
             f"cannot parse support {text!r}: expected 1-based indices like \"1,2,3\""
         ) from None
-    if any(i < 1 or i > n_coords for i in indices):
-        raise ValueError(
-            f"support indices must lie in 1..{n_coords}: {sorted(indices)}"
-        )
-    return SupportPoint.of(indices)
+    return SupportPoint(indices)
 
 
 def cmd_git(
@@ -322,7 +319,7 @@ def cmd_git(
     }
     support = None
     if support_text is not None:
-        support = parse_support(support_text, ws.n_coords)
+        support = parse_support(support_text)
         dest = destabilizing_limit(ws, support, budget=budget)
         entry: dict = {"support": support.to_json_dict(), "polystable": dest is None}
         if dest is not None:
@@ -390,12 +387,6 @@ _TABLE_COLUMNS = (
 
 def cmd_table(family: str, l_min: int, l_max: int, fmt: str) -> str:
     """One moduli model row per valid order in the range."""
-    if (span := l_max - max(l_min, 2) + 1) > MAX_TABLE_SPAN:
-        raise ValueError(
-            f"range too wide: table builds one model per order, and "
-            f"{l_min}..{l_max} spans {span} orders, above the table limit "
-            f"of {MAX_TABLE_SPAN}"
-        )
     from .moduli import table
 
     rows = table(family, l_min, l_max)

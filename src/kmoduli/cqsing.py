@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -154,15 +155,22 @@ class HJResolution(namedtuple("HJResolution", "coefficients")):
     coefficients are the continued-fraction digits of n/q,
         n/q = b_1 - 1/(b_2 - 1/(... - 1/b_k)),   all b_i >= 2;
     curve i has self-intersection -b_i. len() counts the curves.
+    The coefficients given are copied to a tuple; coefficients that
+    cannot be iterated, none at all, or one that is not an exact int
+    (a bool or a float is refused) of at least 2 raise ValueError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, coefficients: tuple[int, ...]):
+    def __new__(cls, coefficients: Iterable[int]):
+        try:
+            coefficients = tuple(coefficients)
+        except TypeError:
+            raise ValueError(f"not a coefficient sequence: {coefficients!r}") from None
         if not coefficients:
             raise ValueError("a resolution chain needs at least one curve")
-        if any(b < 2 for b in coefficients):
-            raise ValueError(f"all chain coefficients must be >= 2: {coefficients}")
+        if not all(type(b) is int and b >= 2 for b in coefficients):
+            raise ValueError(f"all chain coefficients must be ints >= 2: {coefficients}")
         return super().__new__(cls, coefficients)
 
     @property

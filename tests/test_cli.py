@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from capped import SRC, run_capped
 
-from kmoduli import cli, torusgit
+from kmoduli import cli, moduli, torusgit
 from kmoduli.cli import main
 from kmoduli.moduli import FAMILIES
 
@@ -83,7 +83,7 @@ def test_table_over_the_range_limit_is_refused():
 
 
 def test_table_range_limit_is_inclusive_and_counts_from_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_TABLE_SPAN", 7)
+    monkeypatch.setattr(moduli, "MAX_TABLE_SPAN", 7)
 
     def table(family, l_min, l_max):
         argv = ["table", "--family", family, "--l-min", l_min, "--l-max", l_max]
@@ -234,6 +234,11 @@ def test_options_are_matched_by_their_full_names_only(capsys, argv, abbreviated)
 def test_parser_families_are_the_moduli_families():
     # the parser holds its own copy, so that building it loads no layer
     assert cli.FAMILIES == FAMILIES
+
+
+def test_parser_table_limit_is_the_moduli_limit():
+    # the copy only --l-max's help states; moduli.table checks the limit
+    assert cli.MAX_TABLE_SPAN == moduli.MAX_TABLE_SPAN
 
 
 def test_surface_json_is_byte_stable(capsys):
@@ -518,11 +523,16 @@ def test_git_json_weights_name_the_bad_entry(capsys, weights, problem):
 
 
 def test_git_support_out_of_range(capsys):
-    code, _, err = run_cli(
-        capsys, "git", "--weights", "1,-1", "--support", "1,5"
-    )
-    assert code == 1
-    assert "1..2" in err
+    # the library's messages: SupportPoint refuses an index below 1, the
+    # query one past the system's coordinates
+    for support, message in (
+        ("1,5", "support [1, 5] exceeds 2 coordinates"),
+        ("0,1", "support must hold 1-based indices: [0, 1]"),
+    ):
+        code, out, err = run_cli(
+            capsys, "git", "--weights", "1,-1", "--support", support
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
     code, _, err = run_cli(capsys, "git", "--weights", "1,-1", "--support", "a,b")
     assert code == 1
     assert "cannot parse support 'a,b'" in err

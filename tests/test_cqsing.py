@@ -6,6 +6,7 @@ property sweeps check the structural invariants on exhaustive ranges.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +15,7 @@ from continued_fractions import continued_fraction_value, hj_coefficients
 
 from kmoduli.cqsing import (
     CyclicQuotientSingularity,
+    HJResolution,
     NonIsolatedError,
     NormalForm,
     UnknownDeformationError,
@@ -181,6 +183,31 @@ def test_hj_9_2():
 def test_hj_rejects_smooth():
     with pytest.raises(ValueError):
         hirzebruch_jung(NormalForm(1, None))
+
+
+@pytest.mark.parametrize(
+    "coefficients,message",
+    [
+        ((2.0, 3), "must be ints >= 2: (2.0, 3)"),
+        ("23", "must be ints >= 2: ('2', '3')"),
+        ((2, "3"), "must be ints >= 2: (2, '3')"),
+        ((2, True), "must be ints >= 2: (2, True)"),
+        (5, "not a coefficient sequence: 5"),
+    ],
+    ids=["float entry", "str", "str entry", "bool entry", "int"],
+)
+def test_hj_resolution_checks_its_coefficients(coefficients, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HJResolution(coefficients)
+
+
+def test_hj_resolution_keeps_a_tuple():
+    # a list given is copied: the record is immutable and hashable
+    given = [2, 3]
+    hj = HJResolution(given)
+    given.append(4)
+    assert hj.coefficients == (2, 3) and hj == HJResolution((2, 3))
+    assert hash(hj) == hash(HJResolution((2, 3)))
 
 
 def test_hj_roundtrip_exhaustive():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import signal
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
@@ -326,6 +327,27 @@ def test_table_empty_range():
     assert table("Y", 10, 9) == []
 
 
+@pytest.mark.parametrize("family", ["X", "Y"])
+def test_table_refuses_a_range_over_the_limit(family):
+    # the library checks the span the CLI states, before building a
+    # model; a 10**30-order range is refused at once, not built
+    def too_slow(signum, frame):
+        raise TimeoutError("table ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        with pytest.raises(ValueError, match="above the table limit of 5000"):
+            table(family, 2, 10**30)
+        message = "2..5002 spans 5001 orders, above the table limit of 5000"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table(family, 2, 5002)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert table(family, 4990, 5001)[-1].l == 5001
+
+
 def test_table_x_2_to_8():
     rows = table("X", 2, 8)
     assert [m.coarse_dim for m in rows] == [2, 3, 6, 7, 9, 11, 13]
@@ -388,8 +410,10 @@ def test_witness_validation(monkeypatch):
 
 @pytest.mark.parametrize("family,l", [("X", 5.0), ("X", True), ("Y", True), ("Y", 7.0)])
 def test_local_model_refuses_an_order_that_is_not_an_int(family, l):
-    # a bool is not read as l = 1, nor a float truncated
-    with pytest.raises(ValueError, match=re.escape(f"l must be an integer, got {l!r}")):
+    # a bool is not read as l = 1, nor a float truncated: the action's
+    # constructor refuses it
+    message = f"group order must be an int of at least 2, got {l!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         local_model(family, l)
 
 
@@ -440,6 +464,15 @@ def test_evaluate_model_reads_the_family_off_the_action():
     for action in (CyclicAction("P1xP1", 7, (1, 2)), CyclicAction("P2", 7, (1, 2, 0))):
         with pytest.raises(ValueError, match="no automorphism dimension"):
             evaluate_model(build_surface(action))
+
+
+def test_evaluate_model_refuses_a_non_preset_whatever_its_aut0_dim():
+    # a hand-built surface of a P2 action that is not y_family(7) is not
+    # Y_7, even with the preset's automorphism dimension
+    action = CyclicAction("P2", 7, (1, 2, 0))
+    locus = build_surface(action).singular_locus
+    with pytest.raises(ValueError, match="no automorphism dimension"):
+        evaluate_model(SurfaceModel(action, locus, Fraction(9, 7), 2, 1))
 
 
 def test_negating_weight_matrix_changes_nothing():
@@ -516,7 +549,7 @@ RECORDS = {
     ),
     "WeightSystem": (
         lambda: kmoduli.WeightSystem.from_rows([[1, -1, 0], [0, 2, 1]]),
-        ("rank", "n_coords", "matrix"),
+        ("matrix",),
     ),
     "SupportPoint": (lambda: SupportPoint.of([3, 1]), ("support",)),
     "LocalModuliModel": (
@@ -557,10 +590,10 @@ REFUSED = {
         (dict(ambient="P1xP1", order=5, weights=(1, True)), ValueError, "(1, True)"),
     ],
     "WeightSystem": [
-        (dict(rank=1, n_coords=2, matrix=((1, 2), (3, 4))), ValueError, "expected 1 rows"),
-        (dict(rank=1, n_coords=2, matrix=((1, 2.0),)), ValueError, "must be integers"),
-        (dict(rank=0, n_coords=2, matrix=()), ValueError, "rank must be positive"),
-        (dict(rank=1, n_coords=0, matrix=((),)), ValueError, "at least one coordinate"),
+        (dict(matrix=((1, 2), (3,))), ValueError, "expected rows of length 2"),
+        (dict(matrix=((1, 2.0),)), ValueError, "must be integers"),
+        (dict(matrix=()), ValueError, "must be nonempty"),
+        (dict(matrix=((),)), ValueError, "must be nonempty"),
     ],
     "SupportPoint": [(dict(support=[0, 1]), ValueError, "1-based")],
 }

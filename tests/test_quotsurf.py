@@ -143,19 +143,19 @@ def test_x_family_preset():
     assert a.ambient == "P1xP1"
     assert a.order == 5
     assert a.weights == (1, 4)
-    assert a.is_x_preset and not a.is_y_preset
+    assert a.family == "X"
 
 
 def test_y_family_preset():
     a = CyclicAction.y_family(7)
     assert a.ambient == "P2"
     assert a.weights == (1, 6, 0)
-    assert a.is_y_preset and not a.is_x_preset
+    assert a.family == "Y"
 
 
 def test_presets_are_the_family_actions():
-    # the field comparisons agree with equality to x_family(l) and
-    # y_family(l) on every action with small weights, shifted by l too
+    # the family read off the fields agrees with equality to x_family(l)
+    # and y_family(l) on every action with small weights, shifted by l too
     small = range(-2, 3)
     for l in range(2, 61):
         x = CyclicAction.x_family(l)
@@ -168,15 +168,15 @@ def test_presets_are_the_family_actions():
             for a in small for b in small for c in small for s in (0, l)
         ]
         for action in actions:
-            assert action.is_x_preset == (action == x), action
-            assert action.is_y_preset == (action == y), action
-        assert x.is_x_preset and (y is None or y.is_y_preset)
+            expected = "X" if action == x else "Y" if action == y else None
+            assert action.family == expected, action
+        assert x.family == "X" and (y is None or y.family == "Y")
     for action in (
         CyclicAction("P1xP1", 5, (1, 2)),
         CyclicAction("P2", 7, (1, 2, 0)),
         CyclicAction("P2", 4, (1, 3, 0)),  # the Y weights at an even order
     ):
-        assert not action.is_x_preset and not action.is_y_preset
+        assert action.family is None
 
 
 def test_weights_reduced_mod_order():

@@ -7,10 +7,12 @@ the x variables), while the library decides supports on the dual side
 """
 
 import ast
+import copy
 import enum
 import inspect
 import itertools
 import operator
+import pickle
 import random
 import re
 from collections import Counter
@@ -102,24 +104,12 @@ def random_system(rng, k, n, bound=3):
 
 def test_weight_system_validation():
     with pytest.raises(ValueError):
-        WeightSystem(rank=2, n_coords=2, matrix=((1, 2),))
-    with pytest.raises(ValueError):
-        WeightSystem(rank=1, n_coords=3, matrix=((1, 2),))
-    with pytest.raises(ValueError):
         WeightSystem.from_rows([])
-    # a rank or coordinate count that is not an int, and a matrix or a
-    # row without a length, are refused by name, not left to a TypeError
-    for rank, n_coords, matrix in (
-        (2.0, 1, ((1,), (1,))),
-        (True, 1, ((1,),)),
-        (1, 1.0, ((1,),)),
-        (1, None, ((1,),)),
-        (1, 1, 5),
-        (1, 1, (5,)),
-        (1, 1, None),
-    ):
+    # a matrix or a row that cannot be iterated is refused by name, not
+    # left to a TypeError
+    for matrix in (5, (5,), None):
         with pytest.raises(ValueError):
-            WeightSystem(rank, n_coords, matrix)
+            WeightSystem(matrix)
     ws = WeightSystem.from_rows([[1, -1]])
     assert ws.rank == 1 and ws.n_coords == 2
     assert column(ws, 1) == (1,) and column(ws, 2) == (-1,)
@@ -134,7 +124,7 @@ def test_weight_system_keeps_its_own_rows(container, row_container):
     # hashable, equals the one from_rows builds, and mutating the rows
     # given later changes no answer
     rows = container([row_container([1, -1, 0]), row_container([0, 2, -1])])
-    ws = WeightSystem(2, 3, rows)
+    ws = WeightSystem(rows)
     built = WeightSystem.from_rows([[1, -1, 0], [0, 2, -1]])
     assert ws == built and hash(ws) == hash(built)
     assert ws.matrix == ((1, -1, 0), (0, 2, -1))
@@ -144,7 +134,7 @@ def test_weight_system_keeps_its_own_rows(container, row_container):
         rows.append([5, 5, 5])
         assert ws.matrix == built.matrix
         assert (quotient_dim(ws), kernel_rank(ws)) == (1, 0)
-        assert quotient_dim(WeightSystem(2, 3, rows[:2])) == 0
+        assert quotient_dim(WeightSystem(rows[:2])) == 0
 
 
 def test_weight_system_rejects_booleans():
@@ -153,7 +143,7 @@ def test_weight_system_rejects_booleans():
     with pytest.raises(ValueError):
         WeightSystem.from_rows([[1, -1], [0, True]])
     with pytest.raises(ValueError):
-        WeightSystem(rank=1, n_coords=2, matrix=((True, False),))
+        WeightSystem(matrix=((True, False),))
 
 
 class _Weight(enum.IntEnum):
@@ -164,14 +154,13 @@ class _Weight(enum.IntEnum):
     "entry", [True, 1.5, "3", None, np.int64(1), _Weight.ONE, [1]], ids=repr
 )
 def test_weight_entries_are_exact_ints_on_every_path(entry):
-    # from_rows reads the shape and the constructor checks the entries:
-    # both refuse the same entry with ValueError, and name it; objects
-    # with __index__ are not ints either
+    # from_rows and the constructor refuse the same entry with
+    # ValueError, and name it; objects with __index__ are not ints either
     message = f"weights must be integers, not {type(entry).__name__}: {entry!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         WeightSystem.from_rows([[1, -1], [0, entry]])
     with pytest.raises(ValueError, match=re.escape(message)):
-        WeightSystem(2, 2, ((1, -1), (0, entry)))
+        WeightSystem(((1, -1), (0, entry)))
 
 
 def test_weight_matrix_shape_errors_name_the_matrix():
@@ -179,24 +168,45 @@ def test_weight_matrix_shape_errors_name_the_matrix():
     # ValueErrors on both paths
     for rows, message in (
         ([[1, 2], [3]], "expected rows of length 2: (3,)"),
+        (((1, 2), (3,)), "expected rows of length 2: (3,)"),
         ([], "weight matrix must be nonempty"),
+        ((), "weight matrix must be nonempty"),
         ([[]], "weight matrix must be nonempty"),
         (None, "'NoneType' object is not iterable"),
         ([5, [1]], "'int' object is not iterable"),
+        ((5, (1,)), "'int' object is not iterable"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             WeightSystem.from_rows(rows)
-    for rank, n_coords, matrix, message in (
-        (2, 2, ((1, 2), (3,)), "expected rows of length 2: (3,)"),
-        (1, 1, (), "expected 1 rows, got 0"),
-        (1, 1, None, "expected 1 rows of integers: None"),
-        (2, 1, (5, (1,)), "expected 2 rows of integers: (5, (1,))"),
-    ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            WeightSystem(rank, n_coords, matrix)
+            WeightSystem(rows)
     # any iterable of rows is read, a generator included
     rows = ([1, -1, 0], (0, 2, -1))
-    assert WeightSystem.from_rows(row for row in rows) == WeightSystem(2, 3, rows)
+    assert WeightSystem.from_rows(row for row in rows) == WeightSystem(rows)
+    assert WeightSystem(row for row in rows) == WeightSystem(rows)
+
+
+@pytest.mark.parametrize("m", [[[1, -1]], ([1, -1, 0], (0, 2, -1)), ((0,), (3,), (-2,))])
+def test_weight_system_is_its_matrix(m):
+    # the matrix is the one field; rank and n_coords are read off its
+    # shape and cannot be set
+    ws = WeightSystem(m)
+    assert ws == WeightSystem.from_rows(m)
+    assert WeightSystem._fields == ("matrix",)
+    assert (ws.rank, ws.n_coords) == (len(m), len(m[0]))
+    assert ws.to_json_dict() == {
+        "rank": len(m), "n_coords": len(m[0]), "matrix": [list(r) for r in m]
+    }
+    with pytest.raises(TypeError):
+        WeightSystem(len(m), len(m[0]), m)
+    for name in ("rank", "n_coords"):
+        with pytest.raises(AttributeError):
+            setattr(ws, name, 7)
+    ws.columns  # a cached property in the instance dict travels along
+    for again in (copy.copy(ws), copy.deepcopy(ws), pickle.loads(pickle.dumps(ws))):
+        assert again == ws and hash(again) == hash(ws)
+        assert (again.rank, again.n_coords) == (ws.rank, ws.n_coords)
+        assert quotient_dim(again) == quotient_dim(ws)
 
 
 def test_support_point_validation():
@@ -243,10 +253,11 @@ SYSTEM_QUERIES = {
 
 @pytest.mark.parametrize("query", SYSTEM_QUERIES)
 @pytest.mark.parametrize(
-    "ws", [5, None, [[1, -1]], (1, 2, ((1, -1),)), "1,-1"], ids=repr
+    "ws", [5, None, [[1, -1]], (1, 2, ((1, -1),)), (((1, -1),),), "1,-1"], ids=repr
 )
 def test_queries_refuse_what_is_not_a_weight_system(query, ws):
-    # a tuple with a weight system's fields is not one either
+    # a tuple with a weight system's field, or with the fields it once
+    # had, is not one either
     with pytest.raises(ValueError, match="expected a WeightSystem"):
         SYSTEM_QUERIES[query](ws)
 
@@ -525,6 +536,36 @@ def test_every_torusgit_memo_is_a_module_level_lru_cache():
     assert all(getattr(torusgit, name).cache_info().currsize for name in memos)
     clear_caches()
     assert not any(getattr(torusgit, name).cache_info().currsize for name in memos)
+
+
+def test_torusgit_caches_are_bounded():
+    # more distinct direction sets than a cache keeps: each cache stays
+    # within its bound, and a set asked again after its eviction gets
+    # the same answers
+    memos = [
+        torusgit._destabilizer_witness,
+        torusgit._polystable_directions,
+        torusgit._direction_rank,
+        torusgit._lex_destabilizer,
+    ]
+    (size,) = {memo.cache_info().maxsize for memo in memos}
+    assert size is not None
+
+    def answers(n):
+        # (1, 0), (0, 1) and (-1, -n) are distinct directions for each n
+        # and the first cut keeps a two-dimensional span: dimension 1
+        ws = WeightSystem([[1, 0, -1], [0, 1, -n]])
+        return quotient_dim(ws), destabilizing_limit(ws, SupportPoint.of([2, 3]))
+
+    clear_caches()
+    first = [answers(n) for n in range(20)]
+    assert all(dim == 1 for dim, _ in first)
+    for n in range(20, size + 50):
+        assert answers(n)[0] == 1
+        assert all(memo.cache_info().currsize <= size for memo in memos)
+    assert all(memo.cache_info().currsize == size for memo in memos)
+    assert [answers(n) for n in range(20)] == first
+    clear_caches()
 
 
 def test_no_directions_make_a_point_and_a_trivial_torus():

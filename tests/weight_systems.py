@@ -16,11 +16,7 @@ def column(ws: WeightSystem, i: int) -> tuple[int, ...]:
 
 
 def negated(ws: WeightSystem) -> WeightSystem:
-    return WeightSystem(
-        ws.rank,
-        ws.n_coords,
-        tuple(tuple(-x for x in row) for row in ws.matrix),
-    )
+    return WeightSystem(tuple(-x for x in row) for row in ws.matrix)
 
 
 def qdef_weight_system(qdef) -> WeightSystem:
@@ -28,4 +24,4 @@ def qdef_weight_system(qdef) -> WeightSystem:
     column per deformation parameter."""
     if qdef.total_dim == 0:
         raise ValueError("the deformation space is zero dimensional")
-    return WeightSystem(rank=2, n_coords=qdef.total_dim, matrix=qdef.weight_matrix)
+    return WeightSystem(qdef.weight_matrix)
