@@ -10,7 +10,10 @@ Gorenstein index, second Betti number of the generic smoothing).
 
 Every field is computed by the generic pipeline; the special orders
 (l = 2, 4 in the X family, l = 3, 9 in the Y family) flow through the
-same code paths as all others.
+same code paths as all others. The stack dimension and whether the
+surface is isolated follow from the fields, so the record reads them
+as properties; the surface's volume and automorphism dimension are
+properties of its action (quotsurf.SurfaceModel).
 """
 
 from __future__ import annotations
@@ -41,23 +44,22 @@ MAX_TABLE_SPAN = 5_000
 class LocalModuliModel(NamedTuple):
     """The local K-moduli picture at one quotient surface.
 
-    stack_dim = qdef_dim - aut_dim always; coarse_dim is the dimension
-    of the affine GIT quotient of the deformation space by the residual
-    2-torus; kernel_rank is the dimension of the subtorus acting
-    trivially on the deformation space. isolated records whether the
-    origin is the only polystable orbit, i.e. the surface is an
-    isolated point of the coarse moduli space; that is coarse_dim == 0,
-    as a nonempty polystable support has positive quotient dimension.
+    coarse_dim is the dimension of the affine GIT quotient of the
+    deformation space by the residual 2-torus; kernel_rank is the
+    dimension of the subtorus acting trivially on the deformation
+    space. Two properties are read off the fields: stack_dim =
+    qdef_dim - aut_dim, and isolated, whether the origin is the only
+    polystable orbit, i.e. the surface is an isolated point of the
+    coarse moduli space; that is coarse_dim == 0, as a nonempty
+    polystable support has positive quotient dimension.
     """
 
     family: str
     l: int
     qdef_dim: int
     aut_dim: int
-    stack_dim: int
     coarse_dim: int
     kernel_rank: int
-    isolated: bool
     volume: Fraction
     min_discrepancy: Fraction
     gorenstein_index: int
@@ -66,6 +68,14 @@ class LocalModuliModel(NamedTuple):
     @property
     def surface_id(self) -> str:
         return f"{self.family}_{self.l}"
+
+    @property
+    def stack_dim(self) -> int:
+        return self.qdef_dim - self.aut_dim
+
+    @property
+    def isolated(self) -> bool:
+        return self.coarse_dim == 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,8 +113,9 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
 
     The family of the model is the one of the surface's action
     (CyclicAction.family). Only the two family presets have a moduli
-    model, so a surface whose action has no family raises ValueError,
-    whatever its aut0_dim says, and so does one without aut0_dim.
+    model, so a surface whose action has no family raises ValueError;
+    the surface's aut0_dim, its volume and its b2_base are properties
+    of the same action, so they cannot disagree with it.
 
     The dimension of the deformation space and the GIT input, the
     multiset of the primitive directions of its characters, come from
@@ -122,8 +133,8 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     factors are ignored, and finite quotients do not change any
     dimension reported here).
     """
-    family, aut = surface.action.family, surface.aut0_dim
-    if family is None or aut is None:
+    family = surface.action.family
+    if family is None:
         raise ValueError(
             f"no automorphism dimension is known for {surface.action}: "
             "only the X and Y family actions have a moduli model"
@@ -148,11 +159,9 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
         family,
         surface.action.order,
         qdef_dim,
-        aut,
-        qdef_dim - aut,
+        surface.aut0_dim,
         coarse_dim,
         2 - _direction_rank(dirs),
-        coarse_dim == 0,
         surface.volume,
         Fraction(num, den),
         index,

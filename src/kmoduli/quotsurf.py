@@ -158,24 +158,27 @@ class FixedPointRecord(NamedTuple):
 
     local_cyclic_weights are the Z_l chart weights (reduced mod the
     stabilizer order), local_torus_weights the characters of the
-    residual 2-torus on the same two chart coordinates. The stored
-    normal form is the canonical representative of its equivalence
-    class (smaller q of the two chart orderings); the records of one
-    surface that share a form share one normal form and one
-    classification object.
+    residual 2-torus on the same two chart coordinates. The
+    classification holds the normal form, the canonical representative
+    of the point's equivalence class (smaller q of the two chart
+    orderings), read as the property singularity; its order is the
+    stabilizer order. The records of one surface that share a form
+    share one classification object.
     """
 
     point_label: str
-    stabilizer_order: int
     local_cyclic_weights: tuple[int, int]
     local_torus_weights: tuple[Character, Character]
-    singularity: NormalForm
     classification: SingularityClassification
+
+    @property
+    def singularity(self) -> NormalForm:
+        return self.classification.normal_form
 
     def to_json_dict(self) -> dict:
         return {
             "point_label": self.point_label,
-            "stabilizer_order": self.stabilizer_order,
+            "stabilizer_order": self.singularity.order,
             "local_cyclic_weights": list(self.local_cyclic_weights),
             "local_torus_weights": [list(c) for c in self.local_torus_weights],
             "singularity": self.singularity.to_json_dict(),
@@ -183,20 +186,32 @@ class FixedPointRecord(NamedTuple):
 
 
 class SurfaceModel(NamedTuple):
-    """A quotient surface: singular locus, volume, and base topology.
+    """A quotient surface: its action and its singular locus.
 
-    aut0_dim is the dimension of the connected automorphism group; it
-    is known (= 2, the residual torus) for the two preset families and
-    None (unsupported) for other actions. b2_base is the rank of the
+    The rest is read off the action as properties: volume is the
+    ambient's anticanonical degree over l, as the quotient map is
+    unramified away from finitely many points; aut0_dim is the dimension of
+    the connected automorphism group, known (= 2, the residual torus)
+    for the two preset families (CyclicAction.family) and None
+    (unsupported) for other actions; b2_base is the rank of the
     invariant part of H^2 of the ambient, which the homotopically
     trivial action leaves whole: 2 for P1 x P1 and 1 for P2.
     """
 
     action: CyclicAction
     singular_locus: tuple[FixedPointRecord, ...]
-    volume: Fraction
-    aut0_dim: Optional[int]
-    b2_base: int
+
+    @property
+    def volume(self) -> Fraction:
+        return Fraction(_AMBIENTS[self.action.ambient][0], self.action.order)
+
+    @property
+    def aut0_dim(self) -> Optional[int]:
+        return 2 if self.action.family else None
+
+    @property
+    def b2_base(self) -> int:
+        return _AMBIENTS[self.action.ambient][1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,15 +227,24 @@ class QDefModel(NamedTuple):
     """The assembled Q-Gorenstein deformation space of a surface.
 
     One block per singular point (rigid points keep an empty character
-    list); weight_matrix holds the concatenated characters as columns,
-    one per deformation parameter, so it grows with the order and only
-    the surface report builds this record. The dimension and the GIT
-    input come from qdef_directions, which builds no character.
+    list). total_dim counts the characters of the blocks, and
+    weight_matrix holds them concatenated as columns, one per
+    deformation parameter; both are properties read off the blocks.
+    The blocks grow with the order, so only the surface report builds
+    this record. The dimension and the GIT input come from
+    qdef_directions, which builds no character.
     """
 
-    total_dim: int
     blocks: tuple[tuple[FixedPointRecord, tuple[Character, ...]], ...]
-    weight_matrix: tuple[tuple[int, ...], tuple[int, ...]]
+
+    @property
+    def total_dim(self) -> int:
+        return sum(len(chars) for _, chars in self.blocks)
+
+    @property
+    def weight_matrix(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        columns = [c for _, chars in self.blocks for c in chars]
+        return tuple(c[0] for c in columns), tuple(c[1] for c in columns)
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,24 +260,24 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     Rejects actions whose fixed locus is not isolated, naming the point,
     the chart weight that is not a unit mod l, and the curve that weight's
     subgroup fixes pointwise (for the Y family with even l: the line
-    z2 = 0). The volume is (ambient anticanonical degree)/l since the
-    quotient map is unramified away from finitely many points. aut0_dim
-    is 2 when the action has a family (CyclicAction.family), else None.
+    z2 = 0). The volume, aut0_dim and b2_base of the surface are
+    properties of its action (SurfaceModel).
 
     Each point's work is integer arithmetic: the chart weights a, b,
     their gcds with l, and q = a^(-1) b mod l, looked up in a dict local
     to the call. Only a q not seen yet costs its canonical
     c = min(q, q^(-1) mod l), and only a c not seen yet builds
-    NormalForm(l, c) and classifies it; the pair is filed under q and c,
-    so each distinct form is built and classified once and the records
-    that share it share its (normal form, classification) pair.
+    NormalForm(l, c) and classifies it; the classification, which holds
+    its normal form, is filed under q and c, so each distinct form is
+    built and classified once and the records that share it share one
+    classification object.
     """
-    degree, b2_base, cocharacter, points = _AMBIENTS[action.ambient]
+    _, _, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = [sum(map(mul, row, action.weights)) for row in cocharacter]
     records = []
-    # q of 1/l(1, q) -> the (normal form, classification) pair of its class
-    forms: dict[int, tuple[NormalForm, SingularityClassification]] = {}
+    # q of 1/l(1, q) -> the classification of its class
+    forms: dict[int, SingularityClassification] = {}
     for label, alpha, beta, curves in points:
         a = (u0 * alpha[0] + u1 * alpha[1]) % l
         b = (u0 * beta[0] + u1 * beta[1]) % l
@@ -266,17 +290,15 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
                 "fixed locus contains curves"
             )
         q = pow(a, -1, l) * b % l
-        pair = forms.get(q)
-        if pair is None:
+        cls = forms.get(q)
+        if cls is None:
             c = min(q, pow(q, -1, l))
-            pair = forms.get(c)
-            if pair is None:
-                nf = NormalForm(l, c)
-                pair = nf, classify(nf)
-            forms[q] = forms[c] = pair
-        records.append(FixedPointRecord(label, l, (a, b), (alpha, beta), *pair))
-    aut0 = 2 if action.family else None
-    return SurfaceModel(action, tuple(records), Fraction(degree, l), aut0, b2_base)
+            cls = forms.get(c)
+            if cls is None:
+                cls = classify(NormalForm(l, c))
+            forms[q] = forms[c] = cls
+        records.append(FixedPointRecord(label, (a, b), (alpha, beta), cls))
+    return SurfaceModel(action, tuple(records))
 
 
 def _classify_point(record: FixedPointRecord) -> SingularityClassification:
@@ -321,10 +343,11 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     versal space is the sum of the local ones; each parameter carries
     the torus character computed from the chart characters at its point.
     Rigid points contribute empty blocks; a point with unknown
-    deformation theory is an error naming the point.
+    deformation theory is an error naming the point. Only the blocks
+    are built: the record reads its dimension and weight matrix off
+    them.
     """
     blocks = []
-    columns: list[Character] = []
     for record in surface.singular_locus:
         cls = _classify_point(record)
         if cls.qdef_dim == 0:
@@ -332,12 +355,7 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
             continue
         chars = tuple(versal_weights(cls, record.local_torus_weights))
         blocks.append((record, chars))
-        columns.extend(chars)
-    matrix = (
-        tuple(c[0] for c in columns),
-        tuple(c[1] for c in columns),
-    )
-    return QDefModel(total_dim=len(columns), blocks=tuple(blocks), weight_matrix=matrix)
+    return QDefModel(tuple(blocks))
 
 
 def betti_of_generic_smoothing(surface: SurfaceModel) -> int:

@@ -129,10 +129,11 @@ def family_closed_form(family: str, l: int) -> LocalModuliModel:
     else:
         qdef, coarse, isolated, degree, b2 = l - 1, 0, True, 9, l
         min_disc, index = Fraction(3, l) - 1, l // gcd(l, 3)
-    return LocalModuliModel(
-        family, l, qdef, 2, qdef - 2, coarse, 1, isolated,
-        Fraction(degree, l), min_disc, index, b2,
+    model = LocalModuliModel(
+        family, l, qdef, 2, coarse, 1, Fraction(degree, l), min_disc, index, b2
     )
+    assert model.isolated == isolated
+    return model
 
 
 def test_models_match_family_closed_forms():
@@ -269,11 +270,11 @@ def test_min_discrepancy_over_points_of_different_orders():
     # the last, and its numerator is not the least one
     torus = ((1, 0), (0, 1))
     records = tuple(
-        FixedPointRecord(f"p{i}", nf.order, (1, nf.q), torus, nf, classify(nf))
+        FixedPointRecord(f"p{i}", (1, nf.q), torus, classify(nf))
         for i, nf in enumerate((NormalForm(9, 4), NormalForm(4, 1), NormalForm(5, 4)))
     )
     action = CyclicAction("P1xP1", 5, (1, 4))
-    model = evaluate_model(SurfaceModel(action, records, Fraction(8, 5), 2, 2))
+    model = evaluate_model(SurfaceModel(action, records))
     assert model.min_discrepancy == Fraction(-1, 2)
     assert model.min_discrepancy == min(min_discrepancy(r.singularity) for r in records)
     assert model.gorenstein_index == 18
@@ -282,10 +283,10 @@ def test_min_discrepancy_over_points_of_different_orders():
 def test_evaluate_model_refuses_a_locus_without_singular_points():
     action = CyclicAction.x_family(5)
     smooth = NormalForm(1, None)
-    point = FixedPointRecord("p", 1, (0, 0), ((1, 0), (0, 1)), smooth, classify(smooth))
+    point = FixedPointRecord("p", (0, 0), ((1, 0), (0, 1)), classify(smooth))
     for locus, message in (((), "no singular point"), ((point,), "smooth point")):
         with pytest.raises(ValueError, match=message):
-            evaluate_model(SurfaceModel(action, locus, Fraction(8, 5), 2, 2))
+            evaluate_model(SurfaceModel(action, locus))
 
 
 def test_gorenstein_index():
@@ -468,11 +469,28 @@ def test_evaluate_model_reads_the_family_off_the_action():
 
 def test_evaluate_model_refuses_a_non_preset_whatever_its_aut0_dim():
     # a hand-built surface of a P2 action that is not y_family(7) is not
-    # Y_7, even with the preset's automorphism dimension
+    # Y_7, and its action gives it no automorphism dimension to claim
     action = CyclicAction("P2", 7, (1, 2, 0))
-    locus = build_surface(action).singular_locus
+    surface = SurfaceModel(action, build_surface(action).singular_locus)
+    assert surface.aut0_dim is None
     with pytest.raises(ValueError, match="no automorphism dimension"):
-        evaluate_model(SurfaceModel(action, locus, Fraction(9, 7), 2, 1))
+        evaluate_model(surface)
+
+
+def test_a_record_cannot_contradict_what_determines_it():
+    # the derived facts are read off the fields that determine them, so
+    # a record that states another value cannot be built
+    x5 = _x5_surface()
+    action, locus = x5.action, x5.singular_locus
+    with pytest.raises(TypeError):
+        SurfaceModel(action, locus, Fraction(1, 3), 7, 9)
+    with pytest.raises(TypeError):
+        SurfaceModel._make((action, locus, Fraction(1, 3), 7, 9))
+    assert evaluate_model(SurfaceModel(action, locus)) == local_model("X", 5)
+    with pytest.raises(ValueError, match="unexpected field"):
+        locus[0]._replace(singularity=NormalForm(5, 2))
+    with pytest.raises(ValueError, match="unexpected field"):
+        local_model("X", 5)._replace(stack_dim=99, isolated=True)
 
 
 def test_negating_weight_matrix_changes_nothing():
@@ -536,16 +554,16 @@ RECORDS = {
     ),
     "FixedPointRecord": (
         lambda: _x5_surface().singular_locus[0],
-        ("point_label", "stabilizer_order", "local_cyclic_weights",
-         "local_torus_weights", "singularity", "classification"),
+        ("point_label", "local_cyclic_weights", "local_torus_weights",
+         "classification"),
     ),
     "SurfaceModel": (
         _x5_surface,
-        ("action", "singular_locus", "volume", "aut0_dim", "b2_base"),
+        ("action", "singular_locus"),
     ),
     "QDefModel": (
         lambda: assemble_qdef(_x5_surface()),
-        ("total_dim", "blocks", "weight_matrix"),
+        ("blocks",),
     ),
     "WeightSystem": (
         lambda: kmoduli.WeightSystem.from_rows([[1, -1, 0], [0, 2, 1]]),
@@ -554,10 +572,33 @@ RECORDS = {
     "SupportPoint": (lambda: SupportPoint.of([3, 1]), ("support",)),
     "LocalModuliModel": (
         lambda: local_model("X", 2),
-        ("family", "l", "qdef_dim", "aut_dim", "stack_dim", "coarse_dim",
-         "kernel_rank", "isolated", "volume", "min_discrepancy",
-         "gorenstein_index", "b2_generic"),
+        ("family", "l", "qdef_dim", "aut_dim", "coarse_dim", "kernel_rank",
+         "volume", "min_discrepancy", "gorenstein_index", "b2_generic"),
     ),
+}
+
+# record type -> its read-only properties, each with the formula that
+# gives it from the fields
+DERIVED = {
+    "FixedPointRecord": {"singularity": lambda r: r.classification.normal_form},
+    "SurfaceModel": {
+        "volume": lambda s: Fraction(
+            {"P1xP1": 8, "P2": 9}[s.action.ambient], s.action.order
+        ),
+        "aut0_dim": lambda s: 2 if s.action.family else None,
+        "b2_base": lambda s: {"P1xP1": 2, "P2": 1}[s.action.ambient],
+    },
+    "QDefModel": {
+        "total_dim": lambda q: sum(len(chars) for _, chars in q.blocks),
+        "weight_matrix": lambda q: tuple(
+            tuple(c[i] for _, chars in q.blocks for c in chars) for i in (0, 1)
+        ),
+    },
+    "LocalModuliModel": {
+        "surface_id": lambda m: f"{m.family}_{m.l}",
+        "stack_dim": lambda m: m.qdef_dim - m.aut_dim,
+        "isolated": lambda m: m.coarse_dim == 0,
+    },
 }
 
 # validating record type -> keyword arguments it refuses, with the error
@@ -618,6 +659,7 @@ def test_model_is_frozen(name):
     build, fields = RECORDS[name]
     record = build()
     assert isinstance(record, cls)
+    assert cls._fields == fields
     values = {f: getattr(record, f) for f in fields}
     with pytest.raises(AttributeError):
         setattr(record, fields[0], values[fields[0]])
@@ -635,3 +677,11 @@ def test_model_is_frozen(name):
         assert tuple(cls(**kwargs)) == normal
     if name in SIZES:
         assert len(record) == SIZES[name]
+    for derived, formula in DERIVED.get(name, {}).items():
+        value = getattr(record, derived)
+        assert derived not in cls._fields
+        with pytest.raises(AttributeError):
+            setattr(record, derived, value)
+        with pytest.raises(ValueError, match="unexpected field"):
+            record._replace(**{derived: value})
+        assert value == formula(record), derived

@@ -61,10 +61,8 @@ def reference_p1xp1_records(action: CyclicAction) -> list[FixedPointRecord]:
             records.append(
                 FixedPointRecord(
                     point_label=f"({factor_labels[p1]},{factor_labels[p2]})",
-                    stabilizer_order=l,
                     local_cyclic_weights=(a % l, b % l),
                     local_torus_weights=(alpha, beta),
-                    singularity=nf,
                     classification=classify(nf),
                 )
             )
@@ -89,10 +87,8 @@ def reference_p2_records(action: CyclicAction) -> list[FixedPointRecord]:
         records.append(
             FixedPointRecord(
                 point_label=label,
-                stabilizer_order=l,
                 local_cyclic_weights=(a, b),
                 local_torus_weights=chars,
-                singularity=nf,
                 classification=classify(nf),
             )
         )
@@ -121,7 +117,7 @@ def oracle_records(action: CyclicAction) -> list[FixedPointRecord]:
             ) from None
         nf = normalize(germ).canonical()
         records.append(
-            FixedPointRecord(label, l, (a, b), (alpha, beta), nf, classify(nf))
+            FixedPointRecord(label, (a, b), (alpha, beta), classify(nf))
         )
     return records
 
@@ -329,7 +325,7 @@ def test_x7_singular_locus():
         "([1:0],[1:0])",
     ]
     assert displays(s) == ["A_6", "1/7(1,1)", "1/7(1,1)", "A_6"]
-    assert all(r.stabilizer_order == 7 for r in s.singular_locus)
+    assert all(r.singularity.order == 7 for r in s.singular_locus)
 
 
 def test_x2_singular_locus():
@@ -477,6 +473,17 @@ def test_qdef_blocks_track_points():
     assert by_label["([1:0],[0:1])"] == ()
     assert len(by_label["([0:1],[0:1])"]) == 6
     assert len(by_label["([1:0],[1:0])"]) == 6
+
+
+def test_records_read_their_derived_facts_off_what_they_hold():
+    for action in [CyclicAction.x_family(l) for l in range(2, 41)] + [
+        CyclicAction.y_family(l) for l in range(3, 42, 2)
+    ]:
+        surface = build_surface(action)
+        for r in surface.singular_locus:
+            assert r.singularity is r.classification.normal_form, action
+        q = assemble_qdef(surface)
+        assert q.total_dim == len(q.weight_matrix[0]) == len(q.weight_matrix[1])
 
 
 def test_qdef_weight_matrix_shape():
