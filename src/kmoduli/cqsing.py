@@ -138,11 +138,18 @@ class NormalForm(namedtuple("NormalForm", "order q")):
         return {"order": self.order, "q": self.q}
 
 
+def _require_record(value, cls: type) -> None:
+    """Refuse an entry point's record argument unless it is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {value!r}")
+
+
 def normalize(s: CyclicQuotientSingularity) -> NormalForm:
     """Scale the first weight to 1: 1/n(a,b) = 1/n(1, a^(-1) b mod n).
 
     Idempotent on already-normalized input.
     """
+    _require_record(s, CyclicQuotientSingularity)
     if s.order == 1:
         return NormalForm(1, None)
     q = (pow(s.weight_a, -1, s.order) * s.weight_b) % s.order
@@ -182,6 +189,7 @@ class HJResolution(namedtuple("HJResolution", "coefficients")):
 
 
 def _check_singular(nf: NormalForm) -> None:
+    _require_record(nf, NormalForm)
     if nf.is_smooth:
         raise ValueError("a smooth point has no exceptional curves to resolve")
 
@@ -298,6 +306,16 @@ class SingularityClassification(NamedTuple):
     0 when smooth or rigid, n-1 for the Du Val point A_{n-1}, m for a
     T-singularity with r >= 2, and None when no formula is implemented
     (non-T, non-rigid, non-Du-Val cases).
+
+    smoothing_b2 is what the point adds to b2 when a generic deformation
+    smooths it, read off the fields as m - 1 for a T point and 0
+    otherwise. A smoothed T point of co-index r with w = m r leaves the
+    free Z_r quotient of the Milnor fiber of x y = z^(m r): its Euler
+    characteristic m r + 1 - (m r - m) drops to m after the quotient
+    bookkeeping, leaving b_2 = m - 1 (zero for the primitive case). A Du
+    Val point A_{n-1} is the T point with r = 1 and m = n, whose n - 1
+    vanishing 2-spheres the same rule counts, and a smooth point (m = 1)
+    adds 0. A rigid point persists and adds 0.
     """
 
     normal_form: NormalForm
@@ -311,19 +329,13 @@ class SingularityClassification(NamedTuple):
     is_qg_rigid: bool
     qdef_dim: int | None
 
+    @property
+    def smoothing_b2(self) -> int:
+        return self.m - 1 if self.is_T else 0
+
     def to_json_dict(self) -> dict:
-        return {
-            "normal_form": self.normal_form.to_json_dict(),
-            "w": self.w,
-            "r": self.r,
-            "m": self.m,
-            "w0": self.w0,
-            "is_du_val": self.is_du_val,
-            "is_T": self.is_T,
-            "is_primitive_T": self.is_primitive_T,
-            "is_qg_rigid": self.is_qg_rigid,
-            "qdef_dim": self.qdef_dim,
-        }
+        """The fields in their order, the normal form as its own dict."""
+        return {**self._asdict(), "normal_form": self.normal_form.to_json_dict()}
 
 
 def classify(nf: NormalForm) -> SingularityClassification:
@@ -333,6 +345,7 @@ def classify(nf: NormalForm) -> SingularityClassification:
     reports qdef_dim 0 with the flags the r = 1 arithmetic produces
     (the A_0 convention).
     """
+    _require_record(nf, NormalForm)
     n = nf.order
     q_plus_1 = 1 if nf.is_smooth else nf.q + 1
     w = gcd(n, q_plus_1)

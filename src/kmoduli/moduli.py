@@ -10,25 +10,29 @@ Gorenstein index, second Betti number of the generic smoothing).
 
 Every field is computed by the generic pipeline; the special orders
 (l = 2, 4 in the X family, l = 3, 9 in the Y family) flow through the
-same code paths as all others. The stack dimension and whether the
+same code paths as all others. evaluate_model reads a built surface in
+one walk of its singular locus: per point, the deformation count of
+the primitive direction of alpha + beta and the point's contribution
+to b2; per distinct normal form, the least log numerator of its chain
+and its Gorenstein index. The action's family, volume and b2_base are
+read once, off the action. The stack dimension and whether the
 surface is isolated follow from the fields, so the record reads them
-as properties; the surface's volume and automorphism dimension are
-properties of its action (quotsurf.SurfaceModel).
+as properties.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .cqsing import _check_singular, _min_log_numerator
+from .cqsing import _check_singular, _min_log_numerator, _require_record
 from .quotsurf import (
+    _PRESET_AUT0_DIM,
     CyclicAction,
     SurfaceModel,
-    betti_of_generic_smoothing,
+    _classify_point,
     build_surface,
-    qdef_directions,
     rational_json,
 )
 from .torusgit import _direction_rank, _quotient_dim, _require_ints
@@ -112,60 +116,77 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     """The local moduli model of a built surface.
 
     The family of the model is the one of the surface's action
-    (CyclicAction.family). Only the two family presets have a moduli
-    model, so a surface whose action has no family raises ValueError;
-    the surface's aut0_dim, its volume and its b2_base are properties
-    of the same action, so they cannot disagree with it.
+    (CyclicAction.family, read once). Only the two family presets have
+    a moduli model, so a surface whose action has no family raises
+    ValueError; the model's aut_dim (the residual 2-torus of a preset),
+    the surface's volume and its b2_base are read off the same action,
+    so they cannot disagree with it. An argument that is not a
+    SurfaceModel raises ValueError.
 
-    The dimension of the deformation space and the GIT input, the
-    multiset of the primitive directions of its characters, come from
-    one pass over the singular locus (qdef_directions); no character
-    and no weight matrix is built. The coarse dimension and the kernel
-    rank of the residual 2-torus are read off the cached support cut
-    and ranks of that direction set (_quotient_dim, _direction_rank).
-    Each distinct form gives the least integer numerator of its chain
-    (_min_log_numerator, the run form of the chain walk), so the cost
-    grows as log l; the minimal discrepancy is compared across the forms
-    as integer pairs (numerator - n, n) by cross-multiplication, exact
-    also for points of different orders, and one Fraction is built for
-    the least. aut_dim is the dimension of the
-    connected reductive automorphism group (the residual torus; finite
+    Everything else comes from one walk of the singular locus, which
+    classifies each point once (a point with unknown deformation theory
+    is an error naming it) and builds no character and no weight matrix:
+      * per point: a deforming point adds its qdef_dim to the deformation
+        dimension and to the count of the primitive direction of alpha +
+        beta, as every character of its block is a positive multiple of
+        alpha + beta (versal_weights); and its smoothing_b2 to b2_generic;
+      * per distinct normal form, the first time it is met: the least
+        integer numerator of its chain (_min_log_numerator, the run form
+        of the chain walk, so the cost grows as log l) and its Gorenstein
+        index r, whose lcm is the surface's.
+    The minimal discrepancy is compared across the forms as integer
+    pairs (numerator - n, n) by cross-multiplication, exact also for
+    points of different orders, and one Fraction is built for the
+    least. The coarse dimension and the kernel rank of the residual
+    2-torus are read off the cached support cut and ranks of the
+    direction multiset (_quotient_dim, _direction_rank). aut_dim is the
+    dimension of the connected reductive automorphism group (finite
     factors are ignored, and finite quotients do not change any
     dimension reported here).
     """
-    family = surface.action.family
+    _require_record(surface, SurfaceModel)
+    action = surface.action
+    family = action.family
     if family is None:
         raise ValueError(
-            f"no automorphism dimension is known for {surface.action}: "
+            f"no automorphism dimension is known for {action}: "
             "only the X and Y family actions have a moduli model"
         )
-    qdef_dim, counts = qdef_directions(surface)
-    dirs = frozenset(counts)
-    coarse_dim = _quotient_dim(counts, 0, dirs)
-    # the search starts above every discrepancy, at 1 / 0; classification.r
-    # is the Gorenstein index n / gcd(n, q + 1)
-    forms = {p.singularity: p.classification for p in surface.singular_locus}
+    qdef_dim, b2, counts, forms = 0, surface.b2_base, {}, set()
+    # the search starts above every discrepancy, at 1 / 0
     num, den, index = 1, 0, 1
-    for nf, cls in forms.items():
-        _check_singular(nf)
-        n = nf.order
-        low = _min_log_numerator(n, nf.q) - n
-        if low * den < num * n:
-            num, den = low, n
-        index = lcm(index, cls.r)
+    for record in surface.singular_locus:
+        cls = _classify_point(record)
+        if dim := cls.qdef_dim:
+            (a0, a1), (b0, b1) = record.local_torus_weights
+            x, y = a0 + b0, a1 + b1
+            g = gcd(x, y)
+            d = (x // g, y // g)
+            counts[d] = counts.get(d, 0) + dim
+            qdef_dim += dim
+        b2 += cls.smoothing_b2
+        if (nf := cls.normal_form) not in forms:
+            forms.add(nf)
+            _check_singular(nf)
+            n = nf.order
+            low = _min_log_numerator(n, nf.q) - n
+            if low * den < num * n:
+                num, den = low, n
+            index = lcm(index, cls.r)
     if not den:
-        raise ValueError(f"the surface of {surface.action} has no singular point")
+        raise ValueError(f"the surface of {action} has no singular point")
+    dirs = frozenset(counts)
     return LocalModuliModel(
         family,
-        surface.action.order,
+        action.order,
         qdef_dim,
-        surface.aut0_dim,
-        coarse_dim,
+        _PRESET_AUT0_DIM,
+        _quotient_dim(counts, 0, dirs),
         2 - _direction_rank(dirs),
         surface.volume,
         Fraction(num, den),
         index,
-        betti_of_generic_smoothing(surface),
+        b2,
     )
 
 

@@ -56,6 +56,7 @@ from .cqsing import (
     NormalForm,
     SingularityClassification,
     UnknownDeformationError,
+    _require_record,
     classify,
     versal_weights,
 )
@@ -73,6 +74,9 @@ def rational_json(x: Fraction) -> dict:
 # characters of its two chart coordinates, and the torus-invariant curve
 # each coordinate runs along
 _FACTORS = ("a copy of factor 1", "a copy of factor 2")
+# the dimension of the connected automorphism group of a preset's
+# surface: the residual 2-torus
+_PRESET_AUT0_DIM = 2
 _AMBIENTS = {
     P1XP1: (8, 2, ((1, 0), (0, 1)), (
         ("([0:1],[0:1])", (1, 0), (0, 1), _FACTORS),
@@ -207,7 +211,7 @@ class SurfaceModel(NamedTuple):
 
     @property
     def aut0_dim(self) -> Optional[int]:
-        return 2 if self.action.family else None
+        return _PRESET_AUT0_DIM if self.action.family else None
 
     @property
     def b2_base(self) -> int:
@@ -231,8 +235,8 @@ class QDefModel(NamedTuple):
     weight_matrix holds them concatenated as columns, one per
     deformation parameter; both are properties read off the blocks.
     The blocks grow with the order, so only the surface report builds
-    this record. The dimension and the GIT input come from
-    qdef_directions, which builds no character.
+    this record. A local model reads the dimension and the GIT input off
+    the singular locus (moduli.evaluate_model), and builds no character.
     """
 
     blocks: tuple[tuple[FixedPointRecord, tuple[Character, ...]], ...]
@@ -272,6 +276,7 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     built and classified once and the records that share it share one
     classification object.
     """
+    _require_record(action, CyclicAction)
     _, _, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = [sum(map(mul, row, action.weights)) for row in cocharacter]
@@ -313,29 +318,6 @@ def _classify_point(record: FixedPointRecord) -> SingularityClassification:
     return cls
 
 
-def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
-    """The dimension of the deformation space and the multiset of the
-    primitive directions of its torus characters, in O(points).
-
-    Every character of a point's block is a positive multiple of
-    alpha + beta at the point (versal_weights), so a deforming point
-    adds qdef_dim to the count of the primitive direction of alpha +
-    beta; no character is built. This is the multiset of the columns
-    of assemble_qdef(surface).weight_matrix, up to positive scaling.
-    """
-    total = 0
-    counts: dict[Character, int] = {}
-    for record in surface.singular_locus:
-        if dim := _classify_point(record).qdef_dim:
-            (a0, a1), (b0, b1) = record.local_torus_weights
-            x, y = a0 + b0, a1 + b1
-            g = gcd(x, y)
-            d = (x // g, y // g)
-            counts[d] = counts.get(d, 0) + dim
-            total += dim
-    return total, counts
-
-
 def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     """Direct sum of the local Q-Gorenstein deformation spaces.
 
@@ -347,14 +329,12 @@ def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     are built: the record reads its dimension and weight matrix off
     them.
     """
+    _require_record(surface, SurfaceModel)
     blocks = []
     for record in surface.singular_locus:
         cls = _classify_point(record)
-        if cls.qdef_dim == 0:
-            blocks.append((record, ()))
-            continue
-        chars = tuple(versal_weights(cls, record.local_torus_weights))
-        blocks.append((record, chars))
+        chars = versal_weights(cls, record.local_torus_weights) if cls.qdef_dim else ()
+        blocks.append((record, tuple(chars)))
     return QDefModel(tuple(blocks))
 
 
@@ -362,19 +342,16 @@ def betti_of_generic_smoothing(surface: SurfaceModel) -> int:
     """Second Betti number of the surface a generic polystable deformation
     reaches: the Du Val and T points smooth, rigid points persist.
 
-    A smoothed A_{n-1} point contributes its chain of n-1 vanishing
-    2-spheres. A smoothed T-point of co-index r with w = m r contributes
-    m - 1: its Milnor fiber is the free Z_r quotient of the fiber of
-    x y = z^(m r), whose Euler characteristic m r + 1 - (m r - m) drops
-    to m after the quotient bookkeeping, leaving b_2 = m - 1 (zero for
-    the primitive case, as the degree-2 del Pezzo value 8 at l = 4
-    confirms).
+    It is b2_base plus, per point of the singular locus, the
+    smoothing_b2 of the point's classification: m - 1 for a T point,
+    which covers the n - 1 vanishing 2-spheres of a Du Val point
+    A_{n-1} (m = n), and 0 for a rigid point. A point with unknown
+    deformation theory is an error naming the point. It equals the
+    b2_generic of the surface's model: moduli.evaluate_model adds the
+    same per-point values in its one walk of the locus and does not call
+    this.
     """
-    total = surface.b2_base
-    for record in surface.singular_locus:
-        cls = _classify_point(record)
-        if cls.is_du_val:
-            total += record.singularity.order - 1
-        elif cls.is_T:
-            total += cls.m - 1
-    return total
+    _require_record(surface, SurfaceModel)
+    return surface.b2_base + sum(
+        _classify_point(record).smoothing_b2 for record in surface.singular_locus
+    )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from call_counts import count_calls
+from three_pass import qdef_directions
 
 from kmoduli import cli, cqsing, moduli, quotsurf, torusgit
 from kmoduli.cli import main
@@ -164,6 +165,20 @@ def test_local_model_classifies_each_point_once(monkeypatch, family, l):
     assert {args[0] for args in classified} == forms
 
 
+@pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 31)])
+def test_local_model_walks_the_singular_locus_once(monkeypatch, family, l):
+    # one walk reads every fact of the locus: each point is classified
+    # once (4 points for X_l, 3 for Y_l), and the per-surface Betti
+    # walk is not run
+    points = singular_locus(family, l)
+    walked = count_calls(monkeypatch, quotsurf._classify_point)
+    bettis = count_calls(monkeypatch, quotsurf.betti_of_generic_smoothing)
+    moduli.local_model(family, l)
+    assert len(walked) == len(points) == {"X": 4, "Y": 3}[family]
+    assert [args[0] for args in walked] == list(points)
+    assert bettis == []
+
+
 @pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
 def test_local_model_walks_each_chain_once_in_integers(monkeypatch, family, l):
     # one integer chain walk per distinct form, and no Fraction per form:
@@ -194,7 +209,7 @@ def test_x_local_model_ranks_once(monkeypatch, cold_torusgit, l):
     sets = set()
     for k in range(2, l + 1):
         surface = quotsurf.build_surface(moduli.action_for("X", k))
-        sets.add(frozenset(quotsurf.qdef_directions(surface)[1]))
+        sets.add(frozenset(qdef_directions(surface)[1]))
     assert len(sets) == (1 if l == 2 else 2)
     ranks = count_calls(monkeypatch, torusgit.integer_matrix_rank)
     moduli.table("X", 2, l)

@@ -484,6 +484,25 @@ def test_classify_algebraic_criteria_sweep():
             assert not (c.is_qg_rigid and c.is_T)
 
 
+def test_smoothing_b2_is_one_rule_for_du_val_and_t_points():
+    # m - 1 for a T point: a Du Val A_{n-1} point has m = n and adds its
+    # n - 1 vanishing spheres, another T point m - 1, any other point 0
+    forms = [NormalForm(1, None)]
+    forms += [NormalForm(n, q) for n in range(2, 300) for q in valid_q(n)]
+    assert len(forms) == 27_318
+    for nf in forms:
+        c = classify(nf)
+        if c.is_du_val:
+            assert c.m == nf.order
+            expected = nf.order - 1
+        else:
+            expected = c.m - 1 if c.is_T else 0
+        assert c.smoothing_b2 == expected, nf
+    assert classify(NormalForm(1, None)).smoothing_b2 == 0
+    assert classify(NormalForm(18, 5)).smoothing_b2 == 1  # 1/18(1,5): m = 2
+    assert classify(NormalForm(5, 2)).smoothing_b2 == 0  # rigid
+
+
 def test_classify_equivalence_invariant():
     for n in range(2, 201):
         for q in valid_q(n):

@@ -4,15 +4,26 @@ import json
 import re
 import signal
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import gcd
 
 import pytest
+from call_counts import count_calls
 from capped import run_capped
+from three_pass import qdef_directions, three_pass_model
 from weight_systems import full_support, negated, qdef_weight_system
 
 import kmoduli
-from kmoduli.cqsing import NonIsolatedError, NormalForm, classify, min_discrepancy
+from kmoduli import torusgit
+from kmoduli.cqsing import (
+    NonIsolatedError,
+    NormalForm,
+    classify,
+    discrepancies,
+    hirzebruch_jung,
+    min_discrepancy,
+    normalize,
+)
 from kmoduli.moduli import (
     LocalModuliModel,
     action_for,
@@ -28,6 +39,7 @@ from kmoduli.quotsurf import (
     FixedPointRecord,
     SurfaceModel,
     assemble_qdef,
+    betti_of_generic_smoothing,
     build_surface,
 )
 from kmoduli.torusgit import (
@@ -264,20 +276,49 @@ def test_min_discrepancy_is_the_least_over_the_singular_locus():
         assert local_model(family, l).min_discrepancy == least, (family, l)
 
 
+def _mixed_order_records() -> tuple:
+    # hand-built points of orders 9, 4 and 5, with discrepancies -4/9,
+    # -1/2 and 0
+    torus = ((1, 0), (0, 1))
+    return tuple(
+        FixedPointRecord(f"p{i}", (1, nf.q), torus, classify(nf))
+        for i, nf in enumerate((NormalForm(9, 4), NormalForm(4, 1), NormalForm(5, 4)))
+    )
+
+
 def test_min_discrepancy_over_points_of_different_orders():
     # a hand-built surface whose points have orders 9, 4 and 5, with
     # discrepancies -4/9, -1/2 and 0: the least is neither the first nor
     # the last, and its numerator is not the least one
-    torus = ((1, 0), (0, 1))
-    records = tuple(
-        FixedPointRecord(f"p{i}", (1, nf.q), torus, classify(nf))
-        for i, nf in enumerate((NormalForm(9, 4), NormalForm(4, 1), NormalForm(5, 4)))
-    )
+    records = _mixed_order_records()
     action = CyclicAction("P1xP1", 5, (1, 4))
     model = evaluate_model(SurfaceModel(action, records))
     assert model.min_discrepancy == Fraction(-1, 2)
     assert model.min_discrepancy == min(min_discrepancy(r.singularity) for r in records)
     assert model.gorenstein_index == 18
+
+
+def one_walk_cases():
+    """The surfaces of the sweep, and the mixed-order surface of
+    _mixed_order_records in each order of its points."""
+    for family, l in sweep_orders():
+        yield build_surface(action_for(family, l))
+    for records in permutations(_mixed_order_records()):
+        yield SurfaceModel(CyclicAction.x_family(5), records)
+
+
+def test_one_walk_matches_the_three_pass_path(monkeypatch):
+    # the model and the direction multiset handed to the GIT engine are
+    # those of one walk of the locus per fact
+    cases = list(one_walk_cases())
+    inputs = count_calls(monkeypatch, torusgit._quotient_dim)
+    for surface in cases:
+        model = evaluate_model(surface)
+        (counts, _, _), = inputs
+        inputs.clear()
+        assert model == three_pass_model(surface), surface.action
+        assert counts == qdef_directions(surface)[1], surface.action
+        assert model.b2_generic == betti_of_generic_smoothing(surface)
 
 
 def test_evaluate_model_refuses_a_locus_without_singular_points():
@@ -440,6 +481,31 @@ def test_table_and_witness_refuse_a_bound_that_is_not_an_int(call, args, name):
         call(*args)
 
 
+# entry point taking a record -> the record type it takes
+RECORD_ARGUMENTS = {
+    classify: "NormalForm",
+    normalize: "CyclicQuotientSingularity",
+    hirzebruch_jung: "NormalForm",
+    discrepancies: "NormalForm",
+    min_discrepancy: "NormalForm",
+    build_surface: "CyclicAction",
+    assemble_qdef: "SurfaceModel",
+    betti_of_generic_smoothing: "SurfaceModel",
+    evaluate_model: "SurfaceModel",
+}
+
+
+@pytest.mark.parametrize("value", [5, None, "1/5(1,2)", (5, 2)], ids=repr)
+@pytest.mark.parametrize("call", RECORD_ARGUMENTS, ids=lambda f: f.__name__)
+def test_record_arguments_are_checked_where_they_enter(call, value):
+    # a value that is not the record, a tuple of its fields included, is
+    # refused by name at the entry point, not deep inside as an
+    # AttributeError
+    expected = f"expected a {RECORD_ARGUMENTS[call]}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        call(value)
+
+
 def test_errors_propagate():
     with pytest.raises(NonIsolatedError):
         local_model("Y", 4)
@@ -580,6 +646,11 @@ RECORDS = {
 # record type -> its read-only properties, each with the formula that
 # gives it from the fields
 DERIVED = {
+    "SingularityClassification": {
+        "smoothing_b2": lambda c: (
+            c.normal_form.order - 1 if c.is_du_val else c.m - 1 if c.is_T else 0
+        ),
+    },
     "FixedPointRecord": {"singularity": lambda r: r.classification.normal_form},
     "SurfaceModel": {
         "volume": lambda s: Fraction(

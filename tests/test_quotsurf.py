@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from three_pass import qdef_directions
 from weight_systems import qdef_weight_system
 
 from kmoduli.cqsing import (
@@ -23,7 +24,6 @@ from kmoduli.quotsurf import (
     assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
-    qdef_directions,
 )
 from kmoduli.torusgit import quotient_dim
 
