@@ -385,7 +385,17 @@ def versal_weights(
 
     cls is the classification of the point's normal form. Output length
     equals qdef_dim; every character is a nonzero multiple of alpha + beta.
+    A cls that is not a SingularityClassification, or local_weights that
+    are not two pairs of exact ints, raise ValueError.
     """
+    _require_record(cls, SingularityClassification)
+    if type(local_weights) not in (tuple, list) or len(local_weights) != 2 or not all(
+        type(chi) in (tuple, list) and len(chi) == 2 and all(type(x) is int for x in chi)
+        for chi in local_weights
+    ):
+        raise ValueError(
+            f"local_weights must be two pairs of integer characters, got {local_weights!r}"
+        )
     nf = cls.normal_form
     if cls.qdef_dim is None:
         raise UnknownDeformationError(

@@ -10,14 +10,14 @@ Gorenstein index, second Betti number of the generic smoothing).
 
 Every field is computed by the generic pipeline; the special orders
 (l = 2, 4 in the X family, l = 3, 9 in the Y family) flow through the
-same code paths as all others. evaluate_model reads a built surface in
-one walk of its singular locus: per point, the deformation count of
-the primitive direction of alpha + beta and the point's contribution
-to b2; per distinct normal form, the least log numerator of its chain
-and its Gorenstein index. The action's family, volume and b2_base are
-read once, off the action. The stack dimension and whether the
-surface is isolated follow from the fields, so the record reads them
-as properties.
+same code paths as all others. evaluate_model reads a surface in one
+walk of the singular locus its action determines: per point, the
+deformation count of the primitive direction of alpha + beta and the
+point's contribution to b2; per distinct normal form, the least log
+numerator of its chain and its Gorenstein index. The action's family,
+volume and b2_base are read once, off the action. The stack dimension
+and whether the surface is isolated follow from the fields, so the
+record reads them as properties.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .cqsing import _check_singular, _min_log_numerator, _require_record
+from .cqsing import _min_log_numerator, _require_record
 from .quotsurf import (
     _PRESET_AUT0_DIM,
     CyclicAction,
     SurfaceModel,
-    _classify_point,
     build_surface,
     rational_json,
 )
@@ -113,7 +112,7 @@ def local_model(family: str, l: int) -> LocalModuliModel:
 
 
 def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
-    """The local moduli model of a built surface.
+    """The local moduli model of a surface.
 
     The family of the model is the one of the surface's action
     (CyclicAction.family, read once). Only the two family presets have
@@ -124,8 +123,12 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     SurfaceModel raises ValueError.
 
     Everything else comes from one walk of the singular locus, which
-    classifies each point once (a point with unknown deformation theory
-    is an error naming it) and builds no character and no weight matrix:
+    the surface's constructor derived from the action: every point is
+    1/l(1, q) with l >= 2, the order of the action (quotsurf), and a
+    preset's points are A_{l-1}, 1/l(1,1) and 1/l(1,2), each rigid, Du
+    Val or T, so each has a known deformation dimension. The walk reads
+    each point's classification and builds no character and no weight
+    matrix:
       * per point: a deforming point adds its qdef_dim to the deformation
         dimension and to the count of the primitive direction of alpha +
         beta, as every character of its block is a positive multiple of
@@ -134,15 +137,13 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
         integer numerator of its chain (_min_log_numerator, the run form
         of the chain walk, so the cost grows as log l) and its Gorenstein
         index r, whose lcm is the surface's.
-    The minimal discrepancy is compared across the forms as integer
-    pairs (numerator - n, n) by cross-multiplication, exact also for
-    points of different orders, and one Fraction is built for the
-    least. The coarse dimension and the kernel rank of the residual
-    2-torus are read off the cached support cut and ranks of the
-    direction multiset (_quotient_dim, _direction_rank). aut_dim is the
-    dimension of the connected reductive automorphism group (finite
-    factors are ignored, and finite quotients do not change any
-    dimension reported here).
+    The least numerator starts at l, as no log discrepancy exceeds 1,
+    and one Fraction is built for the minimal discrepancy. The coarse
+    dimension and the kernel rank of the residual 2-torus are read off
+    the cached support cut and ranks of the direction multiset
+    (_quotient_dim, _direction_rank). aut_dim is the dimension of the
+    connected reductive automorphism group (finite factors are ignored,
+    and finite quotients do not change any dimension reported here).
     """
     _require_record(surface, SurfaceModel)
     action = surface.action
@@ -152,11 +153,11 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
             f"no automorphism dimension is known for {action}: "
             "only the X and Y family actions have a moduli model"
         )
+    l = action.order
     qdef_dim, b2, counts, forms = 0, surface.b2_base, {}, set()
-    # the search starts above every discrepancy, at 1 / 0
-    num, den, index = 1, 0, 1
+    low, index = l, 1
     for record in surface.singular_locus:
-        cls = _classify_point(record)
+        cls = record.classification
         if dim := cls.qdef_dim:
             (a0, a1), (b0, b1) = record.local_torus_weights
             x, y = a0 + b0, a1 + b1
@@ -165,26 +166,20 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
             counts[d] = counts.get(d, 0) + dim
             qdef_dim += dim
         b2 += cls.smoothing_b2
-        if (nf := cls.normal_form) not in forms:
-            forms.add(nf)
-            _check_singular(nf)
-            n = nf.order
-            low = _min_log_numerator(n, nf.q) - n
-            if low * den < num * n:
-                num, den = low, n
+        if (q := cls.normal_form.q) not in forms:
+            forms.add(q)
+            low = min(low, _min_log_numerator(l, q))
             index = lcm(index, cls.r)
-    if not den:
-        raise ValueError(f"the surface of {action} has no singular point")
     dirs = frozenset(counts)
     return LocalModuliModel(
         family,
-        action.order,
+        l,
         qdef_dim,
         _PRESET_AUT0_DIM,
         _quotient_dim(counts, 0, dirs),
         2 - _direction_rank(dirs),
         surface.volume,
-        Fraction(num, den),
+        Fraction(low - l, l),
         index,
         b2,
     )

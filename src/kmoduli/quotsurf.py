@@ -27,19 +27,22 @@ and u = (w0 - w2, w1 - w2) on P2, with w_j the weight on z_j. So a chart
 coordinate of character chi has cyclic weight <u, chi> mod l.
 
 The fixed points are isolated iff every chart weight <u, chi> is a unit
-mod l, so build_surface tests gcd(a, l) = gcd(b, l) = 1 for the chart
-weights a, b of each point, and the table names the torus-invariant
-curve each chart coordinate runs along for the error. Proof: if a weight
-has gcd g > 1 with l, the order-g subgroup acts trivially on that curve.
-Conversely, each component of the fixed locus of an element of Z_l is
-torus-stable, so it holds a torus-fixed point, where its tangent space
-is the eigenvalue-1 part of the chart action, which is zero when both
-chart weights are units.
+mod l, so SurfaceModel(action) tests gcd(a, l) = gcd(b, l) = 1 for the
+chart weights a, b of each point, and the table names the
+torus-invariant curve each chart coordinate runs along for the error.
+Proof: if a weight has gcd g > 1 with l, the order-g subgroup acts
+trivially on that curve. Conversely, each component of the fixed locus
+of an element of Z_l is torus-stable, so it holds a torus-fixed point,
+where its tangent space is the eigenvalue-1 part of the chart action,
+which is zero when both chart weights are units.
 
 Every accepted action has isolated fixed points, which forces the full
 group Z_l to stabilize each coordinate point and to act faithfully on
 its chart, so each singular point is the full quotient 1/l(a,b) of its
-chart weights.
+chart weights. With a a unit, that is 1/l(1, q) for q = a^(-1) b mod l,
+a unit too, and l >= 2: every point of a surface is singular, and all
+of them have the one order l. A surface is its action, so no other
+locus can be built (SurfaceModel).
 """
 
 from __future__ import annotations
@@ -189,8 +192,17 @@ class FixedPointRecord(NamedTuple):
         }
 
 
-class SurfaceModel(NamedTuple):
-    """A quotient surface: its action and its singular locus.
+class SurfaceModel(namedtuple("SurfaceModel", "action")):
+    """A quotient surface: the ambient divided by its action, the one field.
+
+    The constructor checks the action (a CyclicAction, else ValueError),
+    raises NonIsolatedError for an action whose fixed points are not
+    isolated, and computes the singular locus once (_singular_locus).
+    The locus is a read-only attribute and not a field: it is what the
+    action determines, so it takes part in neither equality, hash, repr
+    nor _asdict(). _make, and so _replace, build through the
+    constructor, and no attribute can be set, so no record holds a
+    locus its action does not give.
 
     The rest is read off the action as properties: volume is the
     ambient's anticanonical degree over l, as the quotient map is
@@ -202,8 +214,21 @@ class SurfaceModel(NamedTuple):
     trivial action leaves whole: 2 for P1 x P1 and 1 for P2.
     """
 
-    action: CyclicAction
-    singular_locus: tuple[FixedPointRecord, ...]
+    def __new__(cls, action: CyclicAction):
+        _require_record(action, CyclicAction)
+        self = tuple.__new__(cls, (action,))
+        self.__dict__["singular_locus"] = _singular_locus(action)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SurfaceModel is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SurfaceModel is read-only: cannot delete {name!r}")
+
+    @classmethod
+    def _make(cls, iterable) -> "SurfaceModel":
+        return cls(*iterable)
 
     @property
     def volume(self) -> Fraction:
@@ -259,13 +284,22 @@ class QDefModel(NamedTuple):
 
 
 def build_surface(action: CyclicAction) -> SurfaceModel:
-    """Quotient the ambient by the action and record the singular locus.
+    """Quotient the ambient by the action: SurfaceModel(action).
 
     Rejects actions whose fixed locus is not isolated, naming the point,
     the chart weight that is not a unit mod l, and the curve that weight's
     subgroup fixes pointwise (for the Y family with even l: the line
     z2 = 0). The volume, aut0_dim and b2_base of the surface are
-    properties of its action (SurfaceModel).
+    properties of its action, and its singular locus is computed once,
+    by the constructor (_singular_locus).
+    """
+    return SurfaceModel(action)
+
+
+def _singular_locus(action: CyclicAction) -> tuple[FixedPointRecord, ...]:
+    """The records of the torus-fixed points of a CyclicAction, or
+    NonIsolatedError for the first point with a chart weight that is not
+    a unit mod l.
 
     Each point's work is integer arithmetic: the chart weights a, b,
     their gcds with l, and q = a^(-1) b mod l, looked up in a dict local
@@ -276,7 +310,6 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     built and classified once and the records that share it share one
     classification object.
     """
-    _require_record(action, CyclicAction)
     _, _, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = [sum(map(mul, row, action.weights)) for row in cocharacter]
@@ -303,7 +336,7 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
                 cls = classify(NormalForm(l, c))
             forms[q] = forms[c] = cls
         records.append(FixedPointRecord(label, (a, b), (alpha, beta), cls))
-    return SurfaceModel(action, tuple(records))
+    return tuple(records)
 
 
 def _classify_point(record: FixedPointRecord) -> SingularityClassification:

@@ -167,16 +167,21 @@ def test_local_model_classifies_each_point_once(monkeypatch, family, l):
 
 @pytest.mark.parametrize("family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 31)])
 def test_local_model_walks_the_singular_locus_once(monkeypatch, family, l):
-    # one walk reads every fact of the locus: each point is classified
-    # once (4 points for X_l, 3 for Y_l), and the per-surface Betti
-    # walk is not run
-    points = singular_locus(family, l)
+    # the surface's constructor classifies each distinct form once, and
+    # the one walk of evaluate_model reads the classifications the points
+    # hold: it classifies nothing, and the per-surface Betti walk is not
+    # run
+    surface = quotsurf.build_surface(moduli.action_for(family, l))
+    forms = {r.singularity for r in surface.singular_locus}
+    classified = count_calls(monkeypatch, cqsing.classify)
     walked = count_calls(monkeypatch, quotsurf._classify_point)
     bettis = count_calls(monkeypatch, quotsurf.betti_of_generic_smoothing)
+    moduli.evaluate_model(surface)
+    assert classified == walked == bettis == []
     moduli.local_model(family, l)
-    assert len(walked) == len(points) == {"X": 4, "Y": 3}[family]
-    assert [args[0] for args in walked] == list(points)
-    assert bettis == []
+    assert len(classified) == len(forms) < len(surface.singular_locus)
+    assert {args[0] for args in classified} == forms
+    assert walked == bettis == []
 
 
 @pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])

@@ -554,3 +554,22 @@ def test_versal_weights_rejects_rigid_and_unknown():
         versal_weights(classify(NormalForm(1, None)), ((1, 0), (0, 1)))
     with pytest.raises(UnknownDeformationError):
         versal_weights(classify(NormalForm(12, 7)), ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "local_weights",
+    [None, 5, "ab", ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, "a")),
+     ((1, 0), (0, 1.0)), ((1, 0), (0, True)), ((1, 0), (0, 1, 2)), ((1, 0), 5)],
+    ids=repr,
+)
+def test_versal_weights_refuses_weights_that_are_not_two_integer_pairs(local_weights):
+    # refused where they enter, with ValueError, and not as a TypeError
+    # of the sum of alpha and beta
+    message = f"two pairs of integer characters, got {local_weights!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        versal_weights(classify(NormalForm(4, 3)), local_weights)
+
+
+def test_versal_weights_takes_lists_of_weights():
+    cls = classify(NormalForm(4, 3))
+    assert versal_weights(cls, [[1, 0], [0, 1]]) == versal_weights(cls, ((1, 0), (0, 1)))

@@ -1,29 +1,23 @@
 """Tests for the local K-moduli models and the Proposition-style table."""
 
+import inspect
 import json
 import re
 import signal
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from math import gcd
 
 import pytest
 from call_counts import count_calls
 from capped import run_capped
+from fixed_points import oracle_records
 from three_pass import qdef_directions, three_pass_model
 from weight_systems import full_support, negated, qdef_weight_system
 
 import kmoduli
 from kmoduli import torusgit
-from kmoduli.cqsing import (
-    NonIsolatedError,
-    NormalForm,
-    classify,
-    discrepancies,
-    hirzebruch_jung,
-    min_discrepancy,
-    normalize,
-)
+from kmoduli.cqsing import NonIsolatedError, NormalForm, classify, min_discrepancy
 from kmoduli.moduli import (
     LocalModuliModel,
     action_for,
@@ -278,7 +272,7 @@ def test_min_discrepancy_is_the_least_over_the_singular_locus():
 
 def _mixed_order_records() -> tuple:
     # hand-built points of orders 9, 4 and 5, with discrepancies -4/9,
-    # -1/2 and 0
+    # -1/2 and 0: no action gives this locus
     torus = ((1, 0), (0, 1))
     return tuple(
         FixedPointRecord(f"p{i}", (1, nf.q), torus, classify(nf))
@@ -286,31 +280,11 @@ def _mixed_order_records() -> tuple:
     )
 
 
-def test_min_discrepancy_over_points_of_different_orders():
-    # a hand-built surface whose points have orders 9, 4 and 5, with
-    # discrepancies -4/9, -1/2 and 0: the least is neither the first nor
-    # the last, and its numerator is not the least one
-    records = _mixed_order_records()
-    action = CyclicAction("P1xP1", 5, (1, 4))
-    model = evaluate_model(SurfaceModel(action, records))
-    assert model.min_discrepancy == Fraction(-1, 2)
-    assert model.min_discrepancy == min(min_discrepancy(r.singularity) for r in records)
-    assert model.gorenstein_index == 18
-
-
-def one_walk_cases():
-    """The surfaces of the sweep, and the mixed-order surface of
-    _mixed_order_records in each order of its points."""
-    for family, l in sweep_orders():
-        yield build_surface(action_for(family, l))
-    for records in permutations(_mixed_order_records()):
-        yield SurfaceModel(CyclicAction.x_family(5), records)
-
-
 def test_one_walk_matches_the_three_pass_path(monkeypatch):
     # the model and the direction multiset handed to the GIT engine are
-    # those of one walk of the locus per fact
-    cases = list(one_walk_cases())
+    # those of one walk of the locus per fact, on every surface of the
+    # sweep
+    cases = [build_surface(action_for(family, l)) for family, l in sweep_orders()]
     inputs = count_calls(monkeypatch, torusgit._quotient_dim)
     for surface in cases:
         model = evaluate_model(surface)
@@ -319,15 +293,6 @@ def test_one_walk_matches_the_three_pass_path(monkeypatch):
         assert model == three_pass_model(surface), surface.action
         assert counts == qdef_directions(surface)[1], surface.action
         assert model.b2_generic == betti_of_generic_smoothing(surface)
-
-
-def test_evaluate_model_refuses_a_locus_without_singular_points():
-    action = CyclicAction.x_family(5)
-    smooth = NormalForm(1, None)
-    point = FixedPointRecord("p", (0, 0), ((1, 0), (0, 1)), classify(smooth))
-    for locus, message in (((), "no singular point"), ((point,), "smooth point")):
-        with pytest.raises(ValueError, match=message):
-            evaluate_model(SurfaceModel(action, locus))
 
 
 def test_gorenstein_index():
@@ -481,18 +446,38 @@ def test_table_and_witness_refuse_a_bound_that_is_not_an_int(call, args, name):
         call(*args)
 
 
-# entry point taking a record -> the record type it takes
-RECORD_ARGUMENTS = {
-    classify: "NormalForm",
-    normalize: "CyclicQuotientSingularity",
-    hirzebruch_jung: "NormalForm",
-    discrepancies: "NormalForm",
-    min_discrepancy: "NormalForm",
-    build_surface: "CyclicAction",
-    assemble_qdef: "SurfaceModel",
-    betti_of_generic_smoothing: "SurfaceModel",
-    evaluate_model: "SurfaceModel",
+# parameter name -> a valid argument, for each parameter an entry point
+# requires after its record
+LATER_ARGUMENTS = {
+    "local_weights": ((1, 0), (0, 1)),
+    "p": SupportPoint.of([1]),
+    "degree_cap": 2,
 }
+
+
+def record_arguments() -> dict:
+    """Entry point -> the name of the record type its first parameter
+    takes and the arguments it requires after it: every function of
+    kmoduli.__all__ whose first parameter is annotated with a record type
+    of __all__, and evaluate_model, which is not exported. A new entry
+    point joins the table by its signature, and one that requires a
+    later parameter not in LATER_ARGUMENTS fails collection."""
+    public = {name: getattr(kmoduli, name) for name in kmoduli.__all__}
+    records = {
+        name for name, obj in public.items()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+    }
+    functions = [obj for obj in public.values() if inspect.isfunction(obj)]
+    table = {}
+    for call in [*functions, evaluate_model]:
+        first, *later = inspect.signature(call).parameters.values()
+        if first.annotation in records:
+            required = [q.name for q in later if q.default is q.empty]
+            table[call] = first.annotation, [LATER_ARGUMENTS[q] for q in required]
+    return table
+
+
+RECORD_ARGUMENTS = record_arguments()
 
 
 @pytest.mark.parametrize("value", [5, None, "1/5(1,2)", (5, 2)], ids=repr)
@@ -501,9 +486,10 @@ def test_record_arguments_are_checked_where_they_enter(call, value):
     # a value that is not the record, a tuple of its fields included, is
     # refused by name at the entry point, not deep inside as an
     # AttributeError
-    expected = f"expected a {RECORD_ARGUMENTS[call]}, got {value!r}"
+    record, later = RECORD_ARGUMENTS[call]
+    expected = f"expected a {record}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        call(value)
+        call(value, *later)
 
 
 def test_errors_propagate():
@@ -537,7 +523,8 @@ def test_evaluate_model_refuses_a_non_preset_whatever_its_aut0_dim():
     # a hand-built surface of a P2 action that is not y_family(7) is not
     # Y_7, and its action gives it no automorphism dimension to claim
     action = CyclicAction("P2", 7, (1, 2, 0))
-    surface = SurfaceModel(action, build_surface(action).singular_locus)
+    surface = SurfaceModel(action)
+    assert surface == build_surface(action)
     assert surface.aut0_dim is None
     with pytest.raises(ValueError, match="no automorphism dimension"):
         evaluate_model(surface)
@@ -549,14 +536,33 @@ def test_a_record_cannot_contradict_what_determines_it():
     x5 = _x5_surface()
     action, locus = x5.action, x5.singular_locus
     with pytest.raises(TypeError):
-        SurfaceModel(action, locus, Fraction(1, 3), 7, 9)
+        SurfaceModel(action, locus)
     with pytest.raises(TypeError):
-        SurfaceModel._make((action, locus, Fraction(1, 3), 7, 9))
-    assert evaluate_model(SurfaceModel(action, locus)) == local_model("X", 5)
+        SurfaceModel._make((action, locus))
+    assert evaluate_model(SurfaceModel(action)) == local_model("X", 5)
     with pytest.raises(ValueError, match="unexpected field"):
         locus[0]._replace(singularity=NormalForm(5, 2))
     with pytest.raises(ValueError, match="unexpected field"):
         local_model("X", 5)._replace(stack_dim=99, isolated=True)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (5,),
+        (5, ()),
+        (CyclicAction.x_family(5), (5,)),
+        (CyclicAction.x_family(5), None),
+        (CyclicAction.x_family(5), _mixed_order_records()),
+    ],
+    ids=["int", "int-empty-locus", "int-locus", "none-locus", "mixed-order-locus"],
+)
+def test_surface_model_refuses_what_is_not_its_action(args):
+    # a surface is its action: a value that is not one, or a locus given
+    # beside it, is refused where the record is built, and never escapes
+    # later as an AttributeError
+    with pytest.raises((ValueError, TypeError)):
+        SurfaceModel(*args)
 
 
 def test_negating_weight_matrix_changes_nothing():
@@ -623,10 +629,7 @@ RECORDS = {
         ("point_label", "local_cyclic_weights", "local_torus_weights",
          "classification"),
     ),
-    "SurfaceModel": (
-        _x5_surface,
-        ("action", "singular_locus"),
-    ),
+    "SurfaceModel": (_x5_surface, ("action",)),
     "QDefModel": (
         lambda: assemble_qdef(_x5_surface()),
         ("blocks",),
@@ -653,6 +656,7 @@ DERIVED = {
     },
     "FixedPointRecord": {"singularity": lambda r: r.classification.normal_form},
     "SurfaceModel": {
+        "singular_locus": lambda s: tuple(oracle_records(s.action)),
         "volume": lambda s: Fraction(
             {"P1xP1": 8, "P2": 9}[s.action.ambient], s.action.order
         ),
@@ -700,6 +704,10 @@ REFUSED = {
         (dict(ambient="P2", order=5.0, weights=(1, 4, 0)), ValueError, "got 5.0"),
         (dict(ambient="P1xP1", order=5, weights=7), ValueError, "integer weights: 7"),
         (dict(ambient="P1xP1", order=5, weights=(1, True)), ValueError, "(1, True)"),
+    ],
+    "SurfaceModel": [
+        (dict(action=5), ValueError, "expected a CyclicAction"),
+        (dict(action=CyclicAction("P1xP1", 4, (1, 2))), NonIsolatedError, "factor 2"),
     ],
     "WeightSystem": [
         (dict(matrix=((1, 2), (3,))), ValueError, "expected rows of length 2"),

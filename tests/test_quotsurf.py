@@ -1,12 +1,15 @@
 """Tests for quotient surface construction and deformation assembly."""
 
+import copy
 import json
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from fixed_points import oracle_records
 from three_pass import qdef_directions
 from weight_systems import qdef_weight_system
 
@@ -18,9 +21,9 @@ from kmoduli.cqsing import (
     normalize,
 )
 from kmoduli.quotsurf import (
-    _AMBIENTS,
     CyclicAction,
     FixedPointRecord,
+    SurfaceModel,
     assemble_qdef,
     betti_of_generic_smoothing,
     build_surface,
@@ -91,33 +94,6 @@ def reference_p2_records(action: CyclicAction) -> list[FixedPointRecord]:
                 local_torus_weights=chars,
                 classification=classify(nf),
             )
-        )
-    return records
-
-
-def oracle_records(action: CyclicAction) -> list[FixedPointRecord]:
-    """The fixed points through the germ, point by point: each chart pair
-    builds a CyclicQuotientSingularity, whose gcd check is the isolation
-    test, then normalize, canonical() and classify."""
-    _, _, cocharacter, points = _AMBIENTS[action.ambient]
-    l = action.order
-    u = [sum(x * w for x, w in zip(row, action.weights)) for row in cocharacter]
-    records = []
-    for label, alpha, beta, curves in points:
-        a, b = (sum(x * y for x, y in zip(u, chi)) % l for chi in (alpha, beta))
-        try:
-            germ = CyclicQuotientSingularity(l, a, b)
-        except NonIsolatedError:
-            w, curve = (a, curves[0]) if gcd(a, l) != 1 else (b, curves[1])
-            g = gcd(w, l)
-            raise NonIsolatedError(
-                f"point {label}: chart weight {w} has gcd {g} with l = {l}, so "
-                f"the order-{g} subgroup fixes {curve} pointwise and the "
-                "fixed locus contains curves"
-            ) from None
-        nf = normalize(germ).canonical()
-        records.append(
-            FixedPointRecord(label, (a, b), (alpha, beta), classify(nf))
         )
     return records
 
@@ -313,6 +289,43 @@ def test_records_match_the_per_point_oracle():
                         assert list(build_surface(action).singular_locus) == expected
                         isolated += 1
     assert (isolated, rejected) == (6483, 12425)
+
+
+def test_a_surface_is_its_action():
+    """The one field is the action, and the locus the constructor derives
+    equals the oracle's records, field for field, on the orders of the
+    benchmark sweep."""
+    actions = [CyclicAction.x_family(l) for l in range(2, 401)]
+    actions += [CyclicAction.y_family(l) for l in range(3, 402, 2)]
+    for action in actions:
+        surface = SurfaceModel(action)
+        assert tuple(surface) == (action,)
+        assert surface == build_surface(action)
+        assert surface.singular_locus == tuple(oracle_records(action)), action
+
+
+def test_a_surface_is_rebuilt_only_through_its_constructor():
+    x5, x7 = CyclicAction.x_family(5), CyclicAction.x_family(7)
+    s = build_surface(x5)
+    locus = s.singular_locus
+    moved = s._replace(action=x7)
+    assert moved == build_surface(x7)
+    assert moved.singular_locus == build_surface(x7).singular_locus
+    with pytest.raises(NonIsolatedError, match="factor 2"):
+        s._replace(action=CyclicAction("P1xP1", 4, (1, 2)))
+    with pytest.raises(ValueError, match="unexpected field"):
+        s._replace(singular_locus=moved.singular_locus)
+    with pytest.raises(AttributeError):
+        setattr(s, "singular_locus", ())
+    with pytest.raises(AttributeError):
+        del s.singular_locus
+    with pytest.raises(AttributeError):
+        s.action = x7
+    assert s.singular_locus is locus
+    for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert again == s
+        assert again.singular_locus == locus
+        assert again.to_json_dict() == s.to_json_dict()
 
 
 def test_x7_singular_locus():
