@@ -203,7 +203,11 @@ def hirzebruch_jung(nf: NormalForm) -> HJResolution:
 
 
 class DiscrepancyVector(NamedTuple):
-    """Exceptional-curve coefficients a_i in K_resolution = pullback(K) + sum a_i E_i."""
+    """Exceptional-curve coefficients a_i in K_resolution = pullback(K) + sum a_i E_i.
+
+    discrepancies builds this record; the constructor checks no field,
+    and no entry point takes one.
+    """
 
     values: tuple[Fraction, ...]
 

@@ -55,6 +55,9 @@ class LocalModuliModel(NamedTuple):
     polystable orbit, i.e. the surface is an isolated point of the
     coarse moduli space; that is coarse_dim == 0, as a nonempty
     polystable support has positive quotient dimension.
+
+    evaluate_model builds this record; the constructor checks no field,
+    and no entry point of the library takes one.
     """
 
     family: str

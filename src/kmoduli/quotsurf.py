@@ -170,7 +170,9 @@ class FixedPointRecord(NamedTuple):
     of the point's equivalence class (smaller q of the two chart
     orderings), read as the property singularity; its order is the
     stabilizer order. The records of one surface that share a form
-    share one classification object.
+    share one classification object. A surface's constructor builds
+    these records; the constructor of the record checks no field, and
+    no entry point takes one.
     """
 
     point_label: str
@@ -262,6 +264,8 @@ class QDefModel(NamedTuple):
     The blocks grow with the order, so only the surface report builds
     this record. A local model reads the dimension and the GIT input off
     the singular locus (moduli.evaluate_model), and builds no character.
+    assemble_qdef builds this record; the constructor checks no field,
+    and no entry point takes one.
     """
 
     blocks: tuple[tuple[FixedPointRecord, tuple[Character, ...]], ...]

@@ -15,20 +15,20 @@ the independent oracles support runs green next to each:
     admissible weight systems have minimal nonzero invariant degree far
     above 12 (an explicit example is degree 40), and its exhaustive
     sweep over ordered 9-entry grids is far beyond the time budget; the
-    corrected run uses adaptive caps with certified fallbacks and
-    exhausts column multisets instead of ordered tuples.
+    corrected run reads the invariant monoid off its exact Hilbert basis,
+    with no degree cap and no fallback, and exhausts column multisets
+    instead of ordered tuples.
 """
 
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
-from math import gcd, lcm
+from itertools import chain, combinations, combinations_with_replacement
+from math import gcd
 
-import numpy as np
 import pytest
 from continued_fractions import continued_fraction_value
-from fourier_motzkin import fm_witness
+from hilbert_basis import hilbert_basis, lattice_rank
 from weight_systems import column, full_support, negated, qdef_weight_system
 
 from kmoduli.cqsing import (
@@ -45,7 +45,6 @@ from kmoduli.torusgit import (
     SupportPoint,
     WeightSystem,
     destabilizing_limit,
-    integer_matrix_rank,
     is_polystable,
     kernel_rank,
     largest_polystable_support,
@@ -251,52 +250,6 @@ def test_criterion_06_literal_every_odd_order_5_to_15():
 
 COLUMNS_K2 = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
 
-_EXPONENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def exponent_matrix(n: int, cap: int) -> np.ndarray:
-    """All exponent vectors in n variables of total degree at most cap."""
-    key = (n, cap)
-    if key not in _EXPONENT_CACHE:
-        rows: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...], rest: int, slots: int) -> None:
-            if slots == 1:
-                rows.extend(prefix + (e,) for e in range(rest + 1))
-                return
-            for e in range(rest + 1):
-                rec(prefix + (e,), rest - e, slots - 1)
-
-        rec((), cap, n)
-        _EXPONENT_CACHE[key] = np.array(rows, dtype=np.int64)
-    return _EXPONENT_CACHE[key]
-
-
-def lattice_rank(rows, stop_at: int | None = None) -> int:
-    """Exact rank of integer vectors with an optional early exit."""
-    basis: dict[int, list[int]] = {}
-    rank = 0
-    for row in rows:
-        v = [int(x) for x in row]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        while lead is not None and lead in basis:
-            b = basis[lead]
-            c_b, c_v = b[lead], v[lead]
-            v = [c_b * x - c_v * y for x, y in zip(v, b)]
-            g = 0
-            for x in v:
-                g = gcd(g, x)
-            if g > 1:
-                v = [x // g for x in v]
-            lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        basis[lead] = v
-        rank += 1
-        if stop_at is not None and rank >= stop_at:
-            return rank
-    return rank
-
 
 def k2_system(cols) -> WeightSystem:
     return WeightSystem.from_rows(
@@ -304,155 +257,43 @@ def k2_system(cols) -> WeightSystem:
     )
 
 
-def capped_monomial_rank(cols, cap: int, stop_at: int) -> int:
-    E = exponent_matrix(len(cols), cap)
-    W = np.array(cols, dtype=np.int64)
-    zero = E[(E @ W == 0).all(axis=1)]
-    return lattice_rank(zero, stop_at=stop_at)
-
-
-def sweep_k2_multisets(n: int, cap: int, on_mismatch) -> int:
-    """Exhaustive sweep over column multisets; calls on_mismatch for every
-    system whose capped lattice rank falls short of quotient_dim."""
-    E = exponent_matrix(n, cap)
-    combos = combinations_with_replacement(COLUMNS_K2, n)
-    checked = 0
-    while chunk := list(islice(combos, 4096)):
-        W = np.array(chunk, dtype=np.int64)  # m x n x 2
-        masks = (np.einsum("rn,mnk->mrk", E, W) == 0).all(axis=2)
-        for cols, mask in zip(chunk, masks):
-            qd = quotient_dim(k2_system(cols))
-            rank = lattice_rank(E[mask], stop_at=qd + 1)
-            assert rank <= qd, (cols, rank, qd)
-            if rank < qd:
-                on_mismatch(cols, qd)
-            checked += 1
-    return checked
-
-
-def integer_kernel_basis(matrix: list[list[int]]) -> list[tuple[int, ...]]:
-    """Integer basis of the rational kernel of a small integer matrix."""
-    s = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for c in range(s):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    basis = []
-    for c in (c for c in range(s) if c not in pivots):
-        v = [Fraction(0)] * s
-        v[c] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][c]
-        scale = lcm(*(x.denominator for x in v))
-        basis.append(tuple(int(x * scale) for x in v))
-    return basis
-
-
-def kernel_certificate(cols, qd: int) -> bool:
-    """Certify rank(invariant monomials) = quotient_dim without a degree cap
-    by constructing explicit invariant monomials: a strictly positive kernel
-    ray on the largest polystable support plus shifted kernel-basis vectors."""
-    ws = k2_system(cols)
-    n = ws.n_coords
-    S = sorted(largest_polystable_support(ws).support)
-    assert S, "a positive quotient dimension needs a nonempty polystable support"
-    rows = []
-    for row in ws.matrix:
-        sub = tuple(row[i - 1] for i in S)
-        rows.append((sub, 0))
-        rows.append((tuple(-x for x in sub), 0))
-    for j in range(len(S)):
-        rows.append((tuple(1 if t == j else 0 for t in range(len(S))), 1))
-    witness = fm_witness(rows, len(S))
-    assert witness is not None
-    scale = lcm(*(f.denominator for f in witness))
-    ray = [0] * n
-    for i, f in zip(S, witness):
-        ray[i - 1] = int(f * scale)
-    monomials = [tuple(ray)]
-    for v in integer_kernel_basis([[row[i - 1] for i in S] for row in ws.matrix]):
-        full = [0] * n
-        for i, x in zip(S, v):
-            full[i - 1] = x
-        shift = max(
-            (-(x // r) for x, r in zip(full, ray) if r and x < 0), default=0
-        )
-        monomials.append(tuple(x + shift * r for x, r in zip(full, ray)))
-    for m in monomials:
-        assert all(e >= 0 for e in m), m
-        assert all(sum(w * e for w, e in zip(row, m)) == 0 for row in ws.matrix), m
-    return integer_matrix_rank(monomials) == qd
-
-
-def resolve_straggler(cols, qd: int) -> None:
-    caps = (24, 48) if len(cols) <= 3 else (24,)
-    for cap in caps:
-        rank = capped_monomial_rank(cols, cap, stop_at=qd + 1)
-        assert rank <= qd, (cols, rank, qd)
-        if rank == qd:
-            return
-    assert kernel_certificate(cols, qd), (cols, qd)
+def k2_multisets():
+    """Every multiset of one to three columns from the 9 x 9 grid."""
+    for n in (1, 2, 3):
+        yield from combinations_with_replacement(COLUMNS_K2, n)
 
 
 def test_criterion_07_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
     # k = 1: exhaustive over entry multisets, N <= 5; the closed form, the
-    # support algorithm, and the degree-12 monomial lattice all agree (12
-    # suffices: a mixed-sign pair yields an invariant of degree <= 8)
+    # support algorithm and the invariant monoid all agree
     for n in range(1, 6):
-        combos = list(combinations_with_replacement(range(-4, 5), n))
-        E = exponent_matrix(n, 12)
-        D = E @ np.array(combos, dtype=np.int64).T
-        for j, entries in enumerate(combos):
+        for entries in combinations_with_replacement(range(-4, 5), n):
             ws = WeightSystem.from_rows([list(entries)])
             qd = quotient_dim(ws)
             assert qd == quotient_dim_via_supports(ws), entries
-            rank = lattice_rank(E[D[:, j] == 0], stop_at=qd + 1)
+            rank = lattice_rank(hilbert_basis([(e,) for e in entries]))
             assert rank == qd, (entries, rank, qd)
             checked += 1
-    # k = 2: exhaustive over column multisets for N <= 3 at adaptive caps
-    stragglers: list[tuple[tuple, int]] = []
-    for n in (1, 2, 3):
-        checked += sweep_k2_multisets(
-            n, 12, lambda cols, qd: stragglers.append((cols, qd))
-        )
-    for cols, qd in stragglers:
-        resolve_straggler(cols, qd)
-    # k = 2, N in {4, 5}: seeded random sample (the ordered grid is 9^10)
+    # k = 2: exhaustive over column multisets for N <= 3, then a seeded
+    # sample for N in {4, 5} (the ordered grid is 9^10)
     rng = random.Random(20260817)
-    for n in (4, 5):
-        E = exponent_matrix(n, 12)
-        for _ in range(350):
-            cols = tuple(
-                (rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)
-            )
-            qd = quotient_dim(k2_system(cols))
-            W = np.array(cols, dtype=np.int64)
-            rank = lattice_rank(E[(E @ W == 0).all(axis=1)], stop_at=qd + 1)
-            assert rank <= qd, (cols, rank, qd)
-            if rank < qd:
-                resolve_straggler(cols, qd)
-            checked += 1
+    sampled = [
+        tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n))
+        for n in (4, 5)
+        for _ in range(350)
+    ]
+    for cols in chain(k2_multisets(), sampled):
+        basis = hilbert_basis(cols)
+        qd = quotient_dim(k2_system(cols))
+        assert lattice_rank(basis) == qd, (cols, basis, qd)
+        checked += 1
     _pass(
         "7", 60.0, start,
-        f"lattice rank of invariant monomials equals quotient_dim on {checked} "
-        f"systems ({len(stragglers)} needed caps beyond 12; literal fixed-cap "
-        f"variant is the expected failure)",
+        f"lattice rank of the invariant monoid's Hilbert basis equals "
+        f"quotient_dim on {checked} systems (literal fixed-cap variant is "
+        f"the expected failure)",
     )
 
 
@@ -466,13 +307,15 @@ def test_criterion_07_oracle_equivalence():
     ),
 )
 def test_criterion_07_literal_fixed_degree_cap():
-    def fail_now(cols, qd):
-        raise AssertionError(
+    # the basis elements of degree <= 12 span the lattice of all invariant
+    # monomials of degree <= 12: each of those is a sum of basis elements
+    # of no larger degree
+    for cols in k2_multisets():
+        capped = [m for m in hilbert_basis(cols) if sum(m) <= 12]
+        qd = quotient_dim(k2_system(cols))
+        assert lattice_rank(capped) == qd, (
             f"degree-12 lattice rank undercounts quotient_dim {qd} for {cols}"
         )
-
-    for n in (1, 2, 3):
-        sweep_k2_multisets(n, 12, fail_now)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The package imports nothing outside the standard library, and its
-command line starts without the heavier parts of it: importing the
-package loads no layer, and each subcommand loads only the layers it
-runs."""
+"""The package imports nothing outside the standard library, nor do its
+tests beyond pytest, and its command line starts without the heavier
+parts of it: importing the package loads no layer, and each subcommand
+loads only the layers it runs."""
 
 import ast
 import os
@@ -35,6 +35,18 @@ def test_runtime_imports_are_stdlib_only():
         for path in sources
         for name in imported_modules(path)
         if name not in ALLOWED
+    }
+    assert not outside
+
+
+def test_tests_import_only_stdlib_pytest_and_kmoduli():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    helpers = {path.stem for path in tests}
+    outside = {
+        (path.name, name)
+        for path in tests
+        for name in imported_modules(path)
+        if name not in ALLOWED | helpers | {"pytest"}
     }
     assert not outside
 

@@ -19,7 +19,6 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
 import pytest
 from call_counts import count_calls
 from fourier_motzkin import fm_witness
@@ -150,8 +149,18 @@ class _Weight(enum.IntEnum):
     ONE = 1
 
 
+class _Index:
+    """An integer-like object: __index__ gives 1, yet it is not an int."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "_Index(1)"
+
+
 @pytest.mark.parametrize(
-    "entry", [True, 1.5, "3", None, np.int64(1), _Weight.ONE, [1]], ids=repr
+    "entry", [True, 1.5, "3", None, _Index(), _Weight.ONE, [1]], ids=repr
 )
 def test_weight_entries_are_exact_ints_on_every_path(entry):
     # from_rows and the constructor refuse the same entry with
