@@ -30,7 +30,6 @@ _EXPORTS = {
         "min_discrepancy",
         "normalize",
         "parse_singularity",
-        "versal_weights",
     ),
     "moduli": (
         "LocalModuliModel",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "QDefModel",
         "SurfaceModel",
         "assemble_qdef",
-        "betti_of_generic_smoothing",
         "build_surface",
     ),
     "torusgit": (

@@ -2,8 +2,9 @@
 
 Normal forms 1/n(1,q), Hirzebruch-Jung resolutions, discrepancies, and
 the arithmetic governing Q-Gorenstein deformations: rigid / T / Du Val
-classification, whose r is the Gorenstein index, and the torus
-characters of the versal deformation parameters.
+classification, whose r is the Gorenstein index. The torus characters
+of the deformation parameters need the chart characters of a point on
+a surface, so quotsurf.assemble_qdef reads them off the classification.
 
 Discrepancies come from the toric integer formula (Cox-Little-Schenck
 10.2; Reid): with alpha_0 = n, alpha_1 = q, beta_0 = 0, beta_1 = 1 and
@@ -36,8 +37,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
-
-Character = tuple[int, int]
 
 
 class NonIsolatedError(ValueError):
@@ -75,6 +74,9 @@ class CyclicQuotientSingularity(
                     f"gcd(n, weight_{name}) = {g} != 1, an axis is fixed pointwise"
                 )
         return super().__new__(cls, order, weight_a, weight_b)
+
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
         return f"1/{self.order}({self.weight_a},{self.weight_b})"
@@ -116,6 +118,9 @@ class NormalForm(namedtuple("NormalForm", "order q")):
             if not 1 <= q < order or gcd(order, q) != 1:
                 raise ValueError(f"q = {q} must satisfy 1 <= q < {order} and gcd = 1")
         return super().__new__(cls, order, q)
+
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_smooth(self) -> bool:
@@ -179,6 +184,9 @@ class HJResolution(namedtuple("HJResolution", "coefficients")):
         if not all(type(b) is int and b >= 2 for b in coefficients):
             raise ValueError(f"all chain coefficients must be ints >= 2: {coefficients}")
         return super().__new__(cls, coefficients)
+
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def self_intersections(self) -> tuple[int, ...]:
@@ -369,48 +377,3 @@ def classify(nf: NormalForm) -> SingularityClassification:
     return SingularityClassification(
         nf, w, r, m, w0, is_du_val, is_T, is_T and m == 1, is_rigid, qdef
     )
-
-
-def versal_weights(
-    cls: SingularityClassification, local_weights: tuple[Character, Character]
-) -> list[Character]:
-    """Torus characters of the versal Q-Gorenstein deformation parameters.
-
-    local_weights = (alpha, beta) are the characters of the 2-torus on the
-    two orbifold-chart coordinates at the point (a coordinate c on which
-    the torus acts as c -> lambda^chi c is recorded with character chi).
-
-    The deformation parameters sit in the equation of the index-one
-    cover, x*y = z^(d*nT) + sum_j a_j z^(j*nT) with wt(z) = alpha + beta,
-    so a_j carries character (d - j) * nT * (alpha + beta):
-
-      * A_{n-1}: d = n, nT = 1, j = 0..n-2, characters (n, n-1, ..., 2)*(alpha+beta);
-      * T with r >= 2: d = m, nT = r, j = 0..m-1, characters (m*r, ..., r)*(alpha+beta).
-
-    cls is the classification of the point's normal form. Output length
-    equals qdef_dim; every character is a nonzero multiple of alpha + beta.
-    A cls that is not a SingularityClassification, or local_weights that
-    are not two pairs of exact ints, raise ValueError.
-    """
-    _require_record(cls, SingularityClassification)
-    if type(local_weights) not in (tuple, list) or len(local_weights) != 2 or not all(
-        type(chi) in (tuple, list) and len(chi) == 2 and all(type(x) is int for x in chi)
-        for chi in local_weights
-    ):
-        raise ValueError(
-            f"local_weights must be two pairs of integer characters, got {local_weights!r}"
-        )
-    nf = cls.normal_form
-    if cls.qdef_dim is None:
-        raise UnknownDeformationError(
-            f"{nf.display()}: no Q-Gorenstein deformation formula implemented"
-        )
-    if cls.qdef_dim == 0:
-        raise ValueError(f"{nf.display()} has no Q-Gorenstein deformations")
-    alpha, beta = local_weights
-    s = (alpha[0] + beta[0], alpha[1] + beta[1])
-    if cls.is_du_val:
-        coefs = range(nf.order, 1, -1)
-    else:
-        coefs = (c * cls.r for c in range(cls.m, 0, -1))
-    return [(c * s[0], c * s[1]) for c in coefs]

@@ -135,7 +135,7 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
       * per point: a deforming point adds its qdef_dim to the deformation
         dimension and to the count of the primitive direction of alpha +
         beta, as every character of its block is a positive multiple of
-        alpha + beta (versal_weights); and its smoothing_b2 to b2_generic;
+        alpha + beta (assemble_qdef); and its smoothing_b2 to b2_generic;
       * per distinct normal form, the first time it is met: the least
         integer numerator of its chain (_min_log_numerator, the run form
         of the chain walk, so the cost grows as log l) and its Gorenstein

@@ -54,18 +54,18 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .cqsing import (
-    Character,
     NonIsolatedError,
     NormalForm,
     SingularityClassification,
     UnknownDeformationError,
     _require_record,
     classify,
-    versal_weights,
 )
 
 P1XP1 = "P1xP1"
 P2 = "P2"
+# a character of the 2-torus, as the pair of its exponents
+Character = tuple[int, int]
 
 
 def rational_json(x: Fraction) -> dict:
@@ -115,6 +115,9 @@ class CyclicAction(namedtuple("CyclicAction", "ambient order weights")):
             raise ValueError(f"{ambient} takes {expected} weights, got {len(weights)}")
         weights = tuple(w % order for w in weights)
         return super().__new__(cls, ambient, order, weights)
+
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def x_family(cls, l: int) -> "CyclicAction":
@@ -228,9 +231,7 @@ class SurfaceModel(namedtuple("SurfaceModel", "action")):
     def __delattr__(self, name):
         raise AttributeError(f"SurfaceModel is read-only: cannot delete {name!r}")
 
-    @classmethod
-    def _make(cls, iterable) -> "SurfaceModel":
-        return cls(*iterable)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def volume(self) -> Fraction:
@@ -343,52 +344,38 @@ def _singular_locus(action: CyclicAction) -> tuple[FixedPointRecord, ...]:
     return tuple(records)
 
 
-def _classify_point(record: FixedPointRecord) -> SingularityClassification:
-    """The classification of a fixed point; an unknown deformation theory
-    is an error naming the point."""
-    cls = record.classification
-    if cls.qdef_dim is None:
-        raise UnknownDeformationError(
-            f"point {record.point_label}: no deformation dimension known "
-            f"for {record.singularity.display()}"
-        )
-    return cls
-
-
 def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     """Direct sum of the local Q-Gorenstein deformation spaces.
 
     There are no local-to-global obstructions for these surfaces, so the
-    versal space is the sum of the local ones; each parameter carries
-    the torus character computed from the chart characters at its point.
-    Rigid points contribute empty blocks; a point with unknown
-    deformation theory is an error naming the point. Only the blocks
-    are built: the record reads its dimension and weight matrix off
-    them.
+    versal space is the sum of the local ones: one block per point of the
+    singular locus, read off the classification and the chart characters
+    (alpha, beta) that the point's record holds. The parameters of a
+    point are the coefficients t_k of its index-one cover
+    x*y = z^w + sum_k t_k z^k, with wt(z) = alpha + beta, so t_k carries
+    the character (w - k)*(alpha + beta); k runs up from 0 in steps of
+    the Gorenstein index r, qdef_dim values in all (Kollar-Shepherd-Barron
+    1988, section 3):
+
+      * A_{n-1} (r = 1, w = n): (n, n-1, ..., 2)*(alpha + beta);
+      * T with r >= 2 (w = m*r): (m*r, ..., 2r, r)*(alpha + beta);
+      * rigid (qdef_dim 0): an empty block.
+
+    A point with unknown deformation theory raises
+    UnknownDeformationError naming the point. Only the blocks are built:
+    the record reads its dimension and weight matrix off them.
     """
     _require_record(surface, SurfaceModel)
     blocks = []
     for record in surface.singular_locus:
-        cls = _classify_point(record)
-        chars = versal_weights(cls, record.local_torus_weights) if cls.qdef_dim else ()
-        blocks.append((record, tuple(chars)))
+        cls = record.classification
+        if (dim := cls.qdef_dim) is None:
+            raise UnknownDeformationError(
+                f"point {record.point_label}: no deformation dimension known "
+                f"for {record.singularity.display()}"
+            )
+        (a0, a1), (b0, b1) = record.local_torus_weights
+        x, y = a0 + b0, a1 + b1
+        w, r = cls.w, cls.r
+        blocks.append((record, tuple((c * x, c * y) for c in range(w, w - dim * r, -r))))
     return QDefModel(tuple(blocks))
-
-
-def betti_of_generic_smoothing(surface: SurfaceModel) -> int:
-    """Second Betti number of the surface a generic polystable deformation
-    reaches: the Du Val and T points smooth, rigid points persist.
-
-    It is b2_base plus, per point of the singular locus, the
-    smoothing_b2 of the point's classification: m - 1 for a T point,
-    which covers the n - 1 vanishing 2-spheres of a Du Val point
-    A_{n-1} (m = n), and 0 for a rigid point. A point with unknown
-    deformation theory is an error naming the point. It equals the
-    b2_generic of the surface's model: moduli.evaluate_model adds the
-    same per-point values in its one walk of the locus and does not call
-    this.
-    """
-    _require_record(surface, SurfaceModel)
-    return surface.b2_base + sum(
-        _classify_point(record).smoothing_b2 for record in surface.singular_locus
-    )

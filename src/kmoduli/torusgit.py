@@ -135,6 +135,9 @@ class WeightSystem(namedtuple("WeightSystem", "matrix")):
                     raise ValueError(f"weights must be integers, not {t}: {x!r}")
         return super().__new__(cls, matrix)
 
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightSystem":
         """WeightSystem(rows), under the name the callers use."""
@@ -191,6 +194,9 @@ class SupportPoint(namedtuple("SupportPoint", "support")):
         if not all(type(i) is int and i >= 1 for i in support):
             raise ValueError(f"support must hold 1-based indices: {sorted(support)}")
         return super().__new__(cls, support)
+
+    # _make, and so _replace, build through the constructor's checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "SupportPoint":

@@ -27,8 +27,8 @@ from kmoduli.cqsing import (
     min_discrepancy,
     normalize,
     parse_singularity,
-    versal_weights,
 )
+from kmoduli.quotsurf import CyclicAction, assemble_qdef, build_surface
 
 
 def valid_q(n):
@@ -512,64 +512,83 @@ def test_classify_equivalence_invariant():
             assert a.qdef_dim == b.qdef_dim
 
 
-# versal weights
+# versal weights: the characters of a point's block of the deformation space
+
+
+def block_at(action: CyclicAction, label: str, form: NormalForm, chart) -> tuple:
+    """The characters assemble_qdef gives the point of the action's
+    surface with this label, after checking the point's form and chart
+    characters."""
+    for record, chars in assemble_qdef(build_surface(action)).blocks:
+        if record.point_label == label:
+            assert record.singularity == form.canonical()
+            assert record.local_torus_weights == chart
+            return chars
+    raise AssertionError(f"{action} has no point {label}")
 
 
 def test_versal_weights_a_chain():
     for l in (2, 3, 5, 8):
-        ws = versal_weights(classify(NormalForm(l, l - 1)), ((1, 0), (0, 1)))
-        assert ws == [(c, c) for c in range(l, 1, -1)]
+        x = CyclicAction.x_family(l)
+        ws = block_at(x, "([0:1],[0:1])", NormalForm(l, l - 1), ((1, 0), (0, 1)))
+        assert ws == tuple((c, c) for c in range(l, 1, -1))
 
 
 def test_versal_weights_a_chain_opposite_point():
-    ws = versal_weights(classify(NormalForm(5, 4)), ((-1, 0), (0, -1)))
-    assert ws == [(-c, -c) for c in range(5, 1, -1)]
+    x5 = CyclicAction.x_family(5)
+    ws = block_at(x5, "([1:0],[1:0])", NormalForm(5, 4), ((-1, 0), (0, -1)))
+    assert ws == tuple((-c, -c) for c in range(5, 1, -1))
 
 
 def test_versal_weights_4_1():
-    assert versal_weights(classify(NormalForm(4, 1)), ((1, 0), (0, 1))) == [(2, 2)]
-    assert versal_weights(classify(NormalForm(4, 1)), ((1, 0), (0, -1))) == [(2, -2)]
+    diagonal = CyclicAction("P1xP1", 4, (1, 1))
+    x4 = CyclicAction.x_family(4)
+    assert block_at(diagonal, "([0:1],[0:1])", NormalForm(4, 1), ((1, 0), (0, 1))) == (
+        (2, 2),
+    )
+    assert block_at(x4, "([0:1],[1:0])", NormalForm(4, 1), ((1, 0), (0, -1))) == (
+        (2, -2),
+    )
 
 
 def test_versal_weights_9_2():
     # m = 1, r = 3: single character 3 * (alpha + beta)
-    assert versal_weights(classify(NormalForm(9, 2)), ((-1, 1), (-1, 0))) == [(-6, 3)]
+    y9 = CyclicAction.y_family(9)
+    assert block_at(y9, "[1:0:0]", NormalForm(9, 2), ((-1, 1), (-1, 0))) == ((-6, 3),)
 
 
 def test_versal_weights_length_and_multiples():
+    # on every surface of an action (1, q) on P1 x P1 of order below 40
+    # that assembles, each block has qdef_dim characters, each a positive
+    # multiple of alpha + beta at its point; the blocks meet every
+    # deforming form of those orders but 1/12(1,5), which sits only
+    # beside the unknown 1/12(1,7) (its -q partner) on P1 x P1, and on no
+    # isolated point of P2
+    deforming, met = set(), set()
     for n in range(2, 40):
         for q in valid_q(n):
-            c = classify(NormalForm(n, q))
-            if not c.qdef_dim:
+            if classify(NormalForm(n, q)).qdef_dim:
+                deforming.add(NormalForm(n, q).canonical())
+            try:
+                qdef = assemble_qdef(build_surface(CyclicAction("P1xP1", n, (1, q))))
+            except UnknownDeformationError:
                 continue
-            ws = versal_weights(classify(NormalForm(n, q)), ((1, 0), (0, 1)))
-            assert len(ws) == c.qdef_dim
-            assert all(x == y and x > 0 for x, y in ws)
+            for record, ws in qdef.blocks:
+                assert len(ws) == record.classification.qdef_dim
+                (a0, a1), (b0, b1) = record.local_torus_weights
+                x, y = a0 + b0, a1 + b1
+                for c, d in ws:
+                    k = c // x
+                    assert (c, d) == (k * x, k * y) and k > 0, record
+                if ws:
+                    met.add(record.singularity)
+    assert deforming - met == {NormalForm(12, 5)}
 
 
-def test_versal_weights_rejects_rigid_and_unknown():
-    with pytest.raises(ValueError):
-        versal_weights(classify(NormalForm(5, 2)), ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        versal_weights(classify(NormalForm(1, None)), ((1, 0), (0, 1)))
-    with pytest.raises(UnknownDeformationError):
-        versal_weights(classify(NormalForm(12, 7)), ((1, 0), (0, 1)))
-
-
-@pytest.mark.parametrize(
-    "local_weights",
-    [None, 5, "ab", ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, "a")),
-     ((1, 0), (0, 1.0)), ((1, 0), (0, True)), ((1, 0), (0, 1, 2)), ((1, 0), 5)],
-    ids=repr,
-)
-def test_versal_weights_refuses_weights_that_are_not_two_integer_pairs(local_weights):
-    # refused where they enter, with ValueError, and not as a TypeError
-    # of the sum of alpha and beta
-    message = f"two pairs of integer characters, got {local_weights!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        versal_weights(classify(NormalForm(4, 3)), local_weights)
-
-
-def test_versal_weights_takes_lists_of_weights():
-    cls = classify(NormalForm(4, 3))
-    assert versal_weights(cls, [[1, 0], [0, 1]]) == versal_weights(cls, ((1, 0), (0, 1)))
+def test_versal_weights_of_rigid_and_unknown_points():
+    # a rigid point gets an empty block; an unknown one is refused by name
+    rigid = CyclicAction("P1xP1", 5, (1, 2))
+    assert block_at(rigid, "([0:1],[0:1])", NormalForm(5, 2), ((1, 0), (0, 1))) == ()
+    unknown = build_surface(CyclicAction("P1xP1", 12, (1, 5)))
+    with pytest.raises(UnknownDeformationError, match=re.escape("1/12(1,7)")):
+        assemble_qdef(unknown)

@@ -4,13 +4,14 @@ import copy
 import json
 import pickle
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from fixed_points import oracle_records
-from three_pass import qdef_directions
+from fixed_points import oracle_blocks, oracle_records
+from three_pass import betti_by_kind, qdef_directions
 from weight_systems import qdef_weight_system
 
 from kmoduli.cqsing import (
@@ -25,10 +26,14 @@ from kmoduli.quotsurf import (
     FixedPointRecord,
     SurfaceModel,
     assemble_qdef,
-    betti_of_generic_smoothing,
     build_surface,
 )
+from kmoduli.moduli import local_model
 from kmoduli.torusgit import quotient_dim
+
+# namedtuple._replace refuses a name that is not a field with ValueError
+# before Python 3.13, and with TypeError from 3.13 on
+UNEXPECTED_FIELD = ValueError if sys.version_info < (3, 13) else TypeError
 
 
 def brute_force_isolated(action: CyclicAction) -> bool:
@@ -313,7 +318,7 @@ def test_a_surface_is_rebuilt_only_through_its_constructor():
     assert moved.singular_locus == build_surface(x7).singular_locus
     with pytest.raises(NonIsolatedError, match="factor 2"):
         s._replace(action=CyclicAction("P1xP1", 4, (1, 2)))
-    with pytest.raises(ValueError, match="unexpected field"):
+    with pytest.raises(UNEXPECTED_FIELD, match="unexpected field"):
         s._replace(singular_locus=moved.singular_locus)
     with pytest.raises(AttributeError):
         setattr(s, "singular_locus", ())
@@ -417,15 +422,12 @@ def test_betti_of_generic_smoothing_values():
         ("Y", 9): 9,
     }
     for (family, l), expected in cases.items():
-        action = (
-            CyclicAction.x_family(l) if family == "X" else CyclicAction.y_family(l)
-        )
-        assert betti_of_generic_smoothing(build_surface(action)) == expected
+        assert local_model(family, l).b2_generic == expected
     # away from the special orders the X value is 2l and the Y value is l
     for l in (5, 6, 9, 10, 11):
-        assert betti_of_generic_smoothing(build_surface(CyclicAction.x_family(l))) == 2 * l
+        assert local_model("X", l).b2_generic == 2 * l
     for l in (7, 11, 13, 15):
-        assert betti_of_generic_smoothing(build_surface(CyclicAction.y_family(l))) == l
+        assert local_model("Y", l).b2_generic == l
 
 
 # ------------------------------------------------------------------ qdef
@@ -537,7 +539,7 @@ def test_everything_rigid_yields_zero_space():
     assert qdef_directions(s) == (0, {})
     with pytest.raises(ValueError):
         qdef_weight_system(q)
-    assert betti_of_generic_smoothing(s) == 2
+    assert betti_by_kind(s) == 2
 
 
 def test_unknown_deformation_point_is_an_error():
@@ -547,8 +549,37 @@ def test_unknown_deformation_point_is_an_error():
         assemble_qdef(s)
     with pytest.raises(UnknownDeformationError, match=r"\(\[0:1\],\[1:0\]\)"):
         qdef_directions(s)
-    with pytest.raises(UnknownDeformationError):
-        betti_of_generic_smoothing(s)
+    with pytest.raises(UnknownDeformationError, match=r"\(\[0:1\],\[1:0\]\)"):
+        betti_by_kind(s)
+
+
+def test_qdef_blocks_match_the_versal_weights_oracle():
+    """assemble_qdef against the per-point path through versal_weights,
+    on every isolated action of order at most 40 on both ambients: the
+    same blocks, or the same UnknownDeformationError, message and all."""
+    assembled = refused = 0
+    for l in range(2, 41):
+        for w1 in range(l):
+            for w2 in range(l):
+                for action in (
+                    CyclicAction("P1xP1", l, (w1, w2)),
+                    CyclicAction("P2", l, (w1, w2, 0)),
+                ):
+                    try:
+                        surface = build_surface(action)
+                    except NonIsolatedError:
+                        continue
+                    try:
+                        expected = oracle_blocks(surface)
+                    except UnknownDeformationError as error:
+                        with pytest.raises(UnknownDeformationError) as raised:
+                            assemble_qdef(surface)
+                        assert str(raised.value) == str(error), action
+                        refused += 1
+                    else:
+                        assert assemble_qdef(surface).blocks == expected, action
+                        assembled += 1
+    assert (assembled, refused) == (13769, 632)
 
 
 # ------------------------------------------------------------------ json

@@ -55,9 +55,11 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses pulls in inspect: together about 11 ms of every request's start-up
     src = str(Path(kmoduli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # the difference of sys.modules around the import, as the
+    # interpreter's start-up may load either module first
     probe = (
-        "import sys, kmoduli.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys; before = set(sys.modules); import kmoduli.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -5,16 +5,35 @@ It walks the singular locus three times: qdef_directions for the
 deformation dimension and the multiset of primitive directions, a dict
 of the distinct forms for the minimal discrepancy and the Gorenstein
 index, and betti_by_kind for the second Betti number, which adds n - 1
-for a Du Val point and m - 1 for any other T point in two branches.
+for a Du Val point and m - 1 for any other T point in two branches. The
+first and the third walk refuse a point with unknown deformation
+theory, naming it (known_classification).
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from kmoduli.cqsing import Character, _check_singular, _min_log_numerator
+from kmoduli.cqsing import (
+    SingularityClassification,
+    UnknownDeformationError,
+    _check_singular,
+    _min_log_numerator,
+)
 from kmoduli.moduli import LocalModuliModel
-from kmoduli.quotsurf import SurfaceModel, _classify_point
+from kmoduli.quotsurf import Character, FixedPointRecord, SurfaceModel
 from kmoduli.torusgit import _direction_rank, _quotient_dim
+
+
+def known_classification(record: FixedPointRecord) -> SingularityClassification:
+    """The classification a point holds; an unknown deformation theory
+    is an error naming the point."""
+    cls = record.classification
+    if cls.qdef_dim is None:
+        raise UnknownDeformationError(
+            f"point {record.point_label}: no deformation dimension known "
+            f"for {record.singularity.display()}"
+        )
+    return cls
 
 
 def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
@@ -22,7 +41,7 @@ def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
     primitive directions of its torus characters, in O(points).
 
     Every character of a point's block is a positive multiple of
-    alpha + beta at the point (versal_weights), so a deforming point
+    alpha + beta at the point (assemble_qdef), so a deforming point
     adds qdef_dim to the count of the primitive direction of alpha +
     beta; no character is built. This is the multiset of the columns
     of assemble_qdef(surface).weight_matrix, up to positive scaling.
@@ -30,7 +49,7 @@ def qdef_directions(surface: SurfaceModel) -> tuple[int, dict[Character, int]]:
     total = 0
     counts: dict[Character, int] = {}
     for record in surface.singular_locus:
-        if dim := _classify_point(record).qdef_dim:
+        if dim := known_classification(record).qdef_dim:
             (a0, a1), (b0, b1) = record.local_torus_weights
             x, y = a0 + b0, a1 + b1
             g = gcd(x, y)
@@ -45,7 +64,7 @@ def betti_by_kind(surface: SurfaceModel) -> int:
     T point; rigid points add nothing."""
     total = surface.b2_base
     for record in surface.singular_locus:
-        cls = _classify_point(record)
+        cls = known_classification(record)
         if cls.is_du_val:
             total += record.singularity.order - 1
         elif cls.is_T:
