@@ -10,14 +10,16 @@ Gorenstein index, second Betti number of the generic smoothing).
 
 Every field is computed by the generic pipeline; the special orders
 (l = 2, 4 in the X family, l = 3, 9 in the Y family) flow through the
-same code paths as all others. evaluate_model reads a surface in one
-walk of the singular locus its action determines: per point, the
-deformation count of the primitive direction of alpha + beta and the
-point's contribution to b2; per distinct normal form, the least log
-numerator of its chain and its Gorenstein index. The action's family,
-volume and b2_base are read once, off the action. The stack dimension
-and whether the surface is isolated follow from the fields, so the
-record reads them as properties.
+same code paths as all others. A model is read off its action in one
+walk of the torus-fixed points (_model): per point, the deformation
+count of the primitive direction of alpha + beta and the point's
+contribution to b2; per distinct normal form, the least log numerator
+of its chain and its Gorenstein index. The action's family, volume and
+b2_base are read once, off the action. local_model walks the points
+raw, as quotsurf._points yields them, and builds no surface record;
+evaluate_model walks the singular locus of a surface it is given. The
+stack dimension and whether the surface is isolated follow from the
+fields, so the record reads them as properties.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .quotsurf import (
     _PRESET_AUT0_DIM,
     CyclicAction,
     SurfaceModel,
-    build_surface,
+    _points,
+    _volume_and_b2,
     rational_json,
 )
 from .torusgit import _direction_rank, _quotient_dim, _require_ints
@@ -56,7 +59,7 @@ class LocalModuliModel(NamedTuple):
     coarse moduli space; that is coarse_dim == 0, as a nonempty
     polystable support has positive quotient dimension.
 
-    evaluate_model builds this record; the constructor checks no field,
+    _model builds this record; the constructor checks no field,
     and no entry point of the library takes one.
     """
 
@@ -110,28 +113,40 @@ def action_for(family: str, l: int) -> CyclicAction:
 
 
 def local_model(family: str, l: int) -> LocalModuliModel:
-    """Build the surface and evaluate its model, in O(log l)."""
-    return evaluate_model(build_surface(action_for(family, l)))
+    """The model of the family's surface of order l, in O(log l): one
+    walk (_model) of the torus-fixed points of its action, read raw off
+    quotsurf._points, so no SurfaceModel and no FixedPointRecord is
+    built."""
+    action = action_for(family, l)
+    return _model(action, _points(action))
 
 
 def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
-    """The local moduli model of a surface.
+    """The local moduli model of a surface: the walk of _model over the
+    singular locus the surface's constructor derived from its action. An
+    argument that is not a SurfaceModel raises ValueError."""
+    _require_record(surface, SurfaceModel)
+    return _model(surface.action, surface.singular_locus)
 
-    The family of the model is the one of the surface's action
+
+def _model(action: CyclicAction, points) -> LocalModuliModel:
+    """The local moduli model of the quotient by action, in one walk of
+    its points: the records of its singular locus, or the same tuples
+    (label, chart weights, chart characters, classification) raw from
+    quotsurf._points.
+
+    The family of the model is the one of the action
     (CyclicAction.family, read once). Only the two family presets have
-    a moduli model, so a surface whose action has no family raises
-    ValueError; the model's aut_dim (the residual 2-torus of a preset),
-    the surface's volume and its b2_base are read off the same action,
-    so they cannot disagree with it. An argument that is not a
-    SurfaceModel raises ValueError.
+    a moduli model, so an action with no family raises ValueError; the
+    model's aut_dim (the residual 2-torus of a preset), the volume and
+    b2_base are read off the same action (quotsurf._volume_and_b2), so
+    they cannot disagree with it.
 
-    Everything else comes from one walk of the singular locus, which
-    the surface's constructor derived from the action: every point is
-    1/l(1, q) with l >= 2, the order of the action (quotsurf), and a
-    preset's points are A_{l-1}, 1/l(1,1) and 1/l(1,2), each rigid, Du
-    Val or T, so each has a known deformation dimension. The walk reads
-    each point's classification and builds no character and no weight
-    matrix:
+    Every point is 1/l(1, q) with l >= 2, the order of the action
+    (quotsurf), and a preset's points are A_{l-1}, 1/l(1,1) and
+    1/l(1,2), each rigid, Du Val or T, so each has a known deformation
+    dimension. The walk reads each point's classification and builds
+    no character and no weight matrix:
       * per point: a deforming point adds its qdef_dim to the deformation
         dimension and to the count of the primitive direction of alpha +
         beta, as every character of its block is a positive multiple of
@@ -148,8 +163,6 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
     connected reductive automorphism group (finite factors are ignored,
     and finite quotients do not change any dimension reported here).
     """
-    _require_record(surface, SurfaceModel)
-    action = surface.action
     family = action.family
     if family is None:
         raise ValueError(
@@ -157,12 +170,11 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
             "only the X and Y family actions have a moduli model"
         )
     l = action.order
-    qdef_dim, b2, counts, forms = 0, surface.b2_base, {}, set()
+    volume, b2 = _volume_and_b2(action)
+    qdef_dim, counts, forms = 0, {}, set()
     low, index = l, 1
-    for record in surface.singular_locus:
-        cls = record.classification
+    for _, _, ((a0, a1), (b0, b1)), cls in points:
         if dim := cls.qdef_dim:
-            (a0, a1), (b0, b1) = record.local_torus_weights
             x, y = a0 + b0, a1 + b1
             g = gcd(x, y)
             d = (x // g, y // g)
@@ -181,7 +193,7 @@ def evaluate_model(surface: SurfaceModel) -> LocalModuliModel:
         _PRESET_AUT0_DIM,
         _quotient_dim(counts, 0, dirs),
         2 - _direction_rank(dirs),
-        surface.volume,
+        volume,
         Fraction(low - l, l),
         index,
         b2,

@@ -202,7 +202,8 @@ class SurfaceModel(namedtuple("SurfaceModel", "action")):
 
     The constructor checks the action (a CyclicAction, else ValueError),
     raises NonIsolatedError for an action whose fixed points are not
-    isolated, and computes the singular locus once (_singular_locus).
+    isolated, and computes the singular locus once (_singular_locus,
+    which wraps the point tuples of _points in records).
     The locus is a read-only attribute and not a field: it is what the
     action determines, so it takes part in neither equality, hash, repr
     nor _asdict(). _make, and so _replace, build through the
@@ -235,7 +236,7 @@ class SurfaceModel(namedtuple("SurfaceModel", "action")):
 
     @property
     def volume(self) -> Fraction:
-        return Fraction(_AMBIENTS[self.action.ambient][0], self.action.order)
+        return _volume_and_b2(self.action)[0]
 
     @property
     def aut0_dim(self) -> Optional[int]:
@@ -243,7 +244,7 @@ class SurfaceModel(namedtuple("SurfaceModel", "action")):
 
     @property
     def b2_base(self) -> int:
-        return _AMBIENTS[self.action.ambient][1]
+        return _volume_and_b2(self.action)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -264,7 +265,7 @@ class QDefModel(NamedTuple):
     deformation parameter; both are properties read off the blocks.
     The blocks grow with the order, so only the surface report builds
     this record. A local model reads the dimension and the GIT input off
-    the singular locus (moduli.evaluate_model), and builds no character.
+    the torus-fixed points (moduli._model), and builds no character.
     assemble_qdef builds this record; the constructor checks no field,
     and no entry point takes one.
     """
@@ -301,10 +302,26 @@ def build_surface(action: CyclicAction) -> SurfaceModel:
     return SurfaceModel(action)
 
 
+def _volume_and_b2(action: CyclicAction) -> tuple[Fraction, int]:
+    """The volume and b2_base of the quotient by action: the ambient's
+    anticanonical degree over l, and the ambient's b2."""
+    degree, b2, _, _ = _AMBIENTS[action.ambient]
+    return Fraction(degree, action.order), b2
+
+
 def _singular_locus(action: CyclicAction) -> tuple[FixedPointRecord, ...]:
-    """The records of the torus-fixed points of a CyclicAction, or
-    NonIsolatedError for the first point with a chart weight that is not
-    a unit mod l.
+    """The records of the torus-fixed points of a CyclicAction: each
+    tuple of _points wrapped in a FixedPointRecord."""
+    return tuple(FixedPointRecord(*point) for point in _points(action))
+
+
+def _points(action: CyclicAction):
+    """Yield the record fields (label, (a, b), (alpha, beta),
+    classification) of each torus-fixed point of a CyclicAction, or
+    raise NonIsolatedError at the first point with a chart weight that
+    is not a unit mod l. The one loop over the points: the singular
+    locus wraps its tuples in records, and a local model reads them raw
+    (moduli._model).
 
     Each point's work is integer arithmetic: the chart weights a, b,
     their gcds with l, and q = a^(-1) b mod l, looked up in a dict local
@@ -312,13 +329,12 @@ def _singular_locus(action: CyclicAction) -> tuple[FixedPointRecord, ...]:
     c = min(q, q^(-1) mod l), and only a c not seen yet builds
     NormalForm(l, c) and classifies it; the classification, which holds
     its normal form, is filed under q and c, so each distinct form is
-    built and classified once and the records that share it share one
+    built and classified once and the points that share it share one
     classification object.
     """
     _, _, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u0, u1 = [sum(map(mul, row, action.weights)) for row in cocharacter]
-    records = []
     # q of 1/l(1, q) -> the classification of its class
     forms: dict[int, SingularityClassification] = {}
     for label, alpha, beta, curves in points:
@@ -340,8 +356,7 @@ def _singular_locus(action: CyclicAction) -> tuple[FixedPointRecord, ...]:
             if cls is None:
                 cls = classify(NormalForm(l, c))
             forms[q] = forms[c] = cls
-        records.append(FixedPointRecord(label, (a, b), (alpha, beta), cls))
-    return tuple(records)
+        yield label, (a, b), (alpha, beta), cls
 
 
 def assemble_qdef(surface: SurfaceModel) -> QDefModel:

@@ -183,6 +183,38 @@ def test_local_model_walks_the_singular_locus_once(monkeypatch, family, l):
     assert qdefs == []
 
 
+@pytest.mark.parametrize(
+    "family,l", [("X", 2), ("X", 30), ("Y", 3), ("Y", 31), ("X", 10**9 + 7)]
+)
+def test_local_model_builds_no_surface_record(monkeypatch, family, l):
+    # the model is read off the action: the walk takes the points raw
+    # from quotsurf._points, so neither a surface nor a point record is
+    # built, and each distinct form is still built and classified once
+    forms = {r.singularity for r in singular_locus(family, l)}
+    surfaces = count_built(monkeypatch, quotsurf.SurfaceModel)
+    records = count_built(monkeypatch, quotsurf.FixedPointRecord)
+    built = count_built(monkeypatch, cqsing.NormalForm)
+    classified = count_calls(monkeypatch, cqsing.classify)
+    moduli.local_model(family, l)
+    assert surfaces == records == []
+    assert len(built) == len(classified) == len(forms)
+    assert set(built) == {args[0] for args in classified} == forms
+
+
+def test_table_and_witness_call_local_model_once_per_order(monkeypatch):
+    # one local_model call per order, in order, is the benchmark's op:
+    # table and the witness call it through the module global
+    models = count_calls(monkeypatch, moduli.local_model)
+    moduli.table("X", 2, 40)
+    assert models == [("X", l) for l in range(2, 41)]
+    models.clear()
+    moduli.table("Y", 3, 41)
+    assert models == [("Y", l) for l in range(3, 42, 2)]
+    models.clear()
+    l = moduli.unboundedness_witness("Y", 100)
+    assert models == [("Y", l)]
+
+
 @pytest.mark.parametrize("family,l", [("X", 30), ("Y", 31)])
 def test_local_model_walks_each_chain_once_in_integers(monkeypatch, family, l):
     # one integer chain walk per distinct form, and no Fraction per form:

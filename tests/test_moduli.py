@@ -521,6 +521,18 @@ def test_evaluate_model_reads_the_family_off_the_action():
             evaluate_model(build_surface(action))
 
 
+def test_local_model_and_evaluate_model_agree():
+    # the one walk reads its points raw for local_model and as records
+    # for evaluate_model: both give the same model, field for field
+    large = (10**6 + 1, 10**9 + 7, 10**18 + 1)
+    orders = [("X", l) for l in (*range(2, 2001), *large)]
+    orders += [("Y", l) for l in (*range(3, 2002, 2), *large)]
+    for family, l in orders:
+        model = local_model(family, l)
+        surface = build_surface(action_for(family, l))
+        assert model._asdict() == evaluate_model(surface)._asdict(), (family, l)
+
+
 def test_evaluate_model_refuses_a_non_preset_whatever_its_aut0_dim():
     # a hand-built surface of a P2 action that is not y_family(7) is not
     # Y_7, and its action gives it no automorphism dimension to claim
