@@ -17,7 +17,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "cqsing": (
-        "CyclicQuotientSingularity",
         "DiscrepancyVector",
         "HJResolution",
         "NonIsolatedError",
@@ -28,7 +27,6 @@ _EXPORTS = {
         "discrepancies",
         "hirzebruch_jung",
         "min_discrepancy",
-        "normalize",
         "parse_singularity",
     ),
     "moduli": (

@@ -119,12 +119,10 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
         classify,
         discrepancies,
         hirzebruch_jung,
-        normalize,
         parse_singularity,
     )
 
-    germ = parse_singularity(germ_text)
-    nf = normalize(germ)
+    nf = parse_singularity(germ_text)
     if not nf.is_smooth and (curves := chain_length(nf)) > MAX_CHAIN_CURVES:
         raise ValueError(
             f"chain too long: {nf.display()} resolves into {curves} curves, "

@@ -47,54 +47,6 @@ class UnknownDeformationError(ValueError):
     """The Q-Gorenstein deformation space is outside what this engine computes."""
 
 
-class CyclicQuotientSingularity(
-    namedtuple("CyclicQuotientSingularity", "order weight_a weight_b")
-):
-    """The germ at the origin of C^2 / Z_n acting by (u, v) -> (zeta^a u, zeta^b v).
-
-    Weights are stored reduced mod n. Both weights must be coprime to n,
-    otherwise a coordinate axis is fixed pointwise and the singularity is
-    not isolated. order = 1 denotes a smooth point.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, weight_a: int, weight_b: int):
-        if type(order) is not int or order < 1:
-            raise ValueError(f"order must be a positive integer, got {order!r}")
-        if type(weight_a) is not int or type(weight_b) is not int:
-            raise ValueError(f"weights must be integers: ({weight_a!r}, {weight_b!r})")
-        weight_a %= order
-        weight_b %= order
-        for name, w in (("a", weight_a), ("b", weight_b)):
-            g = gcd(order, w)
-            if g != 1:
-                raise NonIsolatedError(
-                    f"1/{order}({weight_a},{weight_b}): "
-                    f"gcd(n, weight_{name}) = {g} != 1, an axis is fixed pointwise"
-                )
-        return super().__new__(cls, order, weight_a, weight_b)
-
-    # _make, and so _replace, build through the constructor's checks
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __str__(self) -> str:
-        return f"1/{self.order}({self.weight_a},{self.weight_b})"
-
-
-_SING_RE = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
-
-
-def parse_singularity(text: str) -> CyclicQuotientSingularity:
-    """Parse the input syntax "1/n(a,b)"; negative weights reduce mod n.
-    Text that is not a str of that form raises ValueError."""
-    m = _SING_RE.match(text) if isinstance(text, str) else None
-    if m is None:
-        raise ValueError(f"cannot parse singularity {text!r}, expected \"1/n(a,b)\"")
-    n, a, b = (int(g) for g in m.groups())
-    return CyclicQuotientSingularity(n, a, b)
-
-
 class NormalForm(namedtuple("NormalForm", "order q")):
     """The normal form 1/n(1,q), with q = None exactly when n = 1 (smooth).
 
@@ -149,16 +101,35 @@ def _require_record(value, cls: type) -> None:
         raise ValueError(f"expected a {cls.__name__}, got {value!r}")
 
 
-def normalize(s: CyclicQuotientSingularity) -> NormalForm:
-    """Scale the first weight to 1: 1/n(a,b) = 1/n(1, a^(-1) b mod n).
+_SING_RE = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
 
-    Idempotent on already-normalized input.
+
+def parse_singularity(text: str) -> NormalForm:
+    """Parse the input syntax "1/n(a,b)", the germ at the origin of
+    C^2 / Z_n acting by (u, v) -> (zeta^a u, zeta^b v), into its normal
+    form 1/n(1, a^(-1) b mod n); n = 1 is the smooth point.
+
+    Text that is not a str of that form, or an order below 1, raises
+    ValueError. The weights reduce mod n, so negative ones are allowed;
+    a weight that is not then a unit mod n fixes a coordinate axis
+    pointwise, and raises NonIsolatedError naming the reduced weights.
     """
-    _require_record(s, CyclicQuotientSingularity)
-    if s.order == 1:
+    m = _SING_RE.match(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"cannot parse singularity {text!r}, expected \"1/n(a,b)\"")
+    n, a, b = (int(g) for g in m.groups())
+    if n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
+    a, b = a % n, b % n
+    for name, w in (("a", a), ("b", b)):
+        if (g := gcd(n, w)) != 1:
+            raise NonIsolatedError(
+                f"1/{n}({a},{b}): "
+                f"gcd(n, weight_{name}) = {g} != 1, an axis is fixed pointwise"
+            )
+    if n == 1:
         return NormalForm(1, None)
-    q = (pow(s.weight_a, -1, s.order) * s.weight_b) % s.order
-    return NormalForm(s.order, q)
+    return NormalForm(n, pow(a, -1, n) * b % n)
 
 
 class HJResolution(namedtuple("HJResolution", "coefficients")):

@@ -362,7 +362,10 @@ def _points(action: CyclicAction):
 def assemble_qdef(surface: SurfaceModel) -> QDefModel:
     """Direct sum of the local Q-Gorenstein deformation spaces.
 
-    There are no local-to-global obstructions for these surfaces, so the
+    There are no local-to-global obstructions for these surfaces: a
+    projective surface with quotient singularities and big -K has none
+    (Hacking-Prokhorov, "Smoothable del Pezzo surfaces with quotient
+    singularities", Compositio Math. 2010, Prop. 3.1). So the
     versal space is the sum of the local ones: one block per point of the
     singular locus, read off the classification and the chart characters
     (alpha, beta) that the point's record holds. The parameters of a

@@ -1,6 +1,6 @@
-"""Per-point oracles for a surface: the fixed points through the germ,
-kept for the integer walk of quotsurf._singular_locus, and the blocks
-of the deformation space through versal_weights, kept for
+"""Per-point oracles for a surface: the fixed points, each read off its
+own chart weights, kept for the integer walk of quotsurf._singular_locus,
+and the blocks of the deformation space through versal_weights, kept for
 quotsurf.assemble_qdef."""
 
 from math import gcd
@@ -8,12 +8,11 @@ from math import gcd
 from three_pass import known_classification
 
 from kmoduli.cqsing import (
-    CyclicQuotientSingularity,
     NonIsolatedError,
+    NormalForm,
     SingularityClassification,
     UnknownDeformationError,
     classify,
-    normalize,
 )
 from kmoduli.quotsurf import (
     _AMBIENTS,
@@ -25,26 +24,24 @@ from kmoduli.quotsurf import (
 
 
 def oracle_records(action: CyclicAction) -> list[FixedPointRecord]:
-    """The fixed points through the germ, point by point: each chart pair
-    builds a CyclicQuotientSingularity, whose gcd check is the isolation
-    test, then normalize, canonical() and classify."""
+    """The fixed points, point by point: a chart weight with a gcd > 1
+    with l fails the isolation test, and otherwise the point is
+    1/l(1, q) with q = a^(-1) b mod l, then canonical() and classify."""
     _, _, cocharacter, points = _AMBIENTS[action.ambient]
     l = action.order
     u = [sum(x * w for x, w in zip(row, action.weights)) for row in cocharacter]
     records = []
     for label, alpha, beta, curves in points:
         a, b = (sum(x * y for x, y in zip(u, chi)) % l for chi in (alpha, beta))
-        try:
-            germ = CyclicQuotientSingularity(l, a, b)
-        except NonIsolatedError:
+        if gcd(a, l) != 1 or gcd(b, l) != 1:
             w, curve = (a, curves[0]) if gcd(a, l) != 1 else (b, curves[1])
             g = gcd(w, l)
             raise NonIsolatedError(
                 f"point {label}: chart weight {w} has gcd {g} with l = {l}, so "
                 f"the order-{g} subgroup fixes {curve} pointwise and the "
                 "fixed locus contains curves"
-            ) from None
-        nf = normalize(germ).canonical()
+            )
+        nf = NormalForm(l, pow(a, -1, l) * b % l).canonical()
         records.append(
             FixedPointRecord(label, (a, b), (alpha, beta), classify(nf))
         )

@@ -32,12 +32,11 @@ from hilbert_basis import hilbert_basis, lattice_rank
 from weight_systems import column, full_support, negated, qdef_weight_system
 
 from kmoduli.cqsing import (
-    CyclicQuotientSingularity,
     NormalForm,
     classify,
     discrepancies,
     hirzebruch_jung,
-    normalize,
+    parse_singularity,
 )
 from kmoduli.moduli import local_model
 from kmoduli.quotsurf import CyclicAction, assemble_qdef, build_surface
@@ -100,7 +99,7 @@ def test_criterion_03_singular_loci():
     for l in range(2, 61):
         locus = build_surface(CyclicAction.x_family(l)).singular_locus
         found = sorted((r.singularity.order, r.singularity.q) for r in locus)
-        mixed = normalize(CyclicQuotientSingularity(l, 1, 1)).canonical()
+        mixed = parse_singularity(f"1/{l}(1,1)").canonical()
         expected = sorted([(l, l - 1), (l, l - 1), (l, mixed.q), (l, mixed.q)])
         assert found == expected, l
     two = build_surface(CyclicAction.x_family(2)).singular_locus

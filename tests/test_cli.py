@@ -140,6 +140,36 @@ def test_sing_non_isolated_error_names_gcd(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize(
+    "germ, message",
+    [
+        ("1/0(1,1)", "order must be a positive integer, got 0"),
+        ("1/6(2,1)", "1/6(2,1): gcd(n, weight_a) = 2 != 1, an axis is fixed pointwise"),
+        ("1/9(3,1)", "1/9(3,1): gcd(n, weight_a) = 3 != 1, an axis is fixed pointwise"),
+        ("1/4(1,2)", "1/4(1,2): gcd(n, weight_b) = 2 != 1, an axis is fixed pointwise"),
+        ("1/7(0,1)", "1/7(0,1): gcd(n, weight_a) = 7 != 1, an axis is fixed pointwise"),
+    ],
+)
+def test_sing_refused_germ_exact_stderr(capsys, germ, message):
+    assert run_cli(capsys, "sing", germ) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "germ, normal_form",
+    [
+        ("1/5(-1,3)", {"order": 5, "q": 2}),
+        (" 1/9( 1 , 2 ) ", {"order": 9, "q": 2}),
+        ("1/1(0,0)", {"order": 1, "q": None}),
+    ],
+)
+def test_sing_json_normal_form_and_input(capsys, germ, normal_form):
+    code, out, err = run_cli(capsys, "sing", germ, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["normal_form"] == normal_form
+    assert data["input"] == germ.strip()
+
+
 def test_sing_json(capsys):
     code, out, _ = run_cli(capsys, "sing", "1/9(1,2)", "--format", "json")
     assert code == 0

@@ -5,6 +5,7 @@ systems, brute-force modular arithmetic) and are frozen here; the
 property sweeps check the structural invariants on exhaustive ranges.
 """
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,6 @@ import pytest
 from continued_fractions import continued_fraction_value, hj_coefficients
 
 from kmoduli.cqsing import (
-    CyclicQuotientSingularity,
     HJResolution,
     NonIsolatedError,
     NormalForm,
@@ -25,7 +25,6 @@ from kmoduli.cqsing import (
     discrepancies,
     hirzebruch_jung,
     min_discrepancy,
-    normalize,
     parse_singularity,
 )
 from kmoduli.quotsurf import CyclicAction, assemble_qdef, build_surface
@@ -104,41 +103,52 @@ def elimination_discrepancy_oracle(bs):
 # normal forms
 
 
+def test_parse_singularity_exhaustive():
+    """Every 1/n(a,b) with n <= 30 and a, b in range(-n, 2n): refused
+    exactly when a weight is not a unit mod n, else 1/n(1, q) with q the
+    one unit such that b = q a mod n, found by search. This covers the
+    A-chains 1/n(1,-1), the trivial group, the modular inverse and
+    idempotence on 1/n(1, q)."""
+    for n in range(1, 31):
+        for a, b in itertools.product(range(-n, 2 * n), repeat=2):
+            text = f"1/{n}({a},{b})"
+            if gcd(a, n) > 1 or gcd(b, n) > 1:
+                with pytest.raises(NonIsolatedError, match="an axis is fixed pointwise"):
+                    parse_singularity(text)
+                continue
+            (q,) = [q for q in range(n) if gcd(q, n) == 1 and (q * a - b) % n == 0]
+            expected = NormalForm(1, None) if n == 1 else NormalForm(n, q)
+            assert parse_singularity(text) == expected, text
+
+
 def test_normalize_a_chain_weights():
     for l in range(2, 30):
-        nf = normalize(CyclicQuotientSingularity(l, 1, -1))
+        nf = parse_singularity(f"1/{l}(1,-1)")
         assert nf == NormalForm(l, l - 1)
         assert nf.display() == f"A_{l - 1}"
 
 
 def test_normalize_trivial_group():
-    assert normalize(CyclicQuotientSingularity(1, 0, 0)) == NormalForm(1, None)
+    assert parse_singularity("1/1(0,0)") == NormalForm(1, None)
 
 
 def test_normalize_modular_inverse():
     # 2^(-1) = 3 mod 5 and 3*3 = 4 mod 5
-    assert normalize(CyclicQuotientSingularity(5, 2, 3)) == NormalForm(5, 4)
+    assert parse_singularity("1/5(2,3)") == NormalForm(5, 4)
 
 
 def test_normalize_idempotent():
     for n in range(2, 40):
         for q in valid_q(n):
-            nf = normalize(CyclicQuotientSingularity(n, 1, q))
-            assert nf == NormalForm(n, q)
-
-
-def test_non_isolated_rejected():
-    with pytest.raises(NonIsolatedError):
-        CyclicQuotientSingularity(4, 2, 1)
-    with pytest.raises(NonIsolatedError):
-        CyclicQuotientSingularity(6, 1, 3)
+            assert parse_singularity(f"1/{n}(1,{q})") == NormalForm(n, q)
 
 
 def test_parse_singularity():
-    s = parse_singularity("1/5(2,3)")
-    assert (s.order, s.weight_a, s.weight_b) == (5, 2, 3)
-    assert parse_singularity("1/7(1,-1)").weight_b == 6
-    assert parse_singularity(" 1/9( 1 , 2 ) ").order == 9
+    assert parse_singularity("1/5(2,3)") == NormalForm(5, 4)
+    assert parse_singularity("1/7(1,-1)") == NormalForm(7, 6)
+    assert parse_singularity(" 1/9( 1 , 2 ) ") == NormalForm(9, 2)
+    with pytest.raises(ValueError, match="order must be a positive integer, got 0"):
+        parse_singularity("1/0(1,1)")
     for bad in ("5(1,2)", "1/5(1)", "1/5(1,2,3)", "x", "1/(1,2)"):
         with pytest.raises(ValueError):
             parse_singularity(bad)
@@ -146,6 +156,16 @@ def test_parse_singularity():
     for bad in (5, None, 2.0, b"1/5(1,2)", ["1/5(1,2)"]):
         with pytest.raises(ValueError, match="cannot parse singularity"):
             parse_singularity(bad)
+
+
+def test_non_isolated_rejected():
+    with pytest.raises(NonIsolatedError):
+        parse_singularity("1/4(2,1)")
+    with pytest.raises(NonIsolatedError):
+        parse_singularity("1/6(1,3)")
+    # the refusal names the weights reduced mod n
+    with pytest.raises(NonIsolatedError, match=re.escape("1/6(4,1): gcd(n, weight_a) = 2")):
+        parse_singularity("1/6(-2,7)")
 
 
 def test_canonical_and_equivalence():

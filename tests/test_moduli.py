@@ -617,10 +617,6 @@ def _x5_surface():
 
 # record type -> (a record the library builds, its field names in order)
 RECORDS = {
-    "CyclicQuotientSingularity": (
-        lambda: kmoduli.parse_singularity("1/5(1,2)"),
-        ("order", "weight_a", "weight_b"),
-    ),
     "NormalForm": (lambda: kmoduli.NormalForm(7, 3), ("order", "q")),
     "HJResolution": (
         lambda: kmoduli.hirzebruch_jung(kmoduli.NormalForm(7, 3)),
@@ -692,12 +688,6 @@ DERIVED = {
 
 # validating record type -> keyword arguments it refuses, with the error
 REFUSED = {
-    "CyclicQuotientSingularity": [
-        (dict(order=0, weight_a=1, weight_b=1), ValueError, "order must be a positive"),
-        (dict(order=4, weight_a=2, weight_b=1), NonIsolatedError, "gcd"),
-        (dict(order=5, weight_a=1.0, weight_b=2), ValueError, "must be integers"),
-        (dict(order=True, weight_a=1, weight_b=1), ValueError, "got True"),
-    ],
     "NormalForm": [
         (dict(order=5, q=0), ValueError, "must satisfy 1 <= q < 5"),
         (dict(order=1, q=2), ValueError, "q = None"),
@@ -734,9 +724,6 @@ REFUSED = {
 
 # record type -> keyword arguments it normalises, and the record they give
 NORMALISED = {
-    "CyclicQuotientSingularity": (
-        dict(order=5, weight_a=6, weight_b=-3), (5, 1, 2)
-    ),
     "CyclicAction": (dict(ambient="P1xP1", order=5, weights=(6, -1)), ("P1xP1", 5, (1, 4))),
     "SupportPoint": (dict(support=[3, 1, 3]), (frozenset({1, 3}),)),
 }

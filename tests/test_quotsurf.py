@@ -15,11 +15,10 @@ from three_pass import betti_by_kind, qdef_directions
 from weight_systems import qdef_weight_system
 
 from kmoduli.cqsing import (
-    CyclicQuotientSingularity,
     NonIsolatedError,
     UnknownDeformationError,
     classify,
-    normalize,
+    parse_singularity,
 )
 from kmoduli.quotsurf import (
     CyclicAction,
@@ -65,7 +64,7 @@ def reference_p1xp1_records(action: CyclicAction) -> list[FixedPointRecord]:
             b = w2 if p2 == 0 else -w2
             alpha = (1 if p1 == 0 else -1, 0)
             beta = (0, 1 if p2 == 0 else -1)
-            nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+            nf = parse_singularity(f"1/{l}({a},{b})").canonical()
             records.append(
                 FixedPointRecord(
                     point_label=f"({factor_labels[p1]},{factor_labels[p2]})",
@@ -91,7 +90,7 @@ def reference_p2_records(action: CyclicAction) -> list[FixedPointRecord]:
             tuple(x - y for x, y in zip(characters[j], characters[i])) for j in js
         )
         label = "[" + ":".join("1" if j == i else "0" for j in range(3)) + "]"
-        nf = normalize(CyclicQuotientSingularity(l, a, b)).canonical()
+        nf = parse_singularity(f"1/{l}({a},{b})").canonical()
         records.append(
             FixedPointRecord(
                 point_label=label,
