@@ -17,8 +17,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "cqsing": (
-        "DiscrepancyVector",
-        "HJResolution",
         "NonIsolatedError",
         "NormalForm",
         "SingularityClassification",

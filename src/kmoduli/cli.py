@@ -132,10 +132,17 @@ def cmd_sing(germ_text: str, fmt: str) -> str:
     if nf.is_smooth:
         chain = self_ints = discs = logs = ()
     else:
-        hj = hirzebruch_jung(nf)
-        vec = discrepancies(nf)
-        chain, self_ints = hj.coefficients, hj.self_intersections
-        discs, logs = vec.values, vec.log_values
+        chain, discs = hirzebruch_jung(nf), discrepancies(nf)
+        self_ints = tuple(-b for b in chain)
+        # log discrepancy 1 + a as (p + q)/q from a = p/q; discrepancies
+        # shares one Fraction along a run of equal values (a whole A_n
+        # chain), which is shifted once for the run
+        logs, last, shifted = [], None, None
+        for a in discs:
+            if a is not last:
+                p, q = a.as_integer_ratio()
+                last, shifted = a, Fraction(p + q, q)
+            logs.append(shifted)
     canonical = nf.canonical()
     if fmt == "json":
         return _dumps({
@@ -262,7 +269,9 @@ def parse_weight_matrix(text: str):
                 for row in text.split(";")
             ]
         return WeightSystem.from_rows(rows)
-    except ValueError as e:  # JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError is a ValueError; json raises RecursionError on
+        # arrays nested past the interpreter's recursion limit
         raise ValueError(
             f"cannot parse weight matrix {text!r}: {e}; "
             'expected rows like "1,2;3,4" or JSON like "[[1,2],[3,4]]"'

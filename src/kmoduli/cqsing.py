@@ -2,7 +2,10 @@
 
 Normal forms 1/n(1,q), Hirzebruch-Jung resolutions, discrepancies, and
 the arithmetic governing Q-Gorenstein deformations: rigid / T / Du Val
-classification, whose r is the Gorenstein index. The torus characters
+classification, whose r is the Gorenstein index. A resolution is its
+chain: hirzebruch_jung and discrepancies return plain tuples with one
+entry per exceptional curve, and chain_length and min_discrepancy read
+the same chain without building it. The torus characters
 of the deformation parameters need the chart characters of a point on
 a surface, so quotsurf.assemble_qdef reads them off the classification.
 
@@ -33,7 +36,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
-from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -109,15 +111,23 @@ def parse_singularity(text: str) -> NormalForm:
     C^2 / Z_n acting by (u, v) -> (zeta^a u, zeta^b v), into its normal
     form 1/n(1, a^(-1) b mod n); n = 1 is the smooth point.
 
-    Text that is not a str of that form, or an order below 1, raises
-    ValueError. The weights reduce mod n, so negative ones are allowed;
-    a weight that is not then a unit mod n fixes a coordinate axis
-    pointwise, and raises NonIsolatedError naming the reduced weights.
+    Text that is not a str of that form, a number with more digits than
+    the interpreter's int() converts (sys.get_int_max_str_digits), or an
+    order below 1, raises ValueError. The weights reduce mod n, so
+    negative ones are allowed; a weight that is not then a unit mod n
+    fixes a coordinate axis pointwise, and raises NonIsolatedError
+    naming the reduced weights.
     """
     m = _SING_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"cannot parse singularity {text!r}, expected \"1/n(a,b)\"")
-    n, a, b = (int(g) for g in m.groups())
+    try:
+        n, a, b = (int(g) for g in m.groups())
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ValueError(
+            f"cannot parse singularity {text!r}: a number has more digits "
+            "than this interpreter converts"
+        ) from None
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     a, b = a % n, b % n
@@ -132,76 +142,24 @@ def parse_singularity(text: str) -> NormalForm:
     return NormalForm(n, pow(a, -1, n) * b % n)
 
 
-class HJResolution(namedtuple("HJResolution", "coefficients")):
-    """The minimal resolution of 1/n(1,q): a chain of rational curves.
-
-    coefficients are the continued-fraction digits of n/q,
-        n/q = b_1 - 1/(b_2 - 1/(... - 1/b_k)),   all b_i >= 2;
-    curve i has self-intersection -b_i. len() counts the curves.
-    The coefficients given are copied to a tuple; coefficients that
-    cannot be iterated, none at all, or one that is not an exact int
-    (a bool or a float is refused) of at least 2 raise ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coefficients: Iterable[int]):
-        try:
-            coefficients = tuple(coefficients)
-        except TypeError:
-            raise ValueError(f"not a coefficient sequence: {coefficients!r}") from None
-        if not coefficients:
-            raise ValueError("a resolution chain needs at least one curve")
-        if not all(type(b) is int and b >= 2 for b in coefficients):
-            raise ValueError(f"all chain coefficients must be ints >= 2: {coefficients}")
-        return super().__new__(cls, coefficients)
-
-    # _make, and so _replace, build through the constructor's checks
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def self_intersections(self) -> tuple[int, ...]:
-        return tuple(-b for b in self.coefficients)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
 def _check_singular(nf: NormalForm) -> None:
     _require_record(nf, NormalForm)
     if nf.is_smooth:
         raise ValueError("a smooth point has no exceptional curves to resolve")
 
 
-def hirzebruch_jung(nf: NormalForm) -> HJResolution:
-    """The Hirzebruch-Jung continued-fraction expansion of n/q."""
+def hirzebruch_jung(nf: NormalForm) -> tuple[int, ...]:
+    """The minimal resolution of 1/n(1,q), a chain of rational curves, as
+    the digits (b_1, ..., b_k) of the Hirzebruch-Jung continued fraction
+
+        n/q = b_1 - 1/(b_2 - 1/(... - 1/b_k)),   all b_i >= 2;
+
+    curve i has self-intersection -b_i. A smooth point raises ValueError.
+    """
     _check_singular(nf)
     runs = _log_discrepancy_runs(nf.order, nf.q)
     curves = (itertools.repeat(b, length) for _, _, length, b in runs)
-    return HJResolution(tuple(itertools.chain.from_iterable(curves)))
-
-
-class DiscrepancyVector(NamedTuple):
-    """Exceptional-curve coefficients a_i in K_resolution = pullback(K) + sum a_i E_i.
-
-    discrepancies builds this record; the constructor checks no field,
-    and no entry point takes one.
-    """
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def log_values(self) -> tuple[Fraction, ...]:
-        """The same data in the shifted convention 1 + a_i, as (p + q)/q
-        from each p/q; a Fraction that discrepancies shares along a run of
-        equal values (a whole A_n chain) is shifted once for the run."""
-        logs, last, shifted = [], None, None
-        for a in self.values:
-            if a is not last:
-                p, q = a.as_integer_ratio()
-                last, shifted = a, Fraction(p + q, q)
-            logs.append(shifted)
-        return tuple(logs)
+    return tuple(itertools.chain.from_iterable(curves))
 
 
 def _log_discrepancy_runs(n: int, q: int):
@@ -226,9 +184,10 @@ def _log_discrepancy_runs(n: int, q: int):
             beta_prev, beta = beta, b * beta - beta_prev
 
 
-def discrepancies(nf: NormalForm) -> DiscrepancyVector:
+def discrepancies(nf: NormalForm) -> tuple[Fraction, ...]:
     """The discrepancies a_i = (alpha_i + beta_i - n) / n of the minimal
-    resolution of 1/n(1,q), one per curve of hirzebruch_jung(nf).
+    resolution of 1/n(1,q), one per curve of hirzebruch_jung(nf), the
+    coefficients in K_resolution = pullback(K) + sum a_i E_i.
 
     They solve the adjunction system a_{j-1} - b_j a_j + a_{j+1} = b_j - 2
     with a_0 = a_{k+1} = 0, lie in (-1, 0], and vanish exactly on all-2
@@ -242,7 +201,7 @@ def discrepancies(nf: NormalForm) -> DiscrepancyVector:
             values.extend(Fraction(first + j * step - n, n) for j in range(length))
         else:  # the run's curves share one value, so they share one Fraction
             values.extend(itertools.repeat(Fraction(first - n, n), length))
-    return DiscrepancyVector(tuple(values))
+    return tuple(values)
 
 
 def _min_log_numerator(n: int, q: int) -> int:
@@ -258,15 +217,16 @@ def _min_log_numerator(n: int, q: int) -> int:
 
 
 def min_discrepancy(nf: NormalForm) -> Fraction:
-    """min(discrepancies(nf).values), from the least integer numerator
-    of the chain (_min_log_numerator), in O(log n)."""
+    """min(discrepancies(nf)), from the least integer numerator of the
+    chain (_min_log_numerator), in O(log n) without building the chain."""
     _check_singular(nf)
     n = nf.order
     return Fraction(_min_log_numerator(n, nf.q) - n, n)
 
 
 def chain_length(nf: NormalForm) -> int:
-    """len(hirzebruch_jung(nf)), the number of exceptional curves, in O(log n)."""
+    """len(hirzebruch_jung(nf)), the number of exceptional curves, summed
+    over the runs of the chain in O(log n) without building it."""
     _check_singular(nf)
     return sum(length for _, _, length, _ in _log_discrepancy_runs(nf.order, nf.q))
 

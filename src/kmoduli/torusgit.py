@@ -483,48 +483,60 @@ def _lex_destabilizer(dirs: frozenset, budget: int) -> Optional[tuple[int, ...]]
     last = len(cols) - 1
     nodes = budget
 
-    def search(box: int, t: int, heads: list[int]) -> Optional[tuple[int, ...]]:
-        # heads[i] = <prefix, d[:t]> + box * sum_{s >= t} |d_s|, the most
-        # that d can still reach; lambda_t = x leaves heads[i] - box |d_t|
-        # + x d_t for the next level, and the pairing itself at the last.
-        # Every head is >= 0: the root heads are box |d|_1, and any x in
-        # [lo, hi] leaves each new head >= 0, so d_t = 0 bounds nothing
+    def search(box: int) -> Optional[tuple[int, ...]]:
+        # Depth-first over the prefixes, with an explicit stack so that
+        # the depth is the rank k and not the interpreter's recursion
+        # limit: path[t] = [x, hi, heads] holds the value lambda_t = x on
+        # the path, its upper bound and the heads it leaves. heads[i] =
+        # <prefix, d[:t]> + box * sum_{s >= t} |d_s|, the most that d can
+        # still reach; lambda_t = x leaves heads[i] - box |d_t| + x d_t for
+        # the next level, and the pairing itself at the last. Every head
+        # is >= 0: the root heads are box |d|_1, and any x in [lo, hi]
+        # leaves each new head >= 0, so d_t = 0 bounds nothing
         nonlocal nodes
-        nodes -= 1
-        if nodes < 0:
-            raise EnumerationBudgetError
-        col = cols[t]
-        lo, hi = -box, box
-        for a, h in zip(col, heads):
-            if a > 0:
-                b = box - h // a
-                if b > lo:
-                    lo = b
-            elif a < 0:
-                b = h // -a - box
-                if b < hi:
-                    hi = b
-        if lo > hi:
-            return None
-        if dead[t]:
-            hi = lo
-        if t == last:
-            # every pairing is >= 0 on [lo, hi]; if all vanish at lo,
-            # each is d_t at lo + 1, and no d_t is < 0 when lo < hi
+        path = []
+        heads = [box * n for n in norms]
+        while True:
+            nodes -= 1
+            if nodes < 0:
+                raise EnumerationBudgetError
+            t = len(path)
+            col = cols[t]
+            lo, hi = -box, box
             for a, h in zip(col, heads):
-                if h + lo * a - box * abs(a):
-                    return (lo,)
-            return (lo + 1,) if lo < hi else None
-        heads = [h + lo * a - box * abs(a) for a, h in zip(col, heads)]
-        for x in range(lo, hi + 1):
-            tail = search(box, t + 1, heads)
-            if tail is not None:
-                return (x, *tail)
-            heads = [h + a for a, h in zip(col, heads)]
-        return None
+                if a > 0:
+                    b = box - h // a
+                    if b > lo:
+                        lo = b
+                elif a < 0:
+                    b = h // -a - box
+                    if b < hi:
+                        hi = b
+            if lo <= hi:
+                if dead[t]:
+                    hi = lo
+                if t < last:
+                    heads = [h + lo * a - box * abs(a) for a, h in zip(col, heads)]
+                    path.append([lo, hi, heads])
+                    continue
+                # every pairing is >= 0 on [lo, hi]; if all vanish at lo,
+                # each is d_t at lo + 1, and no d_t is < 0 when lo < hi
+                for a, h in zip(col, heads):
+                    if h + lo * a - box * abs(a):
+                        return (*(f[0] for f in path), lo)
+                if lo < hi:
+                    return (*(f[0] for f in path), lo + 1)
+            # on to the next value of the deepest level that has one
+            while path and path[-1][0] == path[-1][1]:
+                path.pop()
+            if not path:
+                return None
+            top = path[-1]
+            top[0] += 1
+            heads = top[2] = [h + a for a, h in zip(cols[len(path) - 1], top[2])]
 
     box = 1
-    while (lam := search(box, 0, [box * n for n in norms])) is None:
+    while (lam := search(box)) is None:
         box = max(4, _start_box(dirs)) if box == 3 else box + 1
     return lam
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,48 @@ def test_sing_json_smooth(capsys):
     data = json.loads(out)
     assert data["resolution_chain"] == []
     assert data["display"] == "smooth"
+
+
+def sing_forms(n_max):
+    return [(n, q) for n in range(2, n_max) for q in range(1, n) if gcd(n, q) == 1]
+
+
+def rational(data) -> Fraction:
+    # a JSON rational is exactly a {"num", "den"} object
+    assert set(data) == {"num", "den"}, data
+    return Fraction(data["num"], data["den"])
+
+
+@pytest.mark.parametrize("forms", [sing_forms(200), [(3000, 2999)]], ids=["n<200", "A_2999"])
+def test_sing_report_shifts_each_discrepancy_by_one(forms):
+    # the report negates the chain for the self-intersections and shifts
+    # each discrepancy by one for the log discrepancies
+    for n, q in forms:
+        data = json.loads(cli.cmd_sing(f"1/{n}(1,{q})", "json"))
+        chain = data["resolution_chain"]
+        assert data["self_intersections"] == [-b for b in chain], (n, q)
+        discs = [rational(a) for a in data["discrepancies"]]
+        logs = [rational(a) for a in data["log_discrepancies"]]
+        assert logs == [1 + a for a in discs], (n, q)
+        if q == 1:  # a single curve -n of log discrepancy 2/n
+            assert (chain, logs) == ([n], [Fraction(2, n)]), n
+
+
+def test_sing_number_past_the_digit_limit_is_a_parse_error(capsys):
+    # int() refuses a decimal string longer than the interpreter's limit
+    # (sys.get_int_max_str_digits, 0 where there is none); the germ is
+    # then refused as unparsable, and parses where there is no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    germ = f"1/{'1' * ((limit or 4300) + 1)}(1,2)"
+    code, out, err = run_cli(capsys, "sing", germ)
+    if limit:
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: cannot parse singularity {germ!r}: a number has more "
+            "digits than this interpreter converts\n"
+        )
+    else:
+        assert (code, err) == (0, "")
 
 
 # --------------------------------------------------------------- surface
@@ -497,6 +541,36 @@ def test_git_destabilizer_search_past_the_budget_exits_1_within_two_seconds():
     assert "budget of 100000" in proc.stderr
 
 
+def test_git_rank_1000_destabilizer_within_two_seconds():
+    # the search keeps its path on a stack, one level per torus
+    # coordinate, so a rank past the interpreter's recursion limit answers
+    proc = run_capped(
+        ["-m", "kmoduli.cli", "git", f"--weights={';'.join(['1,1'] * 1000)}",
+         "--support", "1", "--format", "json"],
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lam = json.loads(proc.stdout)["support_analysis"]["destabilizer"]["lambda"]
+    assert lam == [-1] * 499 + [0] + [1] * 500
+
+
+def test_git_rank_5000_destabilizer_search_exits_1_on_the_budget_within_two_seconds():
+    # the search goes 5,000 levels deep within its first 5,000 nodes and
+    # backtracks past the budget: a named error, not a RecursionError. The
+    # default budget of 10**6 nodes ends the same way after 1.2-1.5 s, too
+    # near the cap on a busy host, so the test passes a quarter of it
+    proc = run_capped(
+        ["-m", "kmoduli.cli", "git", f"--weights={';'.join(['1,1'] * 5000)}",
+         "--support", "1", "--budget", "250000"],
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: searching for a destabilizer of support [1] visits more than "
+        "the budget of 250000 search nodes\n"
+    )
+
+
 @pytest.mark.parametrize("command", [
     ["sing", "1/5(1,2)"],
     ["surface", "--family", "X", "--l", "3"],
@@ -559,6 +633,14 @@ def test_git_json_weights_name_the_bad_entry(capsys, weights, problem):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot parse weight matrix {weights!r}: {problem}; ")
+
+
+def test_git_json_nested_past_the_recursion_limit_is_a_parse_error(capsys):
+    weights = "[" * 5000 + "]" * 5000
+    code, out, err = run_cli(capsys, "git", f"--weights={weights}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot parse weight matrix {weights!r}: ")
+    assert err.endswith('; expected rows like "1,2;3,4" or JSON like "[[1,2],[3,4]]"\n')
 
 
 def test_git_support_out_of_range(capsys):

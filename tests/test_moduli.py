@@ -311,10 +311,16 @@ def test_gorenstein_index():
 
 def test_b2_generic():
     assert local_model("X", 2).b2_generic == 6
+    assert local_model("X", 4).b2_generic == 8
     assert local_model("X", 7).b2_generic == 16 - 2
+    assert local_model("Y", 3).b2_generic == 7
+    assert local_model("Y", 5).b2_generic == 5
     assert local_model("Y", 9).b2_generic == 9
     for l in range(5, 20):
         assert local_model("X", l).b2_generic == 2 + 2 * (l - 1)
+    # away from the special orders the Y value is l
+    for l in (7, 11, 13, 15):
+        assert local_model("Y", l).b2_generic == l
 
 
 # ------------------------------------------------------------------ table
@@ -618,14 +624,6 @@ def _x5_surface():
 # record type -> (a record the library builds, its field names in order)
 RECORDS = {
     "NormalForm": (lambda: kmoduli.NormalForm(7, 3), ("order", "q")),
-    "HJResolution": (
-        lambda: kmoduli.hirzebruch_jung(kmoduli.NormalForm(7, 3)),
-        ("coefficients",),
-    ),
-    "DiscrepancyVector": (
-        lambda: kmoduli.discrepancies(kmoduli.NormalForm(7, 3)),
-        ("values",),
-    ),
     "SingularityClassification": (
         lambda: kmoduli.classify(kmoduli.NormalForm(4, 1)),
         ("normal_form", "w", "r", "m", "w0", "is_du_val", "is_T",
@@ -696,10 +694,6 @@ REFUSED = {
         (dict(order=5.0, q=2), ValueError, "order must be a positive integer, got 5.0"),
         (dict(order=5, q=2.0), ValueError, "q must be an integer, got 2.0"),
     ],
-    "HJResolution": [
-        (dict(coefficients=()), ValueError, "at least one curve"),
-        (dict(coefficients=(3, 1)), ValueError, ">= 2"),
-    ],
     "CyclicAction": [
         (dict(ambient="P3", order=5, weights=(1, 2)), ValueError, "ambient must be"),
         (dict(ambient=["P2"], order=5, weights=(1, 2, 0)), ValueError, "ambient must be"),
@@ -728,9 +722,8 @@ NORMALISED = {
     "SupportPoint": (dict(support=[3, 1, 3]), (frozenset({1, 3}),)),
 }
 
-# len() of these counts the curves of the chain and the indices of the
-# support, not the fields
-SIZES = {"HJResolution": 3, "SupportPoint": 2}
+# len() of these counts the indices of the support, not the fields
+SIZES = {"SupportPoint": 2}
 
 
 @pytest.mark.parametrize("name", RECORDS)

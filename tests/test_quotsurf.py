@@ -27,7 +27,6 @@ from kmoduli.quotsurf import (
     assemble_qdef,
     build_surface,
 )
-from kmoduli.moduli import local_model
 from kmoduli.torusgit import quotient_dim
 
 # namedtuple._replace refuses a name that is not a field with ValueError
@@ -409,24 +408,6 @@ def test_aut0_and_b2_base():
     other = build_surface(CyclicAction("P1xP1", 5, (1, 2)))
     assert other.aut0_dim is None
     assert other.b2_base == 2
-
-
-def test_betti_of_generic_smoothing_values():
-    cases = {
-        ("X", 2): 6,
-        ("X", 4): 8,
-        ("X", 7): 14,
-        ("Y", 3): 7,
-        ("Y", 5): 5,
-        ("Y", 9): 9,
-    }
-    for (family, l), expected in cases.items():
-        assert local_model(family, l).b2_generic == expected
-    # away from the special orders the X value is 2l and the Y value is l
-    for l in (5, 6, 9, 10, 11):
-        assert local_model("X", l).b2_generic == 2 * l
-    for l in (7, 11, 13, 15):
-        assert local_model("Y", l).b2_generic == l
 
 
 # ------------------------------------------------------------------ qdef
